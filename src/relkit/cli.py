@@ -2,13 +2,15 @@
 
 Subcommands: parse, build-orm, query, embed, synth, train, eval, zeroshot,
 report. Every command is deterministic given its config and seed; outputs
-carry no timestamps unless --timestamps is passed. RELKIT_THREADS caps the
-internal worker count.
+carry no timestamps unless --timestamps is passed. `--workers`, the config
+key `workers` and RELKIT_THREADS are accepted for compatibility and have no
+effect; the head trains in one batched pass.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import os
 import sys
@@ -24,20 +26,19 @@ from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
                       load_params, predict_scene, save_params, train)
 
 
-def _workers(requested: int) -> int:
+def _check_threads_env() -> None:
     cap = os.environ.get("RELKIT_THREADS")
     if cap:
         try:
-            return max(1, min(requested, int(cap)))
+            int(cap)
         except ValueError as exc:
             raise ConfigError(f"bad RELKIT_THREADS value: {cap!r}") from exc
-    return max(1, requested)
 
 
 def _load_run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
     overrides = {}
-    for name in ("seed", "epochs", "learning_rate", "sigma", "workers",
+    for name in ("seed", "epochs", "learning_rate", "sigma",
                  "m_candidates", "k_candidates", "micro_recall"):
         if hasattr(args, name) and getattr(args, name) is not None:
             overrides[name] = getattr(args, name)
@@ -59,9 +60,17 @@ def _toggles(cfg: cfgmod.RunConfig) -> Toggles:
     )
 
 
-def _maybe_timestamp(args, out) -> None:
-    if getattr(args, "timestamps", False):
-        out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, or stdout, after the optional timestamp line."""
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        if getattr(args, "timestamps", False):
+            out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
+        yield out
+    finally:
+        if args.out:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +174,7 @@ def _load_shared(args):
 
 
 def cmd_train(args) -> int:
+    _check_threads_env()
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     n_pred = args.n_predicate_labels or len(predicate_vocab)
@@ -176,8 +186,7 @@ def cmd_train(args) -> int:
         lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
         m_candidates=cfg.m_candidates, k_candidates=cfg.k_candidates,
         seed=cfg.seed, toggles=_toggles(cfg),
-        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
-        workers=_workers(cfg.workers))
+        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov)
     params = init_params(dims, seed=cfg.seed,
                          lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
     params, losses = train(tcfg, examples, orm_table, object_vocab, table, params)
@@ -201,21 +210,12 @@ def cmd_eval(args) -> int:
                                 strict_oov=cfg.strict_oov,
                                 protocol=args.protocol)
         predictions.append(pred)
-    if args.protocol == "predcls":
-        metrics = evalkit.predcls_eval(predictions, scenes,
-                                       micro=cfg.micro_recall,
-                                       graph_constraint=cfg.graph_constraint)
-    else:
-        metrics = evalkit.sgcls_eval(predictions, scenes,
-                                     micro=cfg.micro_recall,
-                                     graph_constraint=cfg.graph_constraint)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _maybe_timestamp(args, out)
+    evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
+                else evalkit.sgcls_eval)
+    metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
+                       graph_constraint=cfg.graph_constraint)
+    with _output(args) as out:
         evalkit.format_metrics(metrics, args.format, out)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -229,9 +229,7 @@ def cmd_zeroshot(args) -> int:
     ks = [int(v) for v in args.topk.split(",")]
     ranked_lists = []
     gt_names = []
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _maybe_timestamp(args, out)
+    with _output(args) as out:
         for si, scene in enumerate(scenes):
             _, pair_embs = predict_scene(
                 params, scene, orm_table, object_vocab, predicate_vocab,
@@ -249,9 +247,6 @@ def cmd_zeroshot(args) -> int:
         for k in ks:
             acc = evalkit.topk_accuracy(ranked_lists, gt_names, k)
             out.write(f"top{k}_accuracy\t{acc:.6f}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -262,9 +257,7 @@ def cmd_report(args) -> int:
     rare, frequent = evalkit.longtail_split(vocab, cfg.longtail_threshold)
     report = evalkit.synonym_report(vocab, table, cfg.synonym_threshold,
                                     strict=cfg.strict_oov)
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        _maybe_timestamp(args, out)
+    with _output(args) as out:
         out.write(f"#longtail_threshold\t{cfg.longtail_threshold}\n")
         out.write(f"#rare\t{len(rare)}\t#frequent\t{len(frequent)}\n")
         out.write("label\tcount\tsplit\tsynonyms\tsynonym_instances\n")
@@ -273,9 +266,6 @@ def cmd_report(args) -> int:
             split = "rare" if label in rare_set else "frequent"
             n_syn, inst = report.get(label, (0, 0))
             out.write(f"{label}\t{count}\t{split}\t{n_syn}\t{inst}\n")
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -291,7 +281,7 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objects", required=True, help="object vocabulary TSV")
     p.add_argument("--predicates", required=True, help="predicate vocabulary TSV")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=int, help="accepted; has no effect")
     p.add_argument("--ablation", choices=["all-off"],
                    help="disable every ablation mechanism")
 

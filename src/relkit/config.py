@@ -43,7 +43,7 @@ class RunConfig:
     synonym_threshold: float = 0.6
     longtail_threshold: int = 1024
     min_count: int = 1
-    workers: int = 1
+    workers: int = 1  # accepted so older config files load; has no effect
 
     def __post_init__(self):
         if min(self.d, self.r, self.e) < 1:

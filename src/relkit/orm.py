@@ -96,14 +96,9 @@ def lookup(table: OrmTable, subject: str, obj: str,
 
 def sample_candidates(table: OrmTable, subject: str, obj: str,
                       m: int, k: int, seed: int,
-                      backoff: bool = True,
-                      weighted: bool = False) -> List[str]:
-    """Draw K distinct predicates from the pair's top-M candidates.
-
-    Uniform over K-subsets by default; weighted=True draws without
-    replacement proportional to probability. Returns fewer than K items
-    only when fewer candidates exist.
-    """
+                      backoff: bool = True) -> List[str]:
+    """Draw K distinct predicates from the pair's top-M candidates, uniform
+    over K-subsets. Returns fewer than K items only when fewer exist."""
     if k < 1 or m < 1:
         raise ConfigError("sample_candidates requires M >= 1 and K >= 1")
     if k > m:
@@ -112,15 +107,7 @@ def sample_candidates(table: OrmTable, subject: str, obj: str,
     rng = random.Random(seed)
     if len(top) <= k:
         return [r for r, _ in top]
-    if not weighted:
-        return rng.sample([r for r, _ in top], k)
-    chosen: List[str] = []
-    pool = list(top)
-    for _ in range(k):
-        weights = [p for _, p in pool]
-        idx = rng.choices(range(len(pool)), weights=weights, k=1)[0]
-        chosen.append(pool.pop(idx)[0])
-    return chosen
+    return rng.sample([r for r, _ in top], k)
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,31 @@ Everything is double precision and row-vector convention: a linear layer
 is `x @ W + b`. The attention procedure follows the printed formula
 including the 1/k factor on the weighted context sum; `mean_scale=False`
 drops it (config flag `attention_mean`).
+
+One kernel runs a whole batch. `pack_batch` stacks the N objects and the E
+edges of all B scenes into flat arrays, edges indexing their subject and
+object rows; candidate sets are padded to the largest size K with a mask
+and are all that is re-packed when an epoch draws new ones. One masked
+attention helper serves every site: objects attend within their scene,
+padded to n_max rows with padding and the diagonal masked out; each edge
+attends over its candidate set, then over its two subject-object
+contexts. A row with no valid context passes its query through, as an
+empty candidate set and a one-object scene do. Object terms of the loss
+weigh lambda1/(B n_b) and edge terms lambda2/(B m_b), lambda3/(B m_b): the
+batch mean of per-scene means.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import EmptySceneError, InvalidBoxError, NumericError
-from .params import ModelParams
+from ..errors import ConfigError, EmptySceneError, InvalidBoxError, NumericError
+from .params import Dims, ModelParams
 
 CE_EPS = 1e-12
 
@@ -49,13 +63,12 @@ class Example:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    z = x - np.max(x, axis=axis, keepdims=True)
-    exp = np.exp(z)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
 
 
@@ -63,31 +76,56 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 # Generic attention
 # ---------------------------------------------------------------------------
 
-def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
-                mean_scale: bool) -> Tuple[np.ndarray, tuple]:
-    k = C.shape[0]
-    a = C @ q
-    w = softmax(a)
-    scale = 1.0 / k if mean_scale else 1.0
-    v = scale * (w @ C)
-    qv = np.concatenate([q, v])
-    out = qv @ W_fuse
-    return out, (q, C, w, scale, qv, W_fuse)
+class Mask(NamedTuple):
+    """Valid context rows of an attention site, in the form the kernel uses."""
+
+    bias: np.ndarray              # added to the scores: 0 valid, -inf masked
+    inv_k: np.ndarray             # 1 / number of valid context rows
+    live: Optional[np.ndarray]    # rows with a valid context; None if all
+
+
+def _make_mask(valid: np.ndarray) -> Mask:
+    """Mask from a (G, Q, K) boolean array. A row with no valid column keeps
+    a zero bias so its softmax stays finite; its output is the query."""
+    k = valid.sum(axis=2, keepdims=True)
+    live = k > 0
+    return Mask(np.where(valid | ~live, 0.0, -np.inf), 1.0 / np.maximum(k, 1),
+                None if live.all() else live)
+
+
+def _attend_fwd(q: np.ndarray, C: np.ndarray, mask: Optional[Mask],
+                W_fuse: np.ndarray, mean_scale: bool) -> Tuple[np.ndarray, tuple]:
+    """Queries q (G, Q, D) attend over contexts C (G, K, D); mask None means
+    every context row is valid."""
+    a = q @ np.swapaxes(C, 1, 2)
+    if mask is None:
+        w, scale, live = softmax(a), 1.0 / C.shape[1], None
+    else:
+        w, scale, live = softmax(a + mask.bias), mask.inv_k, mask.live
+    if not mean_scale:
+        scale = 1.0
+    qv = np.concatenate([q, scale * (w @ C)], axis=2)
+    out = (qv.reshape(-1, qv.shape[2]) @ W_fuse).reshape(q.shape)
+    if live is not None:
+        out = np.where(live, out, q)
+    return out, (q, C, w, scale, qv, W_fuse, live)
 
 
 def _attend_bwd(cache: tuple, dout: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    q, C, w, scale, qv, W_fuse = cache
-    n = q.size
-    dW = np.outer(qv, dout)
-    dqv = W_fuse @ dout
-    dq = dqv[:n].copy()
-    dv = dqv[n:]
-    dw = scale * (C @ dv)
-    dC = scale * np.outer(w, dv)
-    da = w * (dw - float(np.dot(w, dw)))
-    dq += C.T @ da
-    dC += np.outer(da, q)
+    """Gradients w.r.t. the queries, the contexts and the fuse matrix."""
+    q, C, w, scale, qv, W_fuse, live = cache
+    d = q.shape[2]
+    d_att = dout if live is None else np.where(live, dout, 0.0)
+    dW = qv.reshape(-1, 2 * d).T @ d_att.reshape(-1, d)
+    dqv = (d_att.reshape(-1, d) @ W_fuse.T).reshape(qv.shape)
+    dv = scale * dqv[:, :, d:]
+    dw = dv @ np.swapaxes(C, 1, 2)
+    da = w * (dw - (w * dw).sum(axis=2, keepdims=True))
+    dq = dqv[:, :, :d] + da @ C
+    if live is not None:
+        dq += dout - d_att
+    dC = np.swapaxes(w, 1, 2) @ dv + np.swapaxes(da, 1, 2) @ q
     return dq, dC, dW
 
 
@@ -101,7 +139,7 @@ def attend(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
     if C.shape[1] != q.size or W_fuse.shape != (2 * q.size, q.size):
         raise NumericError(
             f"attend shape mismatch: q{q.shape} C{C.shape} W{W_fuse.shape}")
-    return _attend_fwd(q, C, W_fuse, mean_scale)[0]
+    return _attend_fwd(q[None, None], C[None], None, W_fuse, mean_scale)[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -120,20 +158,11 @@ def enrich_object_features(features: np.ndarray, boxes: np.ndarray,
                            params: ModelParams,
                            toggles: Toggles = Toggles()) -> np.ndarray:
     """Concatenate projected box geometry, then neighbor self-attention."""
-    features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    if n == 0:
-        raise EmptySceneError("cannot enrich an empty scene")
-    f1 = np.hstack([features, spatial_projection(np.asarray(boxes, dtype=np.float64),
-                                                 params, toggles.geometric_objects)])
-    if not toggles.object_attention or n == 1:
-        return f1
-    out = np.empty_like(f1)
-    for i in range(n):
-        ctx = np.delete(f1, i, axis=0)
-        out[i] = attend(f1[i], ctx, params.tensors["W_att_obj"],
-                        toggles.attention_mean)
-    return out
+    n = len(features)
+    ex = Example(np.asarray(features, dtype=np.float64),
+                 np.asarray(boxes, dtype=np.float64), np.zeros(n, np.int64),
+                 [], [], [])
+    return forward_scene(params, ex, toggles).enriched
 
 
 def classify_objects(enriched: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -205,11 +234,29 @@ def cross_entropy(onehot_index: int, probs: np.ndarray, eps: float = CE_EPS) -> 
     return -float(np.log(max(float(probs[onehot_index]), eps)))
 
 
-def _cosine_pair(u: np.ndarray, v: np.ndarray) -> Tuple[float, float, float]:
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+def _weighted_ce(probs: np.ndarray, labels: np.ndarray, weight: np.ndarray,
+                 eps: float) -> Tuple[float, np.ndarray]:
+    """sum_i weight_i * CE_i and its gradient w.r.t. the logits."""
+    rows = np.arange(len(labels))
+    p = probs[rows, labels]
+    dlogits = probs * weight[:, None]
+    dlogits[rows, labels] -= weight
+    dlogits[p <= eps] = 0.0  # clamped CE has zero gradient
+    return float(weight @ -np.log(np.maximum(p, eps))), dlogits
+
+
+def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray
+                     ) -> Tuple[float, np.ndarray]:
+    """sum_i weight_i * (1 - cos(u_i, v_i)) and its gradient w.r.t. v."""
+    nu = np.linalg.norm(u, axis=1, keepdims=True)
+    nv = np.linalg.norm(v, axis=1, keepdims=True)
+    if not (np.all(nu > 0) and np.all(nv > 0)):
         raise NumericError("cosine loss undefined for a zero vector")
-    return float(np.dot(u, v)) / (nu * nv), nu, nv
+    cos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
+    weight = weight[:, None]
+    # d(1 - cos)/dv = cos * v/|v|^2 - u/(|u||v|)
+    return (float(np.sum(weight * (1.0 - cos))),
+            weight * (cos * v / (nv * nv) - u / (nu * nv)))
 
 
 def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
@@ -220,256 +267,355 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
                    eps: float = CE_EPS) -> float:
     """lambda1 * object CE + lambda2 * relationship CE + lambda3 * cosine loss,
     each term averaged over its instances."""
-    l1, l2, l3 = lambdas
     total = 0.0
-    if l1 > 0 and len(object_labels) > 0:
-        ce = [cross_entropy(y, obj_probs[i], eps)
-              for i, y in enumerate(object_labels)]
-        total += l1 * float(np.mean(ce))
-    if l2 > 0 and len(predicate_labels) > 0:
-        ce = [cross_entropy(p, rel_probs[i], eps)
-              for i, p in enumerate(predicate_labels)]
-        total += l2 * float(np.mean(ce))
-    if l3 > 0 and len(target_embeddings) > 0:
-        cos_losses = [1.0 - _cosine_pair(u, v)[0]
-                      for u, v in zip(target_embeddings, predicted_embeddings)]
-        total += l3 * float(np.mean(cos_losses))
+    for lam, labels, probs in ((lambdas[0], object_labels, obj_probs),
+                               (lambdas[1], predicate_labels, rel_probs)):
+        if lam > 0 and len(labels) > 0:
+            total += _weighted_ce(np.asarray(probs), np.asarray(labels),
+                                  np.full(len(labels), lam / len(labels)), eps)[0]
+    n = len(target_embeddings)
+    if lambdas[2] > 0 and n > 0:
+        total += _weighted_cosine(np.asarray(target_embeddings, dtype=np.float64),
+                                  np.asarray(predicted_embeddings, dtype=np.float64),
+                                  np.full(n, lambdas[2] / n))[0]
     return total
 
 
 # ---------------------------------------------------------------------------
-# Traced forward + backward over a full scene
+# Packing
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EdgeTrace:
-    quad: Optional[np.ndarray]
-    f1: np.ndarray
-    txt_cache: Optional[tuple]
-    f2: np.ndarray
-    so_cache: Optional[tuple]
-    so_cats: Optional[Tuple[np.ndarray, np.ndarray]]
-    f3: np.ndarray
-    rel_probs: np.ndarray
-    pred_emb: np.ndarray
+class PackedBatch:
+    """A batch of examples as flat arrays (layout in the module docstring)."""
 
+    n_scenes: int
+    features: np.ndarray        # (N, d)
+    boxes: np.ndarray           # (N, 4)
+    labels: np.ndarray          # (N,)
+    obj_weight: np.ndarray      # (N,) 1 / (B n_b)
+    n_max: int
+    slots: np.ndarray           # (N,) object rows in the (B n_max) padding
+    obj_mask: Optional[Mask]    # object self-attention; None if n_max == 1
+    pair_features: np.ndarray   # (E, d)
+    targets: np.ndarray         # (E, e)
+    predicates: np.ndarray      # (E,)
+    so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
+    edge_weight: np.ndarray     # (E,) 1 / (B m_b)
+    quad: np.ndarray            # (E, 4) geometric quadruplets
+    bad_box: Optional[str]      # first edge with a non-positive box, if any
+    cand: Optional[np.ndarray] = None   # (E, K, e); None when no edge has one
+    cand_mask: Optional[Mask] = None    # None when every set has K rows
+
+
+def _expect_shape(what: str, arr, shape: Tuple[int, ...]) -> None:
+    if np.shape(arr) != shape:
+        raise ConfigError(f"{what} have shape {np.shape(arr)}, expected {shape}")
+
+
+def _validate(s: int, ex: Example, dims: Dims) -> None:
+    n, m = len(ex.features), len(ex.edges)
+    if n == 0:
+        raise EmptySceneError(f"scene {s} has no objects")
+    _expect_shape(f"scene {s}: object features", ex.features, (n, dims.d))
+    _expect_shape(f"scene {s}: boxes", ex.boxes, (n, 4))
+    _expect_shape(f"scene {s}: object labels", ex.object_labels, (n,))
+    if len(ex.pair_features) != m or len(ex.target_embeddings) != m:
+        raise ConfigError(f"scene {s}: need a pair feature and a target "
+                          f"embedding per edge")
+    for i, y in enumerate(ex.object_labels):
+        if not 0 <= y < dims.n_object_labels:
+            raise ConfigError(f"scene {s} object {i}: label {y} outside "
+                              f"[0, {dims.n_object_labels})")
+    for k, (i, j, p) in enumerate(ex.edges):
+        where = f"scene {s} edge {k}"
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigError(f"{where}: endpoint outside [0, {n})")
+        if not 0 <= p < dims.n_predicate_labels:
+            raise ConfigError(f"{where}: predicate id {p} outside "
+                              f"[0, {dims.n_predicate_labels})")
+        _expect_shape(f"{where}: pair features", ex.pair_features[k], (dims.d,))
+        _expect_shape(f"{where}: target embeddings", ex.target_embeddings[k],
+                      (dims.e,))
+
+
+@functools.lru_cache(maxsize=16)
+def _layout(n: Tuple[int, ...], m: Tuple[int, ...]) -> tuple:
+    """Index arrays that depend only on the object and edge counts per scene."""
+    b, n_max = len(n), max(n)
+    n, m = np.array(n), np.array(m)
+    offsets = np.cumsum(n) - n
+    obj_scene = np.repeat(np.arange(b), n)
+    edge_scene = np.repeat(np.arange(b), m)
+    obj_mask = None
+    if n_max > 1:
+        valid = ~np.eye(n_max, dtype=bool)[None]  # no object attends to itself
+        if (n < n_max).any():
+            rows = np.arange(n_max) < n[:, None]
+            valid = valid & rows[:, :, None] & rows[:, None, :]
+        obj_mask = _make_mask(valid)
+    slots = obj_scene * n_max + np.arange(len(obj_scene)) - offsets[obj_scene]
+    arrays = (slots, (1.0 / (b * n))[obj_scene], offsets[edge_scene],
+              (1.0 / (b * np.maximum(m, 1)))[edge_scene], edge_scene,
+              np.cumsum(m) - m) + (obj_mask or ())
+    for arr in arrays:  # shared by every pack with these counts
+        if arr is not None:
+            arr.flags.writeable = False
+    return (n_max, obj_mask) + arrays[:6]
+
+
+def _pack_static(examples: Sequence[Example], dims: Dims) -> PackedBatch:
+    for s, ex in enumerate(examples):
+        _validate(s, ex, dims)
+    (n_max, obj_mask, slots, obj_weight, edge_offset, edge_weight, edge_scene,
+     first_edge) = _layout(tuple(len(ex.features) for ex in examples),
+                           tuple(len(ex.edges) for ex in examples))
+    edges = np.array([e for ex in examples for e in ex.edges],
+                     dtype=np.int64).reshape(-1, 3)
+    subj = edges[:, 0] + edge_offset
+    obj = edges[:, 1] + edge_offset
+    boxes = np.concatenate([ex.boxes for ex in examples], dtype=np.float64)
+    bi, bj = boxes[subj], boxes[obj]
+    wh = bi[:, 2:]
+    bad_box = None
+    if (boxes[:, 2:] <= 0).any():
+        bad = np.flatnonzero(((bi[:, 2:] <= 0) | (bj[:, 2:] <= 0)).any(axis=1))
+        if bad.size:
+            s = int(edge_scene[bad[0]])
+            bad_box = f"scene {s} edge {int(bad[0] - first_edge[s])}"
+            wh = np.ones_like(wh)  # quad is never read: forward raises
+    return PackedBatch(
+        n_scenes=len(examples),
+        features=np.concatenate([ex.features for ex in examples], dtype=np.float64),
+        boxes=boxes,
+        labels=np.concatenate([ex.object_labels for ex in examples], dtype=np.int64),
+        obj_weight=obj_weight,
+        n_max=n_max,
+        slots=slots,
+        obj_mask=obj_mask,
+        pair_features=np.array([v for ex in examples for v in ex.pair_features],
+                               dtype=np.float64).reshape(-1, dims.d),
+        targets=np.array([v for ex in examples for v in ex.target_embeddings],
+                         dtype=np.float64).reshape(-1, dims.e),
+        predicates=edges[:, 2],
+        so_rows=np.stack([subj, obj, obj, subj], axis=1),
+        edge_weight=edge_weight,
+        quad=np.concatenate([(bi[:, :2] - bj[:, :2]) / wh, bj[:, 2:] / wh],
+                            axis=1),
+        bad_box=bad_box,
+    )
+
+
+def _pack_candidates(examples: Sequence[Example], e: int
+                     ) -> Tuple[Optional[np.ndarray], Optional[Mask]]:
+    sets: List[Optional[np.ndarray]] = []
+    for s, ex in enumerate(examples):
+        for k in range(len(ex.edges)):
+            c = ex.candidate_embeddings[k] if k < len(ex.candidate_embeddings) else None
+            if c is not None and len(c):
+                _expect_shape(f"scene {s} edge {k}: candidate embeddings", c,
+                              (len(c), e))
+            sets.append(c if c is not None and len(c) else None)
+    lens = np.array([0 if c is None else len(c) for c in sets], dtype=np.int64)
+    if not lens.any():
+        return None, None
+    if (lens == lens[0]).all():
+        return np.stack(sets), None
+    valid = np.arange(lens.max()) < lens[:, None]
+    cand = np.zeros(valid.shape + (e,))
+    cand[valid] = np.concatenate([c for c in sets if c is not None])
+    return cand, _make_mask(valid[:, None])
+
+
+def pack_batch(examples: Sequence[Example], dims: Dims,
+               static: Optional[PackedBatch] = None) -> PackedBatch:
+    """Pack examples for the batched kernel, checking widths and ids.
+
+    With `static` (an earlier pack of the same examples) only the candidate
+    sets are packed again.
+    """
+    if not examples:
+        raise EmptySceneError("empty batch")
+    batch = _pack_static(examples, dims) if static is None else copy.copy(static)
+    batch.cand, batch.cand_mask = _pack_candidates(examples, dims.e)
+    return batch
+
+
+def _padded(batch: PackedBatch, x: np.ndarray) -> np.ndarray:
+    """Object rows (N, D) as (B, n_max, D), padding rows zero."""
+    rows = np.zeros((batch.n_scenes * batch.n_max, x.shape[1]))
+    rows[batch.slots] = x
+    return rows.reshape(batch.n_scenes, batch.n_max, -1)
+
+
+def _unpadded(batch: PackedBatch, x: np.ndarray) -> np.ndarray:
+    return x.reshape(-1, x.shape[2])[batch.slots]
+
+
+# ---------------------------------------------------------------------------
+# Batched forward + backward
+# ---------------------------------------------------------------------------
 
 @dataclass
 class ForwardTrace:
-    f1_objects: np.ndarray                 # (n, d+r) pre-attention
-    obj_caches: Optional[List[tuple]]      # self-attention caches or None
-    enriched: np.ndarray                   # (n, d+r)
-    obj_probs: np.ndarray                  # (n, |O|)
-    edge_traces: List[EdgeTrace]
+    batch: PackedBatch
+    obj_cache: Optional[tuple]             # self-attention cache or None
+    enriched: np.ndarray                   # (N, d+r)
+    obj_probs: np.ndarray                  # (N, |O|)
+    txt_cache: Optional[tuple]             # text attention cache or None
+    so_cache: Optional[tuple]              # subject-object cache or None
+    so_cats: Optional[np.ndarray]          # (E, 2, 2(d+r)): [f_s f_o], [f_o f_s]
+    f3: np.ndarray                         # (E, d+r)
+    rel_probs: np.ndarray                  # (E, |P|)
+    pred_emb: np.ndarray                   # (E, e)
+
+
+def forward_batch(params: ModelParams, batch: PackedBatch,
+                  toggles: Toggles = Toggles()) -> ForwardTrace:
+    t = params.tensors
+    dpr = params.dims.dpr
+    f1 = np.concatenate([batch.features, spatial_projection(
+        batch.boxes, params, toggles.geometric_objects)], axis=1)
+    _check_finite("F'", f1)
+    enriched, obj_cache = f1, None
+    if toggles.object_attention and batch.obj_mask is not None:
+        padded = _padded(batch, f1)
+        out, obj_cache = _attend_fwd(padded, padded, batch.obj_mask,
+                                     t["W_att_obj"], toggles.attention_mean)
+        enriched = _unpadded(batch, out)
+        _check_finite("enriched objects", enriched)
+    obj_probs = softmax(enriched @ t["W_o"] + t["b_o"], axis=1)
+
+    n_edges = len(batch.so_rows)
+    if toggles.geometric_relationships:
+        if batch.bad_box is not None:
+            raise InvalidBoxError(f"{batch.bad_box}: geometric encoding "
+                                  f"requires positive box sizes")
+        g = batch.quad @ t["W_geo"] + t["b_geo"]
+    else:
+        g = np.zeros((n_edges, params.dims.r))
+    f = np.concatenate([batch.pair_features, g], axis=1)[:, None]
+    txt_cache = so_cache = cats = None
+    if batch.cand is not None:
+        V = batch.cand.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
+        f, txt_cache = _attend_fwd(f, V.reshape(n_edges, -1, dpr), batch.cand_mask,
+                                   t["W_att_txt"], toggles.attention_mean)
+    if toggles.subject_object_attention:
+        cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)
+        contexts = (cats.reshape(-1, 2 * dpr) @ t["W_so"]).reshape(-1, 2, dpr)
+        f, so_cache = _attend_fwd(f, contexts, None, t["W_att_so"],
+                                  toggles.attention_mean)
+    f3 = f[:, 0]
+    _check_finite("edge representations", f3)
+    rel_probs = softmax(f3 @ t["W_r"] + t["b_r"], axis=1)
+    pred_emb = f3 @ t["W_re"] + t["b_re"]
+    return ForwardTrace(batch, obj_cache, enriched, obj_probs, txt_cache,
+                        so_cache, cats, f3, rel_probs, pred_emb)
 
 
 def forward_scene(params: ModelParams, ex: Example,
                   toggles: Toggles = Toggles()) -> ForwardTrace:
-    t = params.tensors
-    n = ex.features.shape[0]
-    if n == 0:
-        raise EmptySceneError("scene has no objects")
-    f1 = np.hstack([ex.features,
-                    spatial_projection(ex.boxes, params, toggles.geometric_objects)])
-    _check_finite("F'", f1)
-    obj_caches: Optional[List[tuple]] = None
-    if toggles.object_attention and n > 1:
-        enriched = np.empty_like(f1)
-        obj_caches = []
-        for i in range(n):
-            ctx = np.delete(f1, i, axis=0)
-            out, cache = _attend_fwd(f1[i], ctx, t["W_att_obj"],
-                                     toggles.attention_mean)
-            enriched[i] = out
-            obj_caches.append(cache)
-    else:
-        enriched = f1
-    _check_finite("enriched objects", enriched)
-    obj_probs = softmax(enriched @ t["W_o"] + t["b_o"], axis=1)
-
-    edge_traces: List[EdgeTrace] = []
-    for idx, (i, j, _p) in enumerate(ex.edges):
-        if toggles.geometric_relationships:
-            quad = geometric_quad(ex.boxes[i], ex.boxes[j])
-            g = quad @ t["W_geo"] + t["b_geo"]
-        else:
-            quad = None
-            g = np.zeros(params.dims.r, dtype=np.float64)
-        f1e = np.concatenate([ex.pair_features[idx], g])
-        cand = (ex.candidate_embeddings[idx]
-                if idx < len(ex.candidate_embeddings) else None)
-        if cand is not None and len(cand) > 0:
-            V = cand @ t["W_txt"] + t["b_txt"]
-            f2e, txt_cache = _attend_fwd(f1e, V, t["W_att_txt"],
-                                         toggles.attention_mean)
-        else:
-            f2e, txt_cache = f1e, None
-        if toggles.subject_object_attention:
-            cat_ij = np.concatenate([enriched[i], enriched[j]])
-            cat_ji = np.concatenate([enriched[j], enriched[i]])
-            contexts = np.stack([cat_ij @ t["W_so"], cat_ji @ t["W_so"]])
-            f3e, so_cache = _attend_fwd(f2e, contexts, t["W_att_so"],
-                                        toggles.attention_mean)
-            so_cats = (cat_ij, cat_ji)
-        else:
-            f3e, so_cache, so_cats = f2e, None, None
-        _check_finite(f"edge {idx} representation", f3e)
-        rel_probs = softmax(f3e @ t["W_r"] + t["b_r"])
-        pred_emb = f3e @ t["W_re"] + t["b_re"]
-        edge_traces.append(EdgeTrace(quad, f1e, txt_cache, f2e,
-                                     so_cache, so_cats, f3e, rel_probs, pred_emb))
-    return ForwardTrace(f1, obj_caches, enriched, obj_probs, edge_traces)
+    """The batched forward pass on a batch of one scene."""
+    return forward_batch(params, pack_batch([ex], params.dims), toggles)
 
 
 def scene_loss(trace: ForwardTrace, ex: Example,
                lambdas: Tuple[float, float, float],
                eps: float = CE_EPS) -> float:
-    return composite_loss(
-        list(ex.object_labels), trace.obj_probs,
-        [p for _, _, p in ex.edges],
-        np.stack([et.rel_probs for et in trace.edge_traces])
-        if trace.edge_traces else np.empty((0, 0)),
-        ex.target_embeddings,
-        [et.pred_emb for et in trace.edge_traces],
-        lambdas, eps)
+    """Loss of the scene `trace` was computed for (by forward_scene)."""
+    return _head_loss(trace, lambdas, eps)[0]
 
 
-def backward_scene(params: ModelParams, ex: Example, trace: ForwardTrace,
-                   toggles: Toggles, lambdas: Tuple[float, float, float],
-                   grads: Dict[str, np.ndarray], eps: float = CE_EPS) -> None:
-    """Accumulate d(scene loss)/d(params) into grads (in place)."""
-    t = params.tensors
+def _head_loss(trace: ForwardTrace, lambdas: Tuple[float, float, float],
+               eps: float) -> Tuple[float, tuple]:
+    """Batch loss plus its gradients w.r.t. the object logits, predicate
+    logits and predicted embeddings (None for a term with weight 0)."""
+    batch = trace.batch
     l1, l2, l3 = lambdas
-    n = ex.features.shape[0]
-    dpr = params.dims.dpr
+    loss = 0.0
+    d_obj = d_rel = d_emb = None
+    if l1 > 0:
+        term, d_obj = _weighted_ce(trace.obj_probs, batch.labels,
+                                   l1 * batch.obj_weight, eps)
+        loss += term
+    if l2 > 0 and len(batch.so_rows):
+        term, d_rel = _weighted_ce(trace.rel_probs, batch.predicates,
+                                   l2 * batch.edge_weight, eps)
+        loss += term
+    if l3 > 0 and len(batch.so_rows):
+        term, d_emb = _weighted_cosine(batch.targets, trace.pred_emb,
+                                       l3 * batch.edge_weight)
+        loss += term
+    return loss, (d_obj, d_rel, d_emb)
+
+
+def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
+                   heads: tuple) -> Dict[str, np.ndarray]:
+    """Gradients of the batch loss, given its gradients at the heads."""
+    t, batch = params.tensors, trace.batch
+    d, dpr = params.dims.d, params.dims.dpr
+    d_obj, d_rel, d_emb = heads
+    grads = params.zero_like()
     d_enriched = np.zeros_like(trace.enriched)
+    df3 = np.zeros_like(trace.f3)
+    for dlog, W, b, x, dx in ((d_obj, "W_o", "b_o", trace.enriched, d_enriched),
+                              (d_rel, "W_r", "b_r", trace.f3, df3),
+                              (d_emb, "W_re", "b_re", trace.f3, df3)):
+        if dlog is not None:
+            grads[W] = x.T @ dlog
+            grads[b] = dlog.sum(axis=0)
+            dx += dlog @ t[W].T
+    df = df3[:, None]
 
-    # object classification term
-    if l1 > 0 and n > 0:
-        coef = l1 / n
-        dlogits = np.zeros_like(trace.obj_probs)
-        for i, y in enumerate(ex.object_labels):
-            row = trace.obj_probs[i]
-            if row[y] > eps:  # clamped CE has zero gradient
-                dlogits[i] = coef * row
-                dlogits[i, y] -= coef
-        grads["W_o"] += trace.enriched.T @ dlogits
-        grads["b_o"] += dlogits.sum(axis=0)
-        d_enriched += dlogits @ t["W_o"].T
+    if trace.so_cache is not None:
+        df, dC, grads["W_att_so"] = _attend_bwd(trace.so_cache, df)
+        dC = dC.reshape(-1, dpr)
+        grads["W_so"] = trace.so_cats.reshape(-1, 2 * dpr).T @ dC
+        np.add.at(d_enriched, batch.so_rows,
+                  (dC @ t["W_so"].T).reshape(-1, 4, dpr))
 
-    # relationship terms, per edge
-    m = len(ex.edges)
-    for idx, et in enumerate(trace.edge_traces):
-        i, j, p = ex.edges[idx]
-        df3 = np.zeros(dpr, dtype=np.float64)
-        if l2 > 0:
-            coef = l2 / m
-            if et.rel_probs[p] > eps:
-                dlog = coef * et.rel_probs.copy()
-                dlog[p] -= coef
-                grads["W_r"] += np.outer(et.f3, dlog)
-                grads["b_r"] += dlog
-                df3 += dlog @ t["W_r"].T
-        if l3 > 0:
-            u = ex.target_embeddings[idx]
-            v = et.pred_emb
-            cos_uv, nu, nv = _cosine_pair(u, v)
-            # d(1 - cos)/dv = cos * v/|v|^2 - u/(|u||v|)
-            dv = (l3 / m) * (cos_uv * v / (nv * nv) - u / (nu * nv))
-            grads["W_re"] += np.outer(et.f3, dv)
-            grads["b_re"] += dv
-            df3 += dv @ t["W_re"].T
+    if trace.txt_cache is not None:
+        df, dV, grads["W_att_txt"] = _attend_bwd(trace.txt_cache, df)
+        dV = dV.reshape(-1, dpr)
+        grads["W_txt"] = batch.cand.reshape(-1, params.dims.e).T @ dV
+        grads["b_txt"] = dV.sum(axis=0)
 
-        # subject-object attention
-        if toggles.subject_object_attention:
-            dq, dC, dW = _attend_bwd(et.so_cache, df3)
-            grads["W_att_so"] += dW
-            df2 = dq
-            cat_ij, cat_ji = et.so_cats
-            grads["W_so"] += np.outer(cat_ij, dC[0]) + np.outer(cat_ji, dC[1])
-            dcat_ij = t["W_so"] @ dC[0]
-            dcat_ji = t["W_so"] @ dC[1]
-            d_enriched[i] += dcat_ij[:dpr] + dcat_ji[dpr:]
-            d_enriched[j] += dcat_ij[dpr:] + dcat_ji[:dpr]
-        else:
-            df2 = df3
+    # geometric encoding (pair visual feature is an ingested constant)
+    if toggles.geometric_relationships:
+        dg = df[:, 0, d:]
+        grads["W_geo"] = batch.quad.T @ dg
+        grads["b_geo"] = dg.sum(axis=0)
 
-        # text attention
-        if et.txt_cache is not None:
-            dq, dV, dW = _attend_bwd(et.txt_cache, df2)
-            grads["W_att_txt"] += dW
-            df1e = dq
-            cand = ex.candidate_embeddings[idx]
-            grads["W_txt"] += cand.T @ dV
-            grads["b_txt"] += dV.sum(axis=0)
-        else:
-            df1e = df2
-
-        # geometric encoding (pair visual feature is an ingested constant)
-        if toggles.geometric_relationships:
-            dg = df1e[params.dims.d:]
-            grads["W_geo"] += np.outer(et.quad, dg)
-            grads["b_geo"] += dg
-
-    # object self-attention
-    if trace.obj_caches is not None:
-        d_f1 = np.zeros_like(trace.f1_objects)
-        for i in range(n):
-            dq, dC, dW = _attend_bwd(trace.obj_caches[i], d_enriched[i])
-            grads["W_att_obj"] += dW
-            d_f1[i] += dq
-            others = [k for k in range(n) if k != i]
-            for row, k in enumerate(others):
-                d_f1[k] += dC[row]
-    else:
-        d_f1 = d_enriched
+    d_f1 = d_enriched
+    if trace.obj_cache is not None:
+        dq, dC, grads["W_att_obj"] = _attend_bwd(trace.obj_cache,
+                                                 _padded(batch, d_enriched))
+        d_f1 = _unpadded(batch, dq + dC)
 
     # spatial projection (object features themselves are ingested constants)
     if toggles.geometric_objects:
-        dspat = d_f1[:, params.dims.d:]
-        grads["W_spat"] += ex.boxes.T @ dspat
-        grads["b_spat"] += dspat.sum(axis=0)
+        dspat = d_f1[:, d:]
+        grads["W_spat"] = batch.boxes.T @ dspat
+        grads["b_spat"] = dspat.sum(axis=0)
+    return grads
 
 
 def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
                        toggles: Toggles = Toggles(),
                        lambdas: Optional[Tuple[float, float, float]] = None,
                        eps: float = CE_EPS,
-                       workers: int = 1) -> Tuple[float, Dict[str, np.ndarray]]:
+                       packed: Optional[PackedBatch] = None
+                       ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean loss over the batch and its exact analytic gradients.
 
-    Per-example contributions are always reduced in batch order, so the
-    result is identical for any worker count.
+    `packed` is an earlier pack_batch of the same examples; passing it
+    skips re-packing everything but the candidate sets.
     """
     if lambdas is None:
         lambdas = params.lambdas
-    if not batch:
-        raise EmptySceneError("empty batch")
-
-    def one(ex: Example) -> Tuple[float, Dict[str, np.ndarray]]:
-        trace = forward_scene(params, ex, toggles)
-        loss = scene_loss(trace, ex, lambdas, eps)
-        g = params.zero_like()
-        backward_scene(params, ex, trace, toggles, lambdas, g, eps)
-        return loss, g
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, batch))
-    else:
-        results = [one(ex) for ex in batch]
-
-    total = params.zero_like()
-    loss_sum = 0.0
-    for loss, g in results:  # fixed reduction order
-        loss_sum += loss
-        for name in total:
-            total[name] += g[name]
-    b = len(batch)
-    for name in total:
-        total[name] /= b
-    mean_loss = loss_sum / b
-    if not np.isfinite(mean_loss):
+    packed = pack_batch(batch, params.dims, packed)
+    trace = forward_batch(params, packed, toggles)
+    loss, heads = _head_loss(trace, lambdas, eps)
+    if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")
-    return mean_loss, total
+    return loss, backward_scene(params, trace, toggles, heads)

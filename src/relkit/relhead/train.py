@@ -19,7 +19,7 @@ from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
 from .model import (Example, Toggles, forward_scene, loss_and_gradients,
-                    predict_relationship, softmax)
+                    pack_batch)
 from .params import ModelParams
 
 log = logging.getLogger("relkit.train")
@@ -36,7 +36,6 @@ class TrainConfig:
     toggles: Toggles = field(default_factory=Toggles)
     orm_backoff: bool = True
     strict_oov: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.k_candidates > self.m_candidates:
@@ -117,13 +116,13 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     if not examples:
         raise ConfigError("training requires a non-empty dataset")
     params = params.copy()
+    packed = pack_batch(examples, params.dims)  # checks widths and ids once
     losses: List[float] = []
     for epoch in range(cfg.epochs):
         draw_candidates(examples, orm, object_vocab, table, cfg, epoch)
         try:
             loss, grads = loss_and_gradients(
-                params, examples, cfg.toggles, cfg.lambdas,
-                workers=cfg.workers)
+                params, examples, cfg.toggles, cfg.lambdas, packed=packed)
         except NumericError as exc:
             raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
         for name in params.tensors:
@@ -194,9 +193,7 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
             k_candidates, orm_backoff, table, strict_oov))
     ex.candidate_embeddings = cands
     trace = forward_scene(params, ex, toggles)
-    pair_probs = {pair: trace.edge_traces[idx].rel_probs
-                  for idx, pair in enumerate(pairs)}
-    pair_embs = {pair: trace.edge_traces[idx].pred_emb
-                 for idx, pair in enumerate(pairs)}
+    pair_probs = {pair: trace.rel_probs[idx] for idx, pair in enumerate(pairs)}
+    pair_embs = {pair: trace.pred_emb[idx] for idx, pair in enumerate(pairs)}
     obj_probs = trace.obj_probs if protocol == "sgcls" else None
     return ScenePrediction(pair_probs=pair_probs, object_probs=obj_probs), pair_embs

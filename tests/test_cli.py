@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -143,6 +144,17 @@ class TestTrain:
         args = model_args(workspace) + ["--epochs", "1",
                                         "--n-predicate-labels", "5"]
         assert run("train", *args, "--out", str(tmp_path / "x.ckpt")) == 2
+
+    def test_predicate_id_out_of_range_is_config_error(self, workspace,
+                                                       tmp_path, capsys):
+        # the synthetic set has 5 predicates; a 2-way classifier cannot
+        # train on it
+        args = model_args(workspace) + ["--epochs", "1",
+                                        "--n-predicate-labels", "2"]
+        assert run("train", *args, "--out", str(tmp_path / "x.ckpt")) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"scene \d+ edge \d+: predicate id [2-4] outside "
+                         r"\[0, 2\)", err), err
 
     def test_missing_scenes_is_data_error(self, workspace, tmp_path):
         args = model_args(workspace)

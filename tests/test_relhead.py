@@ -362,20 +362,10 @@ class TestGradients:
         params = init_params(DIMS, seed=24, lambdas=(0.0, 0.0, 1.0))
         ex = random_example(rng, DIMS, n_edges=1)
         trace = forward_scene(params, ex, Toggles())
-        v_hat = trace.edge_traces[0].pred_emb
+        v_hat = trace.pred_emb[0]
         _, grads = loss_and_gradients(params, [ex])
         # reconstruct dL/dv from the b_re gradient (b_re feeds v directly)
         assert abs(float(np.dot(grads["b_re"], v_hat))) <= 1e-8
-
-    def test_workers_do_not_change_result(self):
-        rng = np.random.default_rng(25)
-        params = init_params(DIMS, seed=25)
-        batch = [random_example(rng, DIMS) for _ in range(6)]
-        loss1, g1 = loss_and_gradients(params, batch, workers=1)
-        loss4, g4 = loss_and_gradients(params, batch, workers=4)
-        assert loss1 == loss4
-        for name in g1:
-            assert np.array_equal(g1[name], g4[name])
 
     def test_softmax_rows_in_unit_interval(self):
         rng = np.random.default_rng(26)
@@ -384,8 +374,8 @@ class TestGradients:
         trace = forward_scene(params, ex, Toggles())
         assert np.allclose(trace.obj_probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((trace.obj_probs > 0) & (trace.obj_probs < 1))
-        for et in trace.edge_traces:
-            assert abs(et.rel_probs.sum() - 1.0) <= 1e-9
+        for rel_probs in trace.rel_probs:
+            assert abs(rel_probs.sum() - 1.0) <= 1e-9
 
 
 class TestAblationPassthrough:
@@ -402,8 +392,8 @@ class TestAblationPassthrough:
                               np.zeros((ex.features.shape[0], DIMS.r)))
         assert np.array_equal(trace.enriched[:, :DIMS.d], ex.features)
         # no candidates + s-o attention off: f''' equals the raw pair feature
-        for idx, et in enumerate(trace.edge_traces):
-            assert np.array_equal(et.f3[:DIMS.d], ex.pair_features[idx])
+        for idx, f3 in enumerate(trace.f3):
+            assert np.array_equal(f3[:DIMS.d], ex.pair_features[idx])
         assert np.allclose(trace.obj_probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_disabled_mechanisms_get_zero_gradients(self):
@@ -455,17 +445,6 @@ class TestTraining:
         _, losses1 = train(cfg, examples, orm, obj_vocab, table, params)
         _, losses2 = train(cfg, examples, orm, obj_vocab, table, params)
         assert losses1 == losses2
-
-    def test_worker_count_does_not_change_training(self):
-        examples, orm, obj_vocab, table = self._tiny_setup()
-        params = init_params(DIMS, seed=3)
-        cfg1 = TrainConfig(learning_rate=0.1, epochs=4, seed=7, workers=1)
-        cfg4 = TrainConfig(learning_rate=0.1, epochs=4, seed=7, workers=4)
-        t1, l1 = train(cfg1, examples, orm, obj_vocab, table, params)
-        t4, l4 = train(cfg4, examples, orm, obj_vocab, table, params)
-        assert l1 == l4
-        for name in t1.tensors:
-            assert np.array_equal(t1.tensors[name], t4.tensors[name])
 
     def test_empty_dataset_rejected(self):
         _, orm, obj_vocab, table = self._tiny_setup()

@@ -1,21 +1,17 @@
 """Differentiable relationship head: forward pipeline, loss, gradients,
 training loop, and scene inference."""
 
-from .model import (attend, attend_subject_object, attend_text,
-                    build_pair_feature, classify_objects, composite_loss,
-                    cross_entropy, enrich_object_features, Example,
-                    forward_scene, ForwardTrace, geometric_encode,
-                    geometric_quad, loss_and_gradients, predict_relationship,
-                    scene_loss, softmax, Toggles)
+from .model import (attend, classify_objects, composite_loss, Example,
+                    forward_scene, ForwardTrace, geometric_quad,
+                    loss_and_gradients, predict_relationship, scene_loss,
+                    softmax, Toggles)
 from .params import Dims, init_params, load_params, ModelParams, save_params
 from .train import (build_example, draw_candidates, predict_scene, train,
                     TrainConfig)
 
 __all__ = [
-    "attend", "attend_subject_object", "attend_text", "build_pair_feature",
-    "classify_objects", "composite_loss", "cross_entropy",
-    "enrich_object_features", "Example", "forward_scene", "ForwardTrace",
-    "geometric_encode", "geometric_quad", "loss_and_gradients",
+    "attend", "classify_objects", "composite_loss", "Example",
+    "forward_scene", "ForwardTrace", "geometric_quad", "loss_and_gradients",
     "predict_relationship", "scene_loss", "softmax", "Toggles",
     "Dims", "init_params", "load_params", "ModelParams", "save_params",
     "build_example", "draw_candidates", "predict_scene", "train",

@@ -6,24 +6,21 @@ including the 1/k factor on the weighted context sum; `mean_scale=False`
 drops it (config flag `attention_mean`).
 
 One kernel runs a whole batch. `pack_batch` stacks the N objects and the E
-edges of all B scenes into flat arrays, edges indexing their subject and
-object rows; candidate sets are padded to the largest size K with a mask
-and are all that is re-packed when an epoch draws new ones. One masked
-attention helper serves every site: objects attend within their scene,
-padded to n_max rows with padding and the diagonal masked out; each edge
-attends over its candidate set, then over its two subject-object
-contexts. A row with no valid context passes its query through, as an
-empty candidate set and a one-object scene do. Object terms of the loss
-weigh lambda1/(B n_b) and edge terms lambda2/(B m_b), lambda3/(B m_b): the
-batch mean of per-scene means.
+edges of all B scenes into flat arrays; edges index their subject and
+object rows. Ragged sites are grouped by size, never padded: object
+self-attention runs once per object count n > 1, on the (scenes, n, n)
+block of those scenes with the diagonal excluded, and text attention once
+per candidate-set size. One-object scenes and edges without candidates
+skip the site. Each epoch re-packs only the candidate groups. Object
+terms of the loss weigh lambda1/(B n_b), edge terms lambda2/(B m_b) and
+lambda3/(B m_b): the batch mean of per-scene means.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +60,8 @@ class Example:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    z = x - x.max(axis=axis, keepdims=True)
+    exp = np.exp(z)
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
@@ -76,55 +74,33 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 # Generic attention
 # ---------------------------------------------------------------------------
 
-class Mask(NamedTuple):
-    """Valid context rows of an attention site, in the form the kernel uses."""
-
-    bias: np.ndarray              # added to the scores: 0 valid, -inf masked
-    inv_k: np.ndarray             # 1 / number of valid context rows
-    live: Optional[np.ndarray]    # rows with a valid context; None if all
-
-
-def _make_mask(valid: np.ndarray) -> Mask:
-    """Mask from a (G, Q, K) boolean array. A row with no valid column keeps
-    a zero bias so its softmax stays finite; its output is the query."""
-    k = valid.sum(axis=2, keepdims=True)
-    live = k > 0
-    return Mask(np.where(valid | ~live, 0.0, -np.inf), 1.0 / np.maximum(k, 1),
-                None if live.all() else live)
-
-
-def _attend_fwd(q: np.ndarray, C: np.ndarray, mask: Optional[Mask],
-                W_fuse: np.ndarray, mean_scale: bool) -> Tuple[np.ndarray, tuple]:
-    """Queries q (G, Q, D) attend over contexts C (G, K, D); mask None means
-    every context row is valid."""
+def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
+                mean_scale: bool, skip_self: bool = False
+                ) -> Tuple[np.ndarray, tuple]:
+    """Queries q (G, Q, D) attend over contexts C (G, K, D). With skip_self,
+    q and C hold the same rows and no row attends to itself."""
     a = q @ np.swapaxes(C, 1, 2)
-    if mask is None:
-        w, scale, live = softmax(a), 1.0 / C.shape[1], None
-    else:
-        w, scale, live = softmax(a + mask.bias), mask.inv_k, mask.live
-    if not mean_scale:
-        scale = 1.0
+    if skip_self:
+        diag = np.arange(C.shape[1])
+        a[:, diag, diag] = -np.inf
+    w = softmax(a)
+    scale = 1.0 / (C.shape[1] - skip_self) if mean_scale else 1.0
     qv = np.concatenate([q, scale * (w @ C)], axis=2)
     out = (qv.reshape(-1, qv.shape[2]) @ W_fuse).reshape(q.shape)
-    if live is not None:
-        out = np.where(live, out, q)
-    return out, (q, C, w, scale, qv, W_fuse, live)
+    return out, (q, C, w, scale, qv, W_fuse)
 
 
 def _attend_bwd(cache: tuple, dout: np.ndarray
                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients w.r.t. the queries, the contexts and the fuse matrix."""
-    q, C, w, scale, qv, W_fuse, live = cache
+    q, C, w, scale, qv, W_fuse = cache
     d = q.shape[2]
-    d_att = dout if live is None else np.where(live, dout, 0.0)
-    dW = qv.reshape(-1, 2 * d).T @ d_att.reshape(-1, d)
-    dqv = (d_att.reshape(-1, d) @ W_fuse.T).reshape(qv.shape)
+    dW = qv.reshape(-1, 2 * d).T @ dout.reshape(-1, d)
+    dqv = (dout.reshape(-1, d) @ W_fuse.T).reshape(qv.shape)
     dv = scale * dqv[:, :, d:]
     dw = dv @ np.swapaxes(C, 1, 2)
     da = w * (dw - (w * dw).sum(axis=2, keepdims=True))
     dq = dqv[:, :, :d] + da @ C
-    if live is not None:
-        dq += dout - d_att
     dC = np.swapaxes(w, 1, 2) @ dv + np.swapaxes(da, 1, 2) @ q
     return dq, dC, dW
 
@@ -139,11 +115,11 @@ def attend(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
     if C.shape[1] != q.size or W_fuse.shape != (2 * q.size, q.size):
         raise NumericError(
             f"attend shape mismatch: q{q.shape} C{C.shape} W{W_fuse.shape}")
-    return _attend_fwd(q[None, None], C[None], None, W_fuse, mean_scale)[0][0, 0]
+    return _attend_fwd(q[None, None], C[None], W_fuse, mean_scale)[0][0, 0]
 
 
 # ---------------------------------------------------------------------------
-# Stage ops (public, trace-free variants used directly by tests and eval)
+# Stage ops the kernel shares with single-vector callers
 # ---------------------------------------------------------------------------
 
 def spatial_projection(boxes: np.ndarray, params: ModelParams,
@@ -154,69 +130,20 @@ def spatial_projection(boxes: np.ndarray, params: ModelParams,
     return boxes @ params.tensors["W_spat"] + params.tensors["b_spat"]
 
 
-def enrich_object_features(features: np.ndarray, boxes: np.ndarray,
-                           params: ModelParams,
-                           toggles: Toggles = Toggles()) -> np.ndarray:
-    """Concatenate projected box geometry, then neighbor self-attention."""
-    n = len(features)
-    ex = Example(np.asarray(features, dtype=np.float64),
-                 np.asarray(boxes, dtype=np.float64), np.zeros(n, np.int64),
-                 [], [], [])
-    return forward_scene(params, ex, toggles).enriched
-
-
 def classify_objects(enriched: np.ndarray, params: ModelParams) -> np.ndarray:
     return softmax(enriched @ params.tensors["W_o"] + params.tensors["b_o"], axis=1)
 
 
 def geometric_quad(box_i: np.ndarray, box_j: np.ndarray) -> np.ndarray:
-    """Relative position quadruplet of the object box w.r.t. the subject box."""
-    xi, yi, wi, hi = (float(v) for v in box_i)
-    xj, yj, wj, hj = (float(v) for v in box_j)
-    if wi <= 0 or hi <= 0 or wj <= 0 or hj <= 0:
+    """Relative position quadruplet of the object box w.r.t. the subject box;
+    boxes are (x, y, w, h), one each or one per row."""
+    bi = np.asarray(box_i, dtype=np.float64)
+    bj = np.asarray(box_j, dtype=np.float64)
+    wh = bi[..., 2:]
+    if (wh <= 0).any() or (bj[..., 2:] <= 0).any():
         raise InvalidBoxError("geometric encoding requires positive box sizes")
-    return np.array([(xi - xj) / wi, (yi - yj) / hi, wj / wi, hj / hi],
-                    dtype=np.float64)
-
-
-def geometric_encode(box_i, box_j, params: ModelParams,
-                     enabled: bool = True) -> np.ndarray:
-    if not enabled:
-        return np.zeros(params.dims.r, dtype=np.float64)
-    return geometric_quad(box_i, box_j) @ params.tensors["W_geo"] \
-        + params.tensors["b_geo"]
-
-
-def build_pair_feature(f_pair: np.ndarray, g: np.ndarray,
-                       dims=None) -> np.ndarray:
-    f_pair = np.asarray(f_pair, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if dims is not None and (f_pair.size != dims.d or g.size != dims.r):
-        raise NumericError(
-            f"pair feature dims ({f_pair.size}, {g.size}) != ({dims.d}, {dims.r})")
-    return np.concatenate([f_pair, g])
-
-
-def attend_text(f_prime: np.ndarray, candidate_embeddings: Optional[np.ndarray],
-                params: ModelParams, mean_scale: bool = True) -> np.ndarray:
-    """Attention over projected predicate-phrase embeddings.
-
-    An empty candidate set passes the input through unchanged.
-    """
-    if candidate_embeddings is None or len(candidate_embeddings) == 0:
-        return np.asarray(f_prime, dtype=np.float64).copy()
-    V = candidate_embeddings @ params.tensors["W_txt"] + params.tensors["b_txt"]
-    return attend(f_prime, V, params.tensors["W_att_txt"], mean_scale)
-
-
-def attend_subject_object(f_dblprime: np.ndarray, f_i: np.ndarray,
-                          f_j: np.ndarray, params: ModelParams,
-                          mean_scale: bool = True) -> np.ndarray:
-    cat_ij = np.concatenate([f_i, f_j])
-    cat_ji = np.concatenate([f_j, f_i])
-    contexts = np.stack([cat_ij @ params.tensors["W_so"],
-                         cat_ji @ params.tensors["W_so"]])
-    return attend(f_dblprime, contexts, params.tensors["W_att_so"], mean_scale)
+    return np.concatenate([(bi[..., :2] - bj[..., :2]) / wh, bj[..., 2:] / wh],
+                          axis=-1)
 
 
 def predict_relationship(f_tripleprime: np.ndarray, params: ModelParams
@@ -230,33 +157,55 @@ def predict_relationship(f_tripleprime: np.ndarray, params: ModelParams
 # Composite loss
 # ---------------------------------------------------------------------------
 
-def cross_entropy(onehot_index: int, probs: np.ndarray, eps: float = CE_EPS) -> float:
-    return -float(np.log(max(float(probs[onehot_index]), eps)))
-
-
 def _weighted_ce(probs: np.ndarray, labels: np.ndarray, weight: np.ndarray,
-                 eps: float) -> Tuple[float, np.ndarray]:
-    """sum_i weight_i * CE_i and its gradient w.r.t. the logits."""
+                 eps: float, grad: bool = True
+                 ) -> Tuple[float, Optional[np.ndarray]]:
+    """sum_i weight_i * CE_i and, if `grad`, its gradient w.r.t. the logits."""
     rows = np.arange(len(labels))
     p = probs[rows, labels]
+    loss = float(weight @ -np.log(np.maximum(p, eps)))
+    if not grad:
+        return loss, None
     dlogits = probs * weight[:, None]
     dlogits[rows, labels] -= weight
     dlogits[p <= eps] = 0.0  # clamped CE has zero gradient
-    return float(weight @ -np.log(np.maximum(p, eps))), dlogits
+    return loss, dlogits
 
 
-def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray
-                     ) -> Tuple[float, np.ndarray]:
-    """sum_i weight_i * (1 - cos(u_i, v_i)) and its gradient w.r.t. v."""
+def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray,
+                     grad: bool = True) -> Tuple[float, Optional[np.ndarray]]:
+    """sum_i weight_i * (1 - cos(u_i, v_i)) and, if `grad`, its gradient
+    w.r.t. v."""
     nu = np.linalg.norm(u, axis=1, keepdims=True)
     nv = np.linalg.norm(v, axis=1, keepdims=True)
     if not (np.all(nu > 0) and np.all(nv > 0)):
         raise NumericError("cosine loss undefined for a zero vector")
     cos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
     weight = weight[:, None]
+    loss = float(np.sum(weight * (1.0 - cos)))
+    if not grad:
+        return loss, None
     # d(1 - cos)/dv = cos * v/|v|^2 - u/(|u||v|)
-    return (float(np.sum(weight * (1.0 - cos))),
-            weight * (cos * v / (nv * nv) - u / (nu * nv)))
+    return loss, weight * (cos * v / (nv * nv) - u / (nu * nv))
+
+
+def _composite(obj_probs: np.ndarray, labels: np.ndarray, obj_weight: np.ndarray,
+               rel_probs: np.ndarray, predicates: np.ndarray, targets: np.ndarray,
+               pred_emb: np.ndarray, edge_weight: np.ndarray,
+               lambdas: Tuple[float, float, float], eps: float, grad: bool
+               ) -> Tuple[float, tuple]:
+    """The three lambda-weighted loss terms, summed with per-instance weights,
+    and, if `grad`, their gradients w.r.t. the object logits, predicate
+    logits and predicted embeddings (None for a term that is off)."""
+    terms = [(0.0, None)] * 3
+    if lambdas[0] > 0 and len(labels):
+        terms[0] = _weighted_ce(obj_probs, labels, lambdas[0] * obj_weight, eps, grad)
+    if lambdas[1] > 0 and len(predicates):
+        terms[1] = _weighted_ce(rel_probs, predicates, lambdas[1] * edge_weight, eps,
+                                grad)
+    if lambdas[2] > 0 and len(predicates):
+        terms[2] = _weighted_cosine(targets, pred_emb, lambdas[2] * edge_weight, grad)
+    return sum(loss for loss, _ in terms), tuple(g for _, g in terms)
 
 
 def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
@@ -266,19 +215,15 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
                    lambdas: Tuple[float, float, float],
                    eps: float = CE_EPS) -> float:
     """lambda1 * object CE + lambda2 * relationship CE + lambda3 * cosine loss,
-    each term averaged over its instances."""
-    total = 0.0
-    for lam, labels, probs in ((lambdas[0], object_labels, obj_probs),
-                               (lambdas[1], predicate_labels, rel_probs)):
-        if lam > 0 and len(labels) > 0:
-            total += _weighted_ce(np.asarray(probs), np.asarray(labels),
-                                  np.full(len(labels), lam / len(labels)), eps)[0]
-    n = len(target_embeddings)
-    if lambdas[2] > 0 and n > 0:
-        total += _weighted_cosine(np.asarray(target_embeddings, dtype=np.float64),
-                                  np.asarray(predicted_embeddings, dtype=np.float64),
-                                  np.full(n, lambdas[2] / n))[0]
-    return total
+    each term averaged over its instances. Each edge has one predicate
+    label, one target and one predicted embedding."""
+    n, m = len(object_labels), len(predicate_labels)
+    return _composite(np.asarray(obj_probs), np.asarray(object_labels),
+                      np.full(n, 1.0 / max(n, 1)), np.asarray(rel_probs),
+                      np.asarray(predicate_labels),
+                      np.asarray(target_embeddings, dtype=np.float64),
+                      np.asarray(predicted_embeddings, dtype=np.float64),
+                      np.full(m, 1.0 / max(m, 1)), lambdas, eps, grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,23 +234,18 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
 class PackedBatch:
     """A batch of examples as flat arrays (layout in the module docstring)."""
 
-    n_scenes: int
     features: np.ndarray        # (N, d)
     boxes: np.ndarray           # (N, 4)
     labels: np.ndarray          # (N,)
     obj_weight: np.ndarray      # (N,) 1 / (B n_b)
-    n_max: int
-    slots: np.ndarray           # (N,) object rows in the (B n_max) padding
-    obj_mask: Optional[Mask]    # object self-attention; None if n_max == 1
+    obj_groups: List[np.ndarray]  # per object count n > 1: (scenes, n) rows
     pair_features: np.ndarray   # (E, d)
     targets: np.ndarray         # (E, e)
     predicates: np.ndarray      # (E,)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
     edge_weight: np.ndarray     # (E,) 1 / (B m_b)
-    quad: np.ndarray            # (E, 4) geometric quadruplets
-    bad_box: Optional[str]      # first edge with a non-positive box, if any
-    cand: Optional[np.ndarray] = None   # (E, K, e); None when no edge has one
-    cand_mask: Optional[Mask] = None    # None when every set has K rows
+    # per candidate-set size k > 0: the edges' rows (G,) and sets (G, k, e)
+    cand_groups: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def _expect_shape(what: str, arr, shape: Tuple[int, ...]) -> None:
@@ -328,103 +268,60 @@ def _validate(s: int, ex: Example, dims: Dims) -> None:
             raise ConfigError(f"scene {s} object {i}: label {y} outside "
                               f"[0, {dims.n_object_labels})")
     for k, (i, j, p) in enumerate(ex.edges):
-        where = f"scene {s} edge {k}"
         if not (0 <= i < n and 0 <= j < n):
-            raise ConfigError(f"{where}: endpoint outside [0, {n})")
+            raise ConfigError(f"scene {s} edge {k}: endpoint outside [0, {n})")
         if not 0 <= p < dims.n_predicate_labels:
-            raise ConfigError(f"{where}: predicate id {p} outside "
+            raise ConfigError(f"scene {s} edge {k}: predicate id {p} outside "
                               f"[0, {dims.n_predicate_labels})")
-        _expect_shape(f"{where}: pair features", ex.pair_features[k], (dims.d,))
-        _expect_shape(f"{where}: target embeddings", ex.target_embeddings[k],
-                      (dims.e,))
-
-
-@functools.lru_cache(maxsize=16)
-def _layout(n: Tuple[int, ...], m: Tuple[int, ...]) -> tuple:
-    """Index arrays that depend only on the object and edge counts per scene."""
-    b, n_max = len(n), max(n)
-    n, m = np.array(n), np.array(m)
-    offsets = np.cumsum(n) - n
-    obj_scene = np.repeat(np.arange(b), n)
-    edge_scene = np.repeat(np.arange(b), m)
-    obj_mask = None
-    if n_max > 1:
-        valid = ~np.eye(n_max, dtype=bool)[None]  # no object attends to itself
-        if (n < n_max).any():
-            rows = np.arange(n_max) < n[:, None]
-            valid = valid & rows[:, :, None] & rows[:, None, :]
-        obj_mask = _make_mask(valid)
-    slots = obj_scene * n_max + np.arange(len(obj_scene)) - offsets[obj_scene]
-    arrays = (slots, (1.0 / (b * n))[obj_scene], offsets[edge_scene],
-              (1.0 / (b * np.maximum(m, 1)))[edge_scene], edge_scene,
-              np.cumsum(m) - m) + (obj_mask or ())
-    for arr in arrays:  # shared by every pack with these counts
-        if arr is not None:
-            arr.flags.writeable = False
-    return (n_max, obj_mask) + arrays[:6]
+        for what, v, width in (("pair features", ex.pair_features[k], dims.d),
+                               ("target embeddings", ex.target_embeddings[k],
+                                dims.e)):
+            if np.shape(v) != (width,):
+                _expect_shape(f"scene {s} edge {k}: {what}", v, (width,))
 
 
 def _pack_static(examples: Sequence[Example], dims: Dims) -> PackedBatch:
     for s, ex in enumerate(examples):
         _validate(s, ex, dims)
-    (n_max, obj_mask, slots, obj_weight, edge_offset, edge_weight, edge_scene,
-     first_edge) = _layout(tuple(len(ex.features) for ex in examples),
-                           tuple(len(ex.edges) for ex in examples))
+    counts = [len(ex.features) for ex in examples]
+    b, n = len(counts), np.array(counts)
+    m = np.array([len(ex.edges) for ex in examples])
+    offsets = np.cumsum(n) - n
     edges = np.array([e for ex in examples for e in ex.edges],
                      dtype=np.int64).reshape(-1, 3)
-    subj = edges[:, 0] + edge_offset
-    obj = edges[:, 1] + edge_offset
-    boxes = np.concatenate([ex.boxes for ex in examples], dtype=np.float64)
-    bi, bj = boxes[subj], boxes[obj]
-    wh = bi[:, 2:]
-    bad_box = None
-    if (boxes[:, 2:] <= 0).any():
-        bad = np.flatnonzero(((bi[:, 2:] <= 0) | (bj[:, 2:] <= 0)).any(axis=1))
-        if bad.size:
-            s = int(edge_scene[bad[0]])
-            bad_box = f"scene {s} edge {int(bad[0] - first_edge[s])}"
-            wh = np.ones_like(wh)  # quad is never read: forward raises
+    ends = edges[:, :2] + np.repeat(offsets, m)[:, None]
     return PackedBatch(
-        n_scenes=len(examples),
         features=np.concatenate([ex.features for ex in examples], dtype=np.float64),
-        boxes=boxes,
+        boxes=np.concatenate([ex.boxes for ex in examples], dtype=np.float64),
         labels=np.concatenate([ex.object_labels for ex in examples], dtype=np.int64),
-        obj_weight=obj_weight,
-        n_max=n_max,
-        slots=slots,
-        obj_mask=obj_mask,
+        obj_weight=np.repeat(1.0 / (b * n), n),
+        obj_groups=[offsets[n == k][:, None] + np.arange(k)
+                    for k in sorted(set(counts)) if k > 1],
         pair_features=np.array([v for ex in examples for v in ex.pair_features],
                                dtype=np.float64).reshape(-1, dims.d),
         targets=np.array([v for ex in examples for v in ex.target_embeddings],
                          dtype=np.float64).reshape(-1, dims.e),
         predicates=edges[:, 2],
-        so_rows=np.stack([subj, obj, obj, subj], axis=1),
-        edge_weight=edge_weight,
-        quad=np.concatenate([(bi[:, :2] - bj[:, :2]) / wh, bj[:, 2:] / wh],
-                            axis=1),
-        bad_box=bad_box,
+        so_rows=ends[:, [0, 1, 1, 0]],
+        edge_weight=np.repeat(1.0 / (b * np.maximum(m, 1)), m),
     )
 
 
 def _pack_candidates(examples: Sequence[Example], e: int
-                     ) -> Tuple[Optional[np.ndarray], Optional[Mask]]:
-    sets: List[Optional[np.ndarray]] = []
-    for s, ex in enumerate(examples):
-        for k in range(len(ex.edges)):
-            c = ex.candidate_embeddings[k] if k < len(ex.candidate_embeddings) else None
-            if c is not None and len(c):
+                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    by_size: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
+    edges = [(s, k, ex) for s, ex in enumerate(examples) for k in range(len(ex.edges))]
+    for row, (s, k, ex) in enumerate(edges):
+        c = ex.candidate_embeddings[k] if k < len(ex.candidate_embeddings) else None
+        if c is not None and len(c):
+            if np.shape(c) != (len(c), e):
                 _expect_shape(f"scene {s} edge {k}: candidate embeddings", c,
                               (len(c), e))
-            sets.append(c if c is not None and len(c) else None)
-    lens = np.array([0 if c is None else len(c) for c in sets], dtype=np.int64)
-    if not lens.any():
-        return None, None
-    if (lens == lens[0]).all():
-        return np.stack(sets), None
-    valid = np.arange(lens.max()) < lens[:, None]
-    cand = np.zeros(valid.shape + (e,))
-    cand[valid] = np.concatenate([c for c in sets if c is not None])
-    return cand, _make_mask(valid[:, None])
+            rows, sets = by_size.setdefault(len(c), ([], []))
+            rows.append(row)
+            sets.append(c)
+    return [(np.array(rows), np.array(sets, dtype=np.float64))
+            for _, (rows, sets) in sorted(by_size.items())]
 
 
 def pack_batch(examples: Sequence[Example], dims: Dims,
@@ -437,19 +334,8 @@ def pack_batch(examples: Sequence[Example], dims: Dims,
     if not examples:
         raise EmptySceneError("empty batch")
     batch = _pack_static(examples, dims) if static is None else copy.copy(static)
-    batch.cand, batch.cand_mask = _pack_candidates(examples, dims.e)
+    batch.cand_groups = _pack_candidates(examples, dims.e)
     return batch
-
-
-def _padded(batch: PackedBatch, x: np.ndarray) -> np.ndarray:
-    """Object rows (N, D) as (B, n_max, D), padding rows zero."""
-    rows = np.zeros((batch.n_scenes * batch.n_max, x.shape[1]))
-    rows[batch.slots] = x
-    return rows.reshape(batch.n_scenes, batch.n_max, -1)
-
-
-def _unpadded(batch: PackedBatch, x: np.ndarray) -> np.ndarray:
-    return x.reshape(-1, x.shape[2])[batch.slots]
 
 
 # ---------------------------------------------------------------------------
@@ -459,58 +345,70 @@ def _unpadded(batch: PackedBatch, x: np.ndarray) -> np.ndarray:
 @dataclass
 class ForwardTrace:
     batch: PackedBatch
-    obj_cache: Optional[tuple]             # self-attention cache or None
+    obj_caches: List[tuple]                # self-attention cache per group
     enriched: np.ndarray                   # (N, d+r)
     obj_probs: np.ndarray                  # (N, |O|)
-    txt_cache: Optional[tuple]             # text attention cache or None
+    quad: Optional[np.ndarray]             # (E, 4) geometric quadruplets
+    txt_caches: List[tuple]                # text attention cache per group
     so_cache: Optional[tuple]              # subject-object cache or None
-    so_cats: Optional[np.ndarray]          # (E, 2, 2(d+r)): [f_s f_o], [f_o f_s]
     f3: np.ndarray                         # (E, d+r)
     rel_probs: np.ndarray                  # (E, |P|)
     pred_emb: np.ndarray                   # (E, e)
+
+
+def forward_objects(params: ModelParams, batch: PackedBatch,
+                    toggles: Toggles = Toggles()
+                    ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
+    """The object stage: enriched object rows, their class probabilities
+    and the self-attention caches."""
+    enriched = np.concatenate([batch.features, spatial_projection(
+        batch.boxes, params, toggles.geometric_objects)], axis=1)
+    _check_finite("F'", enriched)
+    # groups hold disjoint rows, so each is read before it is overwritten
+    obj_caches = []
+    if toggles.object_attention:
+        for rows in batch.obj_groups:
+            x = enriched[rows]
+            enriched[rows], cache = _attend_fwd(x, x, params.tensors["W_att_obj"],
+                                                toggles.attention_mean,
+                                                skip_self=True)
+            obj_caches.append(cache)
+        _check_finite("enriched objects", enriched)
+    return enriched, classify_objects(enriched, params), obj_caches
 
 
 def forward_batch(params: ModelParams, batch: PackedBatch,
                   toggles: Toggles = Toggles()) -> ForwardTrace:
     t = params.tensors
     dpr = params.dims.dpr
-    f1 = np.concatenate([batch.features, spatial_projection(
-        batch.boxes, params, toggles.geometric_objects)], axis=1)
-    _check_finite("F'", f1)
-    enriched, obj_cache = f1, None
-    if toggles.object_attention and batch.obj_mask is not None:
-        padded = _padded(batch, f1)
-        out, obj_cache = _attend_fwd(padded, padded, batch.obj_mask,
-                                     t["W_att_obj"], toggles.attention_mean)
-        enriched = _unpadded(batch, out)
-        _check_finite("enriched objects", enriched)
-    obj_probs = softmax(enriched @ t["W_o"] + t["b_o"], axis=1)
-
+    enriched, obj_probs, obj_caches = forward_objects(params, batch, toggles)
     n_edges = len(batch.so_rows)
+    quad = None
     if toggles.geometric_relationships:
-        if batch.bad_box is not None:
-            raise InvalidBoxError(f"{batch.bad_box}: geometric encoding "
-                                  f"requires positive box sizes")
-        g = batch.quad @ t["W_geo"] + t["b_geo"]
+        ends = batch.boxes[batch.so_rows[:, :2]]
+        quad = geometric_quad(ends[:, 0], ends[:, 1])
+        g = quad @ t["W_geo"] + t["b_geo"]
     else:
         g = np.zeros((n_edges, params.dims.r))
-    f = np.concatenate([batch.pair_features, g], axis=1)[:, None]
-    txt_cache = so_cache = cats = None
-    if batch.cand is not None:
-        V = batch.cand.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
-        f, txt_cache = _attend_fwd(f, V.reshape(n_edges, -1, dpr), batch.cand_mask,
-                                   t["W_att_txt"], toggles.attention_mean)
+    f = np.concatenate([batch.pair_features, g], axis=1)
+    txt_caches = []
+    for rows, cand in batch.cand_groups:
+        V = cand.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
+        out, cache = _attend_fwd(f[rows][:, None], V.reshape(len(rows), -1, dpr),
+                                 t["W_att_txt"], toggles.attention_mean)
+        f[rows] = out[:, 0]
+        txt_caches.append(cache)
+    so_cache = None
     if toggles.subject_object_attention:
-        cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)
+        cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)  # [s o], [o s]
         contexts = (cats.reshape(-1, 2 * dpr) @ t["W_so"]).reshape(-1, 2, dpr)
-        f, so_cache = _attend_fwd(f, contexts, None, t["W_att_so"],
-                                  toggles.attention_mean)
-    f3 = f[:, 0]
-    _check_finite("edge representations", f3)
-    rel_probs = softmax(f3 @ t["W_r"] + t["b_r"], axis=1)
-    pred_emb = f3 @ t["W_re"] + t["b_re"]
-    return ForwardTrace(batch, obj_cache, enriched, obj_probs, txt_cache,
-                        so_cache, cats, f3, rel_probs, pred_emb)
+        out, so_cache = _attend_fwd(f[:, None], contexts, t["W_att_so"],
+                                    toggles.attention_mean)
+        f = out[:, 0]
+    _check_finite("edge representations", f)
+    rel_probs, pred_emb = predict_relationship(f, params)
+    return ForwardTrace(batch, obj_caches, enriched, obj_probs, quad, txt_caches,
+                        so_cache, f, rel_probs, pred_emb)
 
 
 def forward_scene(params: ModelParams, ex: Example,
@@ -522,31 +420,13 @@ def forward_scene(params: ModelParams, ex: Example,
 def scene_loss(trace: ForwardTrace, ex: Example,
                lambdas: Tuple[float, float, float],
                eps: float = CE_EPS) -> float:
-    """Loss of the scene `trace` was computed for (by forward_scene)."""
-    return _head_loss(trace, lambdas, eps)[0]
-
-
-def _head_loss(trace: ForwardTrace, lambdas: Tuple[float, float, float],
-               eps: float) -> Tuple[float, tuple]:
-    """Batch loss plus its gradients w.r.t. the object logits, predicate
-    logits and predicted embeddings (None for a term with weight 0)."""
-    batch = trace.batch
-    l1, l2, l3 = lambdas
-    loss = 0.0
-    d_obj = d_rel = d_emb = None
-    if l1 > 0:
-        term, d_obj = _weighted_ce(trace.obj_probs, batch.labels,
-                                   l1 * batch.obj_weight, eps)
-        loss += term
-    if l2 > 0 and len(batch.so_rows):
-        term, d_rel = _weighted_ce(trace.rel_probs, batch.predicates,
-                                   l2 * batch.edge_weight, eps)
-        loss += term
-    if l3 > 0 and len(batch.so_rows):
-        term, d_emb = _weighted_cosine(batch.targets, trace.pred_emb,
-                                       l3 * batch.edge_weight)
-        loss += term
-    return loss, (d_obj, d_rel, d_emb)
+    """Loss of `ex` given `trace`, its forward pass (from forward_scene)."""
+    if (len(trace.obj_probs), len(trace.rel_probs)) != (len(ex.features),
+                                                        len(ex.edges)):
+        raise ConfigError("trace and example differ in object or edge count")
+    return composite_loss(ex.object_labels, trace.obj_probs,
+                          [p for _, _, p in ex.edges], trace.rel_probs,
+                          ex.target_embeddings, trace.pred_emb, lambdas, eps)
 
 
 def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
@@ -565,32 +445,35 @@ def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
             grads[W] = x.T @ dlog
             grads[b] = dlog.sum(axis=0)
             dx += dlog @ t[W].T
-    df = df3[:, None]
-
+    df = df3
     if trace.so_cache is not None:
-        df, dC, grads["W_att_so"] = _attend_bwd(trace.so_cache, df)
+        dq, dC, grads["W_att_so"] = _attend_bwd(trace.so_cache, df3[:, None])
+        df = dq[:, 0]
         dC = dC.reshape(-1, dpr)
-        grads["W_so"] = trace.so_cats.reshape(-1, 2 * dpr).T @ dC
+        cats = trace.enriched[batch.so_rows].reshape(-1, 2 * dpr)
+        grads["W_so"] = cats.T @ dC
         np.add.at(d_enriched, batch.so_rows,
                   (dC @ t["W_so"].T).reshape(-1, 4, dpr))
 
-    if trace.txt_cache is not None:
-        df, dV, grads["W_att_txt"] = _attend_bwd(trace.txt_cache, df)
+    for (rows, cand), cache in zip(batch.cand_groups, trace.txt_caches):
+        dq, dV, dW = _attend_bwd(cache, df[rows][:, None])
+        df[rows] = dq[:, 0]
         dV = dV.reshape(-1, dpr)
-        grads["W_txt"] = batch.cand.reshape(-1, params.dims.e).T @ dV
-        grads["b_txt"] = dV.sum(axis=0)
+        grads["W_att_txt"] += dW
+        grads["W_txt"] += cand.reshape(-1, params.dims.e).T @ dV
+        grads["b_txt"] += dV.sum(axis=0)
 
     # geometric encoding (pair visual feature is an ingested constant)
-    if toggles.geometric_relationships:
-        dg = df[:, 0, d:]
-        grads["W_geo"] = batch.quad.T @ dg
+    if trace.quad is not None:
+        dg = df[:, d:]
+        grads["W_geo"] = trace.quad.T @ dg
         grads["b_geo"] = dg.sum(axis=0)
 
-    d_f1 = d_enriched
-    if trace.obj_cache is not None:
-        dq, dC, grads["W_att_obj"] = _attend_bwd(trace.obj_cache,
-                                                 _padded(batch, d_enriched))
-        d_f1 = _unpadded(batch, dq + dC)
+    d_f1 = d_enriched  # disjoint groups again: rows are read, then replaced
+    for rows, cache in zip(batch.obj_groups, trace.obj_caches):
+        dq, dC, dW = _attend_bwd(cache, d_f1[rows])
+        d_f1[rows] = dq + dC
+        grads["W_att_obj"] += dW
 
     # spatial projection (object features themselves are ingested constants)
     if toggles.geometric_objects:
@@ -615,7 +498,10 @@ def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
         lambdas = params.lambdas
     packed = pack_batch(batch, params.dims, packed)
     trace = forward_batch(params, packed, toggles)
-    loss, heads = _head_loss(trace, lambdas, eps)
+    loss, heads = _composite(trace.obj_probs, packed.labels, packed.obj_weight,
+                             trace.rel_probs, packed.predicates, packed.targets,
+                             trace.pred_emb, packed.edge_weight, lambdas, eps,
+                             grad=True)
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")
     return loss, backward_scene(params, trace, toggles, heads)

@@ -18,8 +18,8 @@ from ..embed import EmbeddingTable, embed_phrase
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, Toggles, forward_scene, loss_and_gradients,
-                    pack_batch)
+from .model import (Example, Toggles, forward_objects, forward_scene,
+                    loss_and_gradients, pack_batch)
 from .params import ModelParams
 
 log = logging.getLogger("relkit.train")
@@ -180,10 +180,8 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
     if protocol == "predcls":
         label_ids = list(g.labels())
     else:
-        probs_tmp = forward_scene(
-            params, Example(ex.features, ex.boxes, ex.object_labels, [],
-                            [], [], []),
-            toggles).obj_probs
+        probs_tmp = forward_objects(params, pack_batch([ex], params.dims),
+                                    toggles)[1]
         label_ids = [int(np.argmax(row)) for row in probs_tmp]
     cands: List[Optional[np.ndarray]] = []
     for s, o in pairs:

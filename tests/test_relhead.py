@@ -5,15 +5,12 @@ import pytest
 
 from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, FormatError,
-                           InvalidBoxError, NumericError)
+                           InvalidBoxError)
 from relkit.relhead import (Dims, Example, Toggles, attend,
-                            attend_subject_object, attend_text,
-                            build_pair_feature, classify_objects,
-                            composite_loss, enrich_object_features,
-                            forward_scene, geometric_encode, geometric_quad,
-                            init_params, load_params, loss_and_gradients,
-                            predict_relationship, save_params, scene_loss,
-                            train, TrainConfig)
+                            classify_objects, composite_loss, forward_scene,
+                            geometric_quad, init_params, load_params,
+                            loss_and_gradients, predict_relationship,
+                            save_params, scene_loss, train, TrainConfig)
 
 DIMS = Dims(d=8, r=4, e=6, n_object_labels=4, n_predicate_labels=5)
 
@@ -30,6 +27,34 @@ def scalar_attend(q, C, W, mean_scale=True):
     qv = list(q) + v
     return [sum(qv[i] * W[i][j] for i in range(len(qv)))
             for j in range(len(q))]
+
+
+def enriched_objects(features, boxes, params):
+    """Object rows after the spatial projection and self-attention: the
+    kernel run on a scene without edges."""
+    ex = Example(np.asarray(features, dtype=np.float64),
+                 np.asarray(boxes, dtype=np.float64),
+                 np.zeros(len(features), np.int64), [], [], [])
+    return forward_scene(params, ex).enriched
+
+
+def edge_output(params, f, fi, fj, candidates=None, subject_object=False):
+    """f3 of one edge whose input vector is f and whose subject and object
+    rows are fi and fj, from the kernel with object attention off. The
+    geometric encoding is pinned to f[d:] and the spatial projection to the
+    r-parts of fi and fj; all of it is exact in floating point."""
+    params = params.copy()
+    t, d = params.tensors, DIMS.d
+    t["W_geo"][:], t["b_geo"][:] = 0.0, f[d:]
+    t["W_spat"][:], t["b_spat"][:] = 0.0, 0.0
+    t["W_spat"][0], t["W_spat"][1] = fi[d:], fj[d:]
+    ex = Example(np.stack([fi[:d], fj[:d]]),
+                 np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]),
+                 np.zeros(2, np.int64), [(0, 1, 0)], [f[:d]],
+                 [np.ones(DIMS.e)], [candidates])
+    toggles = Toggles(object_attention=False,
+                      subject_object_attention=subject_object)
+    return forward_scene(params, ex, toggles).f3[0]
 
 
 class TestAttend:
@@ -86,7 +111,7 @@ class TestObjectStages:
         params = init_params(DIMS, seed=4)
         f = rng.normal(size=(1, DIMS.d))
         boxes = np.array([[1.0, 2.0, 3.0, 4.0]])
-        out = enrich_object_features(f, boxes, params)
+        out = enriched_objects(f, boxes, params)
         spat = boxes @ params.tensors["W_spat"] + params.tensors["b_spat"]
         assert np.allclose(out, np.hstack([f, spat]), atol=1e-12)
 
@@ -96,7 +121,7 @@ class TestObjectStages:
         params.tensors["W_spat"][:] = 0.0
         params.tensors["b_spat"][:] = 0.0
         f = rng.normal(size=(1, DIMS.d))
-        out = enrich_object_features(f, np.array([[0.0, 0.0, 1.0, 1.0]]), params)
+        out = enriched_objects(f, np.array([[0.0, 0.0, 1.0, 1.0]]), params)
         assert np.allclose(out[:, DIMS.d:], 0.0)
 
     def test_matches_scalar_reference_for_three_objects(self):
@@ -105,7 +130,7 @@ class TestObjectStages:
         f = rng.normal(size=(3, DIMS.d))
         boxes = np.column_stack([rng.uniform(0, 5, 3), rng.uniform(0, 5, 3),
                                  rng.uniform(1, 2, 3), rng.uniform(1, 2, 3)])
-        out = enrich_object_features(f, boxes, params)
+        out = enriched_objects(f, boxes, params)
         f1 = np.hstack([f, boxes @ params.tensors["W_spat"]
                         + params.tensors["b_spat"]])
         for i in range(3):
@@ -142,8 +167,7 @@ class TestObjectStages:
     def test_empty_scene_rejected(self):
         params = init_params(DIMS, seed=10)
         with pytest.raises(EmptySceneError):
-            enrich_object_features(np.empty((0, DIMS.d)),
-                                   np.empty((0, 4)), params)
+            enriched_objects(np.empty((0, DIMS.d)), np.empty((0, 4)), params)
 
 
 class TestGeometricEncoding:
@@ -162,8 +186,11 @@ class TestGeometricEncoding:
         params.tensors["b_geo"][:] = 0.0
         bi = np.array([1.0, 2.0, 2.0, 4.0])
         bj = np.array([0.5, 0.0, 1.0, 2.0])
-        assert np.allclose(geometric_encode(bi, bj, params),
-                           geometric_quad(bi, bj), atol=1e-12)
+        ex = Example(np.zeros((2, DIMS.d)), np.stack([bi, bj]),
+                     np.zeros(2, np.int64), [(0, 1, 0)], [np.zeros(DIMS.d)],
+                     [np.ones(DIMS.e)])
+        f3 = forward_scene(params, ex, Toggles(subject_object_attention=False)).f3
+        assert np.allclose(f3[0, DIMS.d:], geometric_quad(bi, bj), atol=1e-12)
 
     def test_translation_invariant(self):
         rng = np.random.default_rng(12)
@@ -186,13 +213,16 @@ class TestGeometricEncoding:
 
 class TestPairStages:
     def test_build_pair_feature_concatenates(self):
-        f = np.arange(3.0)
-        g = np.arange(10.0, 12.0)
-        assert np.array_equal(build_pair_feature(f, g), [0, 1, 2, 10, 11])
+        # pair feature 0..d-1 and geometric encoding 10..10+r-1
+        f = np.concatenate([np.arange(DIMS.d), np.arange(10, 10 + DIMS.r)])
+        params = init_params(DIMS, seed=12)
+        assert np.array_equal(edge_output(params, f, f, f), f)
 
     def test_build_pair_feature_checks_dims(self):
-        with pytest.raises(NumericError):
-            build_pair_feature(np.ones(3), np.ones(3), DIMS)
+        ex = random_example(np.random.default_rng(12), DIMS)
+        ex.pair_features[0] = np.ones(3)
+        with pytest.raises(ConfigError, match="pair features"):
+            forward_scene(init_params(DIMS, seed=12), ex)
 
     def test_attend_text_single_candidate(self):
         rng = np.random.default_rng(13)
@@ -201,14 +231,16 @@ class TestPairStages:
         cand = rng.normal(size=(1, DIMS.e))
         V = cand @ params.tensors["W_txt"] + params.tensors["b_txt"]
         expected = attend(f, V, params.tensors["W_att_txt"])
-        assert np.allclose(attend_text(f, cand, params), expected, atol=1e-12)
+        assert np.allclose(edge_output(params, f, f, f, cand), expected,
+                           atol=1e-12)
 
     def test_attend_text_empty_candidates_is_passthrough(self):
         rng = np.random.default_rng(14)
         params = init_params(DIMS, seed=14)
         f = rng.normal(size=DIMS.dpr)
-        assert np.array_equal(attend_text(f, None, params), f)
-        assert np.array_equal(attend_text(f, np.empty((0, DIMS.e)), params), f)
+        assert np.array_equal(edge_output(params, f, f, f, None), f)
+        assert np.array_equal(
+            edge_output(params, f, f, f, np.empty((0, DIMS.e))), f)
 
     def test_attend_text_matches_scalar_reference(self):
         rng = np.random.default_rng(15)
@@ -217,14 +249,14 @@ class TestPairStages:
         cand = rng.normal(size=(3, DIMS.e))
         V = cand @ params.tensors["W_txt"] + params.tensors["b_txt"]
         ref = scalar_attend(f, V, params.tensors["W_att_txt"])
-        assert np.allclose(attend_text(f, cand, params), ref, atol=1e-10)
+        assert np.allclose(edge_output(params, f, f, f, cand), ref, atol=1e-10)
 
     def test_subject_object_symmetric_contexts(self):
         rng = np.random.default_rng(16)
         params = init_params(DIMS, seed=16)
         f = rng.normal(size=DIMS.dpr)
         fi = rng.normal(size=DIMS.dpr)
-        got = attend_subject_object(f, fi, fi, params)
+        got = edge_output(params, f, fi, fi, subject_object=True)
         row = np.concatenate([fi, fi]) @ params.tensors["W_so"]
         # both context rows identical: weighted mean is row/k with the 1/k
         # convention (k = 2)
@@ -236,8 +268,8 @@ class TestPairStages:
         params = init_params(DIMS, seed=17)
         params.tensors["W_so"][:] = 0.0
         f = rng.normal(size=DIMS.dpr)
-        got = attend_subject_object(f, rng.normal(size=DIMS.dpr),
-                                    rng.normal(size=DIMS.dpr), params)
+        got = edge_output(params, f, rng.normal(size=DIMS.dpr),
+                          rng.normal(size=DIMS.dpr), subject_object=True)
         expected = np.concatenate([f, np.zeros(DIMS.dpr)]) \
             @ params.tensors["W_att_so"]
         assert np.allclose(got, expected, atol=1e-12)
@@ -251,8 +283,8 @@ class TestPairStages:
         contexts = np.stack([np.concatenate([fi, fj]) @ params.tensors["W_so"],
                              np.concatenate([fj, fi]) @ params.tensors["W_so"]])
         ref = scalar_attend(f, contexts, params.tensors["W_att_so"])
-        assert np.allclose(attend_subject_object(f, fi, fj, params), ref,
-                           atol=1e-10)
+        assert np.allclose(edge_output(params, f, fi, fj, subject_object=True),
+                           ref, atol=1e-10)
 
     def test_predict_relationship_probabilities(self):
         rng = np.random.default_rng(19)

@@ -16,7 +16,7 @@ from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, InvalidBoxError,
                            NumericError)
 from relkit.relhead import (Dims, Example, Toggles, forward_scene,
-                            init_params, loss_and_gradients)
+                            init_params, loss_and_gradients, scene_loss)
 from relkit.relhead.model import CE_EPS, forward_batch, pack_batch
 
 DIMS = Dims(d=8, r=4, e=6, n_object_labels=4, n_predicate_labels=5)
@@ -36,19 +36,6 @@ def mixed_batch(seed):
     sets = [c for ex in batch for c in ex.candidate_embeddings]
     assert any(c is None for c in sets)
     assert len({len(c) for c in sets if c is not None}) > 1
-    return batch
-
-
-def uniform_batch(seed, with_candidates=True):
-    """Equal object counts and full candidate sets: the unpadded paths."""
-    rng = np.random.default_rng(seed)
-    batch = [random_example(rng, DIMS, n=3, n_edges=2,
-                            with_candidates=with_candidates)
-             for _ in range(4)]
-    for ex in batch:
-        if with_candidates:
-            ex.candidate_embeddings = [rng.normal(size=(3, DIMS.e))
-                                       for _ in ex.edges]
     return batch
 
 
@@ -73,13 +60,13 @@ def test_matches_reference_for_every_toggle_combination(toggles):
 
 
 @pytest.mark.parametrize("batch", [
-    uniform_batch(11),
-    uniform_batch(12, with_candidates=False),
+    [random_example(np.random.default_rng(12), DIMS, n=3, n_edges=2,
+                    with_candidates=False) for _ in range(4)],
     [random_example(np.random.default_rng(13), DIMS, n=1, n_edges=0)
      for _ in range(3)],
     [random_example(np.random.default_rng(14), DIMS, n=4, n_edges=0)],
-], ids=["uniform", "no-candidates", "single-objects", "no-edges"])
-def test_matches_reference_on_unpadded_batches(batch):
+], ids=["no-candidates", "single-objects", "no-edges"])
+def test_matches_reference_on_degenerate_batches(batch):
     params = init_params(DIMS, seed=6, scale=0.3)
     for toggles in (Toggles(), Toggles(attention_mean=False)):
         assert_matches_reference(params, batch, toggles, (1.0, 0.7, 1.3))
@@ -99,7 +86,7 @@ def test_clamped_cross_entropy_matches_reference():
     assert_matches_reference(params, batch, Toggles(), (1.0, 1.0, 1.0))
 
 
-def test_padding_stays_finite():
+def test_ragged_batch_stays_finite():
     params = init_params(DIMS, seed=8, scale=0.3)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         trace = forward_batch(params, pack_batch(mixed_batch(30), DIMS),
@@ -121,6 +108,18 @@ def test_forward_scene_is_the_batch_row():
         assert np.allclose(one.pred_emb, trace.pred_emb[edge_row:edge_row + m],
                            rtol=0, atol=1e-14)
         obj_row, edge_row = obj_row + n, edge_row + m
+
+
+def test_scene_loss_rejects_another_example():
+    params = init_params(DIMS, seed=9, scale=0.3)
+    rng = np.random.default_rng(45)
+    ex = random_example(rng, DIMS, n=3, n_edges=2)
+    trace = forward_scene(params, ex)
+    assert scene_loss(trace, ex, (1.0, 1.0, 1.0)) == pytest.approx(
+        loss_and_gradients(params, [ex])[0], rel=1e-12)
+    with pytest.raises(ConfigError, match="edge count"):
+        scene_loss(trace, random_example(rng, DIMS, n=3, n_edges=1),
+                   (1.0, 1.0, 1.0))
 
 
 def test_static_pack_reuse_repacks_candidates():
@@ -158,10 +157,8 @@ def test_non_positive_edge_box():
     params = init_params(DIMS, seed=12)
     good = random_example(np.random.default_rng(1), DIMS)
     bad = random_example(np.random.default_rng(2), DIMS, n=3, n_edges=2)
-    j = bad.edges[1][1]
-    bad.boxes[j, 2] = 0.0
-    first = min(k for k, edge in enumerate(bad.edges) if j in edge[:2])
-    with pytest.raises(InvalidBoxError, match=f"scene 1 edge {first}:"):
+    bad.boxes[bad.edges[1][1], 2] = 0.0
+    with pytest.raises(InvalidBoxError, match="positive box sizes"):
         loss_and_gradients(params, [good, bad])
     with pytest.raises(InvalidBoxError):
         ref.loss_and_gradients(params, [good, bad])

@@ -21,7 +21,7 @@ import numpy as np
 from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
-from .errors import ConfigError, RelkitError
+from .errors import ConfigError, RelkitError, read_lines
 from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
                       load_params, predict_scene, save_params, train)
 
@@ -85,7 +85,7 @@ def cmd_parse(args) -> int:
     if args.jsonl:
         corpus = corpusmod.ingest_triplet_file(args.infile)
     else:
-        text = Path(args.infile).read_text()
+        text = "".join(line for _, line in read_lines(args.infile))
         corpus = corpusmod.extract_from_text(text, stoplist, lexicon,
                                              source=str(args.infile))
     if args.min_count and args.min_count > 1:
@@ -156,9 +156,8 @@ def cmd_synth(args) -> int:
     cfgmod.save_vocab(data.object_vocab, out / "objects.tsv")
     cfgmod.save_vocab(data.predicate_vocab, out / "predicates.tsv")
     corpusmod.save_triplet_file(data.corpus, out / "corpus.jsonl")
-    with open(out / "heldout.txt", "w") as fh:
-        for label in data.heldout_predicates:
-            fh.write(label + "\n")
+    (out / "heldout.txt").write_text(
+        "".join(label + "\n" for label in data.heldout_predicates))
     print(f"train_scenes\t{len(data.train_scenes)}")
     print(f"test_scenes\t{len(data.test_scenes)}")
     return 0
@@ -183,7 +182,6 @@ def cmd_train(args) -> int:
                               cfg.strict_oov) for s in scenes]
     tcfg = TrainConfig(
         learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-        lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
         m_candidates=cfg.m_candidates, k_candidates=cfg.k_candidates,
         seed=cfg.seed, toggles=_toggles(cfg),
         orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov)
@@ -223,7 +221,7 @@ def cmd_zeroshot(args) -> int:
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
-    labels = [line.strip() for line in Path(args.labels).read_text().splitlines()
+    labels = [line.strip() for _, line in read_lines(args.labels)
               if line.strip()]
     matrix = zeroshot.build_label_matrix(labels, table)
     ks = [int(v) for v in args.topk.split(",")]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .core import Vocabulary
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, read_lines
 
 
 @dataclass
@@ -42,7 +42,6 @@ class RunConfig:
     zeroshot_temperature: float = 1.0
     synonym_threshold: float = 0.6
     longtail_threshold: int = 1024
-    min_count: int = 1
     workers: int = 1  # accepted so older config files load; has no effect
 
     def __post_init__(self):
@@ -74,27 +73,20 @@ def _parse_value(field: dataclasses.Field, raw: str):
 def load_config(path) -> RunConfig:
     values: Dict[str, object] = {}
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
-                raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (part.strip() for part in stripped.split("=", 1))
-            if key not in fields:
-                raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = _parse_value(fields[key], raw)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in read_lines(path):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in fields:
+            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(fields[key], raw)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return RunConfig(**values)
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        for f in dataclasses.fields(RunConfig):
-            fh.write(f"{f.name} = {getattr(cfg, f.name)}\n")
 
 
 def apply_overrides(cfg: RunConfig, overrides: Dict[str, Optional[object]]
@@ -113,16 +105,15 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     items = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'label<TAB>count'")
-            try:
-                items.append((parts[0], int(parts[1])))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: bad count") from exc
+    for lineno, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"{path}:{lineno}: expected 'label<TAB>count'")
+        try:
+            items.append((parts[0], int(parts[1])))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: bad count") from exc
     return Vocabulary.make(items)

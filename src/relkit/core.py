@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidBoxError
+from .errors import FormatError, InvalidBoxError, read_lines
 
 
 @dataclass(frozen=True)
@@ -32,24 +32,6 @@ class BoundingBox:
                 raise InvalidBoxError(f"non-finite box coordinate: {self}")
         if self.w <= 0 or self.h <= 0:
             raise InvalidBoxError(f"box width/height must be positive: {self}")
-
-    def corners(self) -> Tuple[float, float, float, float]:
-        """(x1, y1, x2, y2) corner form; used transiently for geometry."""
-        return (
-            self.x - self.w / 2.0,
-            self.y - self.h / 2.0,
-            self.x + self.w / 2.0,
-            self.y + self.h / 2.0,
-        )
-
-
-def union_box(a: BoundingBox, b: BoundingBox) -> BoundingBox:
-    """Smallest axis-aligned box covering both inputs."""
-    ax1, ay1, ax2, ay2 = a.corners()
-    bx1, by1, bx2, by2 = b.corners()
-    x1, y1 = min(ax1, bx1), min(ay1, by1)
-    x2, y2 = max(ax2, bx2), max(ay2, by2)
-    return BoundingBox(x=(x1 + x2) / 2.0, y=(y1 + y2) / 2.0, w=x2 - x1, h=y2 - y1)
 
 
 @dataclass(frozen=True)
@@ -126,12 +108,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def index(self) -> Dict[str, int]:
-        return {l: i for i, l in enumerate(self.labels)}
-
-    def count_of(self, label: str) -> int:
-        return self.counts[self.labels.index(label)]
-
 
 def validate_scene(instance: SceneInstance) -> List[str]:
     """Check all type invariants; returns one message per violation."""
@@ -195,7 +171,7 @@ def scene_from_dict(doc: dict) -> SceneInstance:
     try:
         objects = [(int(o["label"]), BoundingBox(*map(float, o["box"])))
                    for o in doc["objects"]]
-        edges = [tuple(map(int, e)) for e in doc.get("edges", [])]
+        graph = SceneGraph.make(objects, doc.get("edges", []))
         feats = doc.get("object_features", [])
         pairs = {}
         for key, vec in doc.get("pair_features", {}).items():
@@ -203,7 +179,7 @@ def scene_from_dict(doc: dict) -> SceneInstance:
             pairs[(int(s), int(o))] = [float(v) for v in vec]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scene document: {exc}") from exc
-    return SceneInstance.make(SceneGraph.make(objects, edges), feats, pairs)
+    return SceneInstance.make(graph, feats, pairs)
 
 
 def save_scenes(instances: Sequence[SceneInstance], path) -> None:
@@ -214,14 +190,13 @@ def save_scenes(instances: Sequence[SceneInstance], path) -> None:
 
 def load_scenes(path) -> List[SceneInstance]:
     out = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            out.append(scene_from_dict(doc))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        out.append(scene_from_dict(doc))
     return out

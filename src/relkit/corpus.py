@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .core import Vocabulary
-from .errors import FormatError
+from .errors import FormatError, read_lines
 
 # Articles, pronouns, copulas and similar function words dropped before
 # parsing. Fixed and documented; override with --stoplist.
@@ -95,13 +95,6 @@ class TripletCorpus:
     def total_weight(self) -> int:
         return sum(self.counts.values())
 
-    def merge(self, other: "TripletCorpus") -> "TripletCorpus":
-        out = TripletCorpus(dict(self.counts), list(self.provenance))
-        for key, w in other.counts.items():
-            out.counts[key] = out.counts.get(key, 0) + w
-        out.provenance.extend(other.provenance)
-        return out
-
     def __len__(self) -> int:
         return len(self.counts)
 
@@ -168,25 +161,24 @@ def extract_from_text(text: str,
 def ingest_triplet_file(path) -> TripletCorpus:
     """Read a triplet JSONL file; weights accumulate across duplicate lines."""
     corpus = TripletCorpus(provenance=[str(path)])
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                triplet = Triplet(
-                    subject=str(doc["subject"]),
-                    predicate=str(doc["predicate"]),
-                    object=str(doc["object"]),
-                    weight=int(doc.get("weight", 1)),
-                )
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-            corpus.add(triplet)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+        try:
+            triplet = Triplet(
+                subject=str(doc["subject"]),
+                predicate=str(doc["predicate"]),
+                object=str(doc["object"]),
+                weight=int(doc.get("weight", 1)),
+            )
+        except KeyError as exc:
+            raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
+        corpus.add(triplet)
     return corpus
 
 
@@ -232,9 +224,8 @@ def filter_vocabulary(corpus: TripletCorpus, min_count: int
 def load_wordlist(path) -> Set[str]:
     """One token per line; blank lines and '#' comments ignored."""
     out: Set[str] = set()
-    with open(path) as fh:
-        for line in fh:
-            word = line.strip().lower()
-            if word and not word.startswith("#"):
-                out.add(word)
+    for _, line in read_lines(path):
+        word = line.strip().lower()
+        if word and not word.startswith("#"):
+            out.add(word)
     return out

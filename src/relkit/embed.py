@@ -13,7 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import FormatError, NumericError, OutOfVocabularyError
+from .errors import FormatError, NumericError, OutOfVocabularyError, read_lines
 
 
 @dataclass
@@ -33,26 +33,25 @@ class EmbeddingTable:
 def load_embeddings(path) -> EmbeddingTable:
     dimension = None
     vectors: Dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, entries = parts[0], parts[1:]
-            try:
-                vec = np.array([float(v) for v in entries], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-numeric entry") from exc
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: non-finite entry")
-            if dimension is None:
-                if vec.size == 0:
-                    raise FormatError(f"{path}:{lineno}: empty vector")
-                dimension = vec.size
-            elif vec.size != dimension:
-                raise FormatError(
-                    f"{path}:{lineno}: dimension {vec.size} != {dimension}")
-            vectors[token] = vec
+    for lineno, line in read_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        token, entries = parts[0], parts[1:]
+        try:
+            vec = np.array([float(v) for v in entries], dtype=np.float64)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-numeric entry") from exc
+        if not np.all(np.isfinite(vec)):
+            raise FormatError(f"{path}:{lineno}: non-finite entry")
+        if dimension is None:
+            if vec.size == 0:
+                raise FormatError(f"{path}:{lineno}: empty vector")
+            dimension = vec.size
+        elif vec.size != dimension:
+            raise FormatError(
+                f"{path}:{lineno}: dimension {vec.size} != {dimension}")
+        vectors[token] = vec
     if dimension is None:
         raise FormatError(f"{path}: empty embedding file")
     return EmbeddingTable(dimension=int(dimension), vectors=vectors)
@@ -97,8 +96,3 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     value = float(np.dot(u, v) / (nu * nv))
     # guard against rounding drift just past +/-1
     return max(-1.0, min(1.0, value))
-
-
-def cosine_loss(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cos(u, v); in [0, 2]."""
-    return 1.0 - cosine(u, v)

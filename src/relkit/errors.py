@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the text-file reader.
 
 Exit-code categories used by the CLI:
   2 - usage / configuration errors
@@ -47,3 +47,20 @@ class EmptySceneError(RelkitError):
     """Operation requires at least one object in the scene."""
 
     exit_code = 3
+
+
+def read_lines(path):
+    """Yield numbered lines of a UTF-8 text file; bad bytes are FormatErrors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise FormatError(
+                f"{path}:{line}: byte {exc.start}: not UTF-8") from exc
+        raise

@@ -43,10 +43,12 @@ class ScenePrediction:
     object_probs: Optional[np.ndarray] = None
 
 
-def _sorted_predictions(predictions: Sequence[TripletPrediction]
-                        ) -> List[TripletPrediction]:
-    return sorted(predictions,
-                  key=lambda t: (-t.confidence, t.subject, t.object, t.predicate))
+def _top_k_matches(predictions: Sequence[TripletPrediction],
+                   gt_edges: set, k: int) -> int:
+    """Ground-truth edges among the K most confident predictions."""
+    top = sorted(predictions,
+                 key=lambda t: (-t.confidence, t.subject, t.object, t.predicate))[:k]
+    return len(gt_edges & {(t.subject, t.object, t.predicate) for t in top})
 
 
 def recall_at_k(predictions: Sequence[TripletPrediction],
@@ -57,9 +59,7 @@ def recall_at_k(predictions: Sequence[TripletPrediction],
     gt_edges = set(ground_truth.edges)
     if not gt_edges:
         raise NumericError("recall undefined for empty ground truth")
-    top = _sorted_predictions(predictions)[:k]
-    predicted = {(t.subject, t.object, t.predicate) for t in top}
-    return len(gt_edges & predicted) / len(gt_edges)
+    return _top_k_matches(predictions, gt_edges, k) / len(gt_edges)
 
 
 def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
@@ -95,13 +95,10 @@ def _scene_triplets(pred: ScenePrediction, graph_constraint: bool
 def _recall_over_scenes(per_scene: List[Tuple[List[TripletPrediction], SceneGraph]],
                         k: int, micro: bool) -> float:
     if micro:
-        matched = 0
-        total = 0
+        matched = total = 0
         for preds, gt in per_scene:
             gt_edges = set(gt.edges)
-            top = _sorted_predictions(preds)[:k]
-            predicted = {(t.subject, t.object, t.predicate) for t in top}
-            matched += len(gt_edges & predicted)
+            matched += _top_k_matches(preds, gt_edges, k)
             total += len(gt_edges)
         if total == 0:
             raise NumericError("recall undefined for empty ground truth")
@@ -127,10 +124,7 @@ def predcls_eval(predictions: Sequence[ScenePrediction],
         per_scene.append((triplets, scene.graph))
         for s, o, p in scene.graph.edges:
             probs = pred.pair_probs.get((s, o))
-            if probs is None:
-                ranked.append([])
-            else:
-                ranked.append(ranked_predicates(probs))
+            ranked.append([] if probs is None else ranked_predicates(probs))
             gts.append(p)
     metrics = {f"R@{k}": _recall_over_scenes(per_scene, k, micro)
                for k in recall_ks}

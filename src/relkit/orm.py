@@ -1,9 +1,9 @@
 """Object-relationship mapping: per-pair predicate counts and candidates.
 
 Counts are exact 64-bit integers; conditional probabilities are computed
-on demand in double precision. Ranking is always descending probability
-with ties broken by ascending predicate string, so results are fully
-deterministic.
+on demand in double precision. Ranking is always descending count (so
+descending probability) with ties broken by ascending predicate string,
+so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ class OrmTable:
 
     pair_counts: Dict[Pair, Dict[str, int]] = field(default_factory=dict)
 
-    def pair_total(self, pair: Pair) -> int:
-        return sum(self.pair_counts.get(pair, {}).values())
-
     def marginal(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
         for preds in self.pair_counts.values():
@@ -35,7 +32,7 @@ class OrmTable:
         return out
 
     def total(self) -> int:
-        return sum(self.pair_total(p) for p in self.pair_counts)
+        return sum(sum(preds.values()) for preds in self.pair_counts.values())
 
     def __len__(self) -> int:
         return len(self.pair_counts)
@@ -48,9 +45,6 @@ class LookupResult:
     entries: Tuple[Tuple[str, float], ...]
     backoff: bool = False
 
-    def predicates(self) -> List[str]:
-        return [r for r, _ in self.entries]
-
 
 def build_orm(corpus: TripletCorpus) -> OrmTable:
     """Accumulate weighted triplet counts into a pair-count table."""
@@ -61,19 +55,14 @@ def build_orm(corpus: TripletCorpus) -> OrmTable:
     return table
 
 
-def merge(a: OrmTable, b: OrmTable) -> OrmTable:
-    out = OrmTable({p: dict(preds) for p, preds in a.pair_counts.items()})
-    for pair, preds in b.pair_counts.items():
-        dst = out.pair_counts.setdefault(pair, {})
-        for r, c in preds.items():
-            dst[r] = dst.get(r, 0) + c
-    return out
+def _by_count(counts: Dict[str, int]) -> List[Tuple[str, int]]:
+    """Descending count, ties ascending predicate (lookup and save_orm)."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def _ranked(counts: Dict[str, int]) -> Tuple[Tuple[str, float], ...]:
     total = sum(counts.values())
-    items = sorted(counts.items(), key=lambda kv: (-kv[1] / total, kv[0]))
-    return tuple((r, c / total) for r, c in items)
+    return tuple((r, c / total) for r, c in _by_count(counts))
 
 
 def lookup(table: OrmTable, subject: str, obj: str,
@@ -88,10 +77,7 @@ def lookup(table: OrmTable, subject: str, obj: str,
         return LookupResult(_ranked(counts), backoff=False)
     if not backoff:
         return LookupResult((), backoff=True)
-    marginal = table.marginal()
-    if not marginal:
-        return LookupResult((), backoff=True)
-    return LookupResult(_ranked(marginal), backoff=True)
+    return LookupResult(_ranked(table.marginal()), backoff=True)
 
 
 def sample_candidates(table: OrmTable, subject: str, obj: str,
@@ -120,18 +106,22 @@ def save_orm(table: OrmTable, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"#total\t{table.total()}\n")
         for (s, o) in sorted(table.pair_counts):
-            preds = table.pair_counts[(s, o)]
-            for r, c in sorted(preds.items(), key=lambda kv: (-kv[1], kv[0])):
+            for r, c in _by_count(table.pair_counts[(s, o)]):
                 fh.write(f"{s}\t{o}\t{r}\t{c}\n")
 
 
 def load_orm(path) -> OrmTable:
     table = OrmTable()
     declared_total: Optional[int] = None
-    offset = 0
+    end = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.decode("utf-8").rstrip("\n")
+            offset, end = end, end + len(raw)
+            try:
+                line = raw.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"{path}: byte {offset + exc.start}: not UTF-8") from exc
             if lineno == 1:
                 parts = line.split("\t")
                 if len(parts) != 2 or parts[0] != "#total":
@@ -142,10 +132,8 @@ def load_orm(path) -> OrmTable:
                 except ValueError as exc:
                     raise FormatError(
                         f"{path}: byte {offset}: bad total: {parts[1]}") from exc
-                offset += len(raw)
                 continue
             if not line:
-                offset += len(raw)
                 continue
             parts = line.split("\t")
             if len(parts) != 4:
@@ -161,11 +149,10 @@ def load_orm(path) -> OrmTable:
                 raise FormatError(f"{path}: byte {offset}: count must be >= 1")
             preds = table.pair_counts.setdefault((s, o), {})
             preds[r] = preds.get(r, 0) + count
-            offset += len(raw)
     if declared_total is None:
         raise FormatError(f"{path}: missing '#total' header (empty file?)")
     if table.total() != declared_total:
         raise FormatError(
-            f"{path}: byte {offset}: declared total {declared_total} "
+            f"{path}: byte {end}: declared total {declared_total} "
             f"!= summed counts {table.total()} (truncated file?)")
     return table

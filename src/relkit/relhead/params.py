@@ -7,7 +7,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, FormatError, read_lines
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,7 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = [line.rstrip("\n") for _, line in read_lines(path)]
     if not lines or lines[0] != _MAGIC:
         raise FormatError(f"{path}: not a relkit checkpoint")
     try:
@@ -135,8 +134,13 @@ def load_params(path) -> ModelParams:
             continue
         if parts[0] != "tensor":
             raise FormatError(f"{path}:{i + 1}: expected tensor block")
-        name = parts[1]
-        shape = tuple(int(s) for s in parts[2:])
+        try:
+            name = parts[1]
+            shape = tuple(int(s) for s in parts[2:])
+            if any(s < 0 for s in shape):
+                raise ValueError(f"negative dimension in {shape}")
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"{path}:{i + 1}: bad tensor header: {exc}") from exc
         size = int(np.prod(shape))
         block = lines[i + 1:i + 1 + size]
         if len(block) != size:

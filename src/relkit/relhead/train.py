@@ -29,7 +29,6 @@ log = logging.getLogger("relkit.train")
 class TrainConfig:
     learning_rate: float = 0.5
     epochs: int = 100
-    lambdas: Tuple[float, float, float] = (1.0, 1.0, 1.0)
     m_candidates: int = 10
     k_candidates: int = 5
     seed: int = 0
@@ -122,7 +121,7 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
         draw_candidates(examples, orm, object_vocab, table, cfg, epoch)
         try:
             loss, grads = loss_and_gradients(
-                params, examples, cfg.toggles, cfg.lambdas, packed=packed)
+                params, examples, cfg.toggles, packed=packed)
         except NumericError as exc:
             raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
         for name in params.tensors:

@@ -53,6 +53,13 @@ class TestParse:
         assert run("parse", "--in", str(tmp_path / "nope.txt"),
                    "--out", str(tmp_path / "o.jsonl")) == 3
 
+    def test_non_utf8_text_is_data_error(self, tmp_path, capsys):
+        infile = tmp_path / "in.txt"
+        infile.write_bytes(b"a man wearing a helmet\na dog \xffon a mat\n")
+        assert run("parse", "--in", str(infile),
+                   "--out", str(tmp_path / "o.jsonl")) == 3
+        assert f"{infile}:2: byte 29: not UTF-8" in capsys.readouterr().err
+
 
 class TestQuery:
     def test_lookup_output(self, workspace, capsys):
@@ -76,6 +83,13 @@ class TestQuery:
     def test_draw_without_seed_is_config_error(self, workspace):
         assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
                    "--subject", "a", "--object", "b", "--draw", "2") == 2
+
+    def test_non_utf8_orm_is_data_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "orm.tsv"
+        bad.write_bytes((workspace["data"] / "orm.tsv").read_bytes() + b"\xff\n")
+        assert run("query", "--orm", str(bad),
+                   "--subject", "a", "--object", "b") == 3
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestEmbed:
@@ -205,6 +219,19 @@ class TestEval:
         assert run("eval", *model_args(workspace),
                    "--checkpoint", str(bad)) == 3
 
+    @pytest.mark.parametrize("header",
+                             ["tensor", "tensor W_r 3 x", "tensor W_r -1 -1"])
+    def test_bad_tensor_header_is_data_error(self, workspace, tmp_path, capsys,
+                                             header):
+        lines = workspace["ckpt"].read_text().splitlines()
+        assert lines[3].startswith("tensor ")
+        lines[3] = header
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(lines) + "\n")
+        assert run("eval", *model_args(workspace),
+                   "--checkpoint", str(bad)) == 3
+        assert f"{bad}:4: bad tensor header" in capsys.readouterr().err
+
 
 class TestZeroshot:
     def test_ranking_output(self, workspace, tmp_path, capsys):
@@ -215,6 +242,13 @@ class TestZeroshot:
                    "--labels", str(labels), "--topk", "1,3") == 0
         out = capsys.readouterr().out
         assert "top1_accuracy\t" in out and "top3_accuracy\t" in out
+
+    def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
+        labels = tmp_path / "labels.txt"
+        labels.write_bytes(b"relaa\nrel\xe9b\n")
+        assert run("zeroshot", *model_args(workspace),
+                   "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1") == 3
 
 
 class TestReport:
@@ -242,3 +276,12 @@ class TestReport:
         assert run("report", "--config", str(cfgfile),
                    "--predicates", str(workspace["data"] / "predicates.tsv"),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 2
+
+    def test_non_utf8_predicates_is_data_error(self, workspace, tmp_path,
+                                                capsys):
+        predicates = tmp_path / "predicates.tsv"
+        predicates.write_bytes(
+            (workspace["data"] / "predicates.tsv").read_bytes() + b"\xff\t1\n")
+        assert run("report", "--predicates", str(predicates),
+                   "--vectors", str(workspace["data"] / "vectors.txt")) == 3
+        assert "not UTF-8" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from relkit.config import (RunConfig, apply_overrides, load_config,
-                           load_vocab, save_config, save_vocab)
+                           load_vocab, save_vocab)
 from relkit.core import Vocabulary
 from relkit.errors import ConfigError, FormatError
 
@@ -27,7 +27,8 @@ class TestConfigFile:
         cfg = RunConfig(d=4, epochs=7, lambda3=0.25, orm_backoff=False,
                         object_attention=False)
         path = tmp_path / "run.cfg"
-        save_config(cfg, path)
+        path.write_text("d = 4\nepochs = 7\nlambda3 = 0.25\n"
+                        "orm_backoff = false\nobject_attention = false\n")
         assert load_config(path) == cfg
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -40,6 +41,18 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("epochs = 3\nepohcs = 4\n")
         with pytest.raises(FormatError, match=":2"):
+            load_config(path)
+
+    def test_min_count_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("epochs = 3\nmin_count = 2\n")
+        with pytest.raises(FormatError, match=":2: unknown key 'min_count'"):
+            load_config(path)
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"epochs = 3\nseed = \xff\n")
+        with pytest.raises(FormatError, match=":2: byte 18: not UTF-8"):
             load_config(path)
 
     def test_bool_spellings(self, tmp_path):
@@ -106,4 +119,10 @@ class TestVocabFile:
         path = tmp_path / "vocab.tsv"
         path.write_text("wearing\tfifty\n")
         with pytest.raises(FormatError, match=":1"):
+            load_vocab(path)
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes("café\t3\n".encode() + b"b\xffd\t2\n")
+        with pytest.raises(FormatError, match=":2: byte 9: not UTF-8"):
             load_vocab(path)

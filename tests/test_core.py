@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_box, random_instance
+from helpers import random_instance
 from relkit.core import (BoundingBox, SceneGraph, SceneInstance, Vocabulary,
                          load_scenes, save_scenes, scene_from_dict,
-                         scene_to_dict, union_box, validate_scene)
+                         scene_to_dict, validate_scene)
 from relkit.errors import FormatError, InvalidBoxError
 
 
@@ -22,47 +22,6 @@ class TestBoundingBox:
             BoundingBox(float("nan"), 0, 1, 1)
         with pytest.raises(InvalidBoxError):
             BoundingBox(0, float("inf"), 1, 1)
-
-    def test_corners_round_trip(self):
-        b = BoundingBox(2.5, 1.0, 5.0, 2.0)
-        assert b.corners() == (0.0, 0.0, 5.0, 2.0)
-
-
-class TestUnionBox:
-    def test_idempotent(self):
-        b = BoundingBox(1.5, -2.0, 3.0, 4.0)
-        assert union_box(b, b) == b
-
-    def test_hand_computed_case(self):
-        a = BoundingBox(1, 1, 2, 2)
-        b = BoundingBox(4, 1, 2, 2)
-        assert union_box(a, b) == BoundingBox(2.5, 1, 5, 2)
-
-    def test_nested_box_returns_outer(self):
-        outer = BoundingBox(0, 0, 10, 10)
-        inner = BoundingBox(1, 1, 2, 2)
-        assert union_box(outer, inner) == outer
-        assert union_box(inner, outer) == outer
-
-    def test_commutative_associative_idempotent(self):
-        # dyadic coordinates keep all corner arithmetic exact
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b, c = random_box(rng), random_box(rng), random_box(rng)
-            assert union_box(a, b) == union_box(b, a)
-            assert union_box(union_box(a, b), c) == union_box(a, union_box(b, c))
-            assert union_box(a, a) == a
-
-    def test_output_contains_inputs(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            a, b = random_box(rng), random_box(rng)
-            u = union_box(a, b)
-            ux1, uy1, ux2, uy2 = u.corners()
-            for box in (a, b):
-                x1, y1, x2, y2 = box.corners()
-                assert ux1 <= x1 and uy1 <= y1
-                assert ux2 >= x2 and uy2 >= y2
 
 
 class TestValidateScene:
@@ -111,11 +70,6 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             Vocabulary.make([("a", -1)])
 
-    def test_index(self):
-        v = Vocabulary.make([("a", 1), ("b", 2)])
-        assert v.index() == {"a": 0, "b": 1}
-        assert v.count_of("b") == 2
-
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -146,4 +100,18 @@ class TestSerialization:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"objects": []}\nnot json\n')
         with pytest.raises(FormatError, match=":2:"):
+            load_scenes(path)
+
+    @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2, 3], 5])
+    def test_edge_without_three_entries_is_format_error(self, edge):
+        doc = {"objects": [{"label": 0, "box": [0, 0, 1, 1]},
+                           {"label": 1, "box": [2, 2, 1, 1]}],
+               "edges": [edge]}
+        with pytest.raises(FormatError, match="malformed scene document"):
+            scene_from_dict(doc)
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"objects": []}\n{"objects": [\xff]}\n')
+        with pytest.raises(FormatError, match=":2: byte 29: not UTF-8"):
             load_scenes(path)

@@ -7,7 +7,7 @@ from helpers import random_corpus
 from relkit.corpus import (DEFAULT_STOPLIST, Triplet, TripletCorpus,
                            extract_from_text, extract_triplets,
                            filter_vocabulary, ingest_triplet_file,
-                           normalize_token, save_triplet_file)
+                           load_wordlist, normalize_token, save_triplet_file)
 from relkit.errors import FormatError
 
 
@@ -94,20 +94,19 @@ class TestIngest:
         with pytest.raises(FormatError, match=":2:"):
             ingest_triplet_file(path)
 
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"subject":"a","predicate":"r","object":"b"}\n'
+                         b'{"subject":"\xe9","predicate":"r","object":"b"}\n')
+        with pytest.raises(FormatError, match=":2: byte 57: not UTF-8"):
+            ingest_triplet_file(path)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         corpus = random_corpus(rng, max_triplets=200, max_labels=10)
         path = tmp_path / "c.jsonl"
         save_triplet_file(corpus, path)
         assert ingest_triplet_file(path).counts == corpus.counts
-
-    def test_merge_is_associative_on_counts(self):
-        rng = np.random.default_rng(3)
-        a = random_corpus(rng, 50, 6)
-        b = random_corpus(rng, 50, 6)
-        c = random_corpus(rng, 50, 6)
-        assert a.merge(b).counts == b.merge(a).counts
-        assert a.merge(b).merge(c).counts == a.merge(b.merge(c)).counts
 
 
 class TestFilterVocabulary:
@@ -172,3 +171,10 @@ def test_extract_from_text_counts_clauses():
 
 def test_default_stoplist_contains_articles():
     assert {"a", "an", "the", "is"} <= DEFAULT_STOPLIST
+
+
+def test_wordlist_non_utf8_is_format_error(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_bytes(b"# stop words\nthe\n\xfe\n")
+    with pytest.raises(FormatError, match=":3: byte 17: not UTF-8"):
+        load_wordlist(path)

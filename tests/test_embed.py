@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relkit.embed import (EmbeddingTable, cosine, cosine_loss, embed_phrase,
+from relkit.embed import (EmbeddingTable, cosine, embed_phrase,
                           load_embeddings, save_embeddings)
 from relkit.errors import FormatError, NumericError, OutOfVocabularyError
 
@@ -32,6 +32,12 @@ class TestLoad:
         path = tmp_path / "v.txt"
         path.write_text("cat 1.0 oops\n")
         with pytest.raises(FormatError):
+            load_embeddings(path)
+
+    def test_non_utf8_line_named(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"cat 1.0 0.0\nd\x80g 1.0 0.0\n")
+        with pytest.raises(FormatError, match=":2: byte 13: not UTF-8"):
             load_embeddings(path)
 
     def test_round_trip(self, tmp_path):
@@ -85,6 +91,9 @@ class TestCosine:
     def test_orthogonal(self):
         assert cosine([1.0, 0.0], [0.0, 3.0]) == 0.0
 
+    def test_antiparallel(self):
+        assert cosine([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(-1.0, abs=1e-12)
+
     def test_hand_value(self):
         assert math.isclose(cosine([1.0, 0.0], [1.0, 1.0]),
                             0.7071067811865475, abs_tol=1e-12)
@@ -103,14 +112,3 @@ class TestCosine:
             assert math.isclose(cosine(alpha * u, beta * v), cosine(u, v),
                                 abs_tol=1e-12)
 
-
-class TestCosineLoss:
-    def test_identical_is_zero(self):
-        assert cosine_loss([2.0, 1.0], [2.0, 1.0]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_antiparallel_is_two(self):
-        assert cosine_loss([1.0, 0.0], [-2.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
-
-    def test_hand_value(self):
-        assert math.isclose(cosine_loss([1.0, 0.0], [1.0, 1.0]),
-                            1.0 - 0.7071067811865475, abs_tol=1e-12)

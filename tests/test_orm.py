@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import random_corpus
-from relkit.corpus import Triplet, TripletCorpus
+from relkit.corpus import (Triplet, TripletCorpus, ingest_triplet_file,
+                           save_triplet_file)
 from relkit.errors import ConfigError, FormatError
-from relkit.orm import (OrmTable, build_orm, load_orm, lookup, merge,
+from relkit.orm import (OrmTable, build_orm, load_orm, lookup,
                         sample_candidates, save_orm)
 
 
@@ -61,6 +62,25 @@ class TestBuildOrm:
                 for (s2, o2, r), w in naive.items():
                     if (s2, o2) == (s, o):
                         assert math.isclose(got[r], w / total, abs_tol=1e-12)
+
+    def test_concatenated_sources_sum_counts(self, tmp_path):
+        # combining text sources: cat the triplet files, build once
+        rng = np.random.default_rng(4)
+        sources = [random_corpus(rng, 300, 8) for _ in range(2)]
+        parts = []
+        for i, source in enumerate(sources):
+            parts.append(tmp_path / f"part{i}.jsonl")
+            save_triplet_file(source, parts[-1])
+        combined = tmp_path / "triplets.jsonl"
+        combined.write_bytes(b"".join(p.read_bytes() for p in parts))
+        table = build_orm(ingest_triplet_file(combined))
+        expected: dict = {}
+        for source in sources:
+            for pair, preds in build_orm(source).pair_counts.items():
+                for r, c in preds.items():
+                    counts = expected.setdefault(pair, {})
+                    counts[r] = counts.get(r, 0) + c
+        assert table.pair_counts == expected
 
 
 class TestLookup:
@@ -141,28 +161,6 @@ class TestSampleCandidates:
             assert abs(counts[frozenset(subset)] - n * p) <= 5 * sigma
 
 
-class TestMerge:
-    def test_identity(self):
-        rng = np.random.default_rng(2)
-        table = build_orm(random_corpus(rng, 300, 10))
-        merged = merge(table, OrmTable())
-        assert merged.pair_counts == table.pair_counts
-
-    def test_commutative(self):
-        rng = np.random.default_rng(3)
-        a = build_orm(random_corpus(rng, 200, 8))
-        b = build_orm(random_corpus(rng, 200, 8))
-        assert merge(a, b).pair_counts == merge(b, a).pair_counts
-
-    def test_build_distributes_over_merge(self):
-        rng = np.random.default_rng(4)
-        shard1 = random_corpus(rng, 300, 8)
-        shard2 = random_corpus(rng, 300, 8)
-        combined = build_orm(shard1.merge(shard2))
-        merged = merge(build_orm(shard1), build_orm(shard2))
-        assert combined.pair_counts == merged.pair_counts
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -191,3 +189,21 @@ class TestPersistence:
         path.write_text("#total\t1\na\tb\tr\tnotanumber\n")
         with pytest.raises(FormatError, match="byte"):
             load_orm(path)
+
+    def test_non_utf8_line_reports_offset(self, tmp_path):
+        path = tmp_path / "orm.tsv"
+        path.write_bytes(b"#total\t1\na\tb\tr\xff\t1\n")
+        with pytest.raises(FormatError, match="byte 14: not UTF-8"):
+            load_orm(path)
+
+    def test_file_order_is_lookup_order(self, tmp_path):
+        rng = np.random.default_rng(7)
+        table = build_orm(random_corpus(rng, 500, 6))
+        path = tmp_path / "orm.tsv"
+        save_orm(table, path)
+        in_file = {}
+        for line in path.read_text().splitlines()[1:]:
+            s, o, r, _ = line.split("\t")
+            in_file.setdefault((s, o), []).append(r)
+        for (s, o), preds in in_file.items():
+            assert [r for r, _ in lookup(table, s, o).entries] == preds

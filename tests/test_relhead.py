@@ -470,6 +470,15 @@ class TestTraining:
         for name in params.tensors:
             assert np.array_equal(trained.tensors[name], params.tensors[name])
 
+    def test_trains_with_checkpoint_loss_weights(self):
+        # all-zero weights in the params mean a zero gradient: nothing moves
+        examples, orm, obj_vocab, table = self._tiny_setup()
+        params = init_params(DIMS, seed=1, lambdas=(0.0, 0.0, 0.0))
+        cfg = TrainConfig(learning_rate=0.5, epochs=1, seed=1)
+        trained, _ = train(cfg, examples, orm, obj_vocab, table, params)
+        for name in params.tensors:
+            assert np.array_equal(trained.tensors[name], params.tensors[name])
+
     def test_same_seed_bit_identical_losses(self):
         examples, orm, obj_vocab, table = self._tiny_setup()
         params = init_params(DIMS, seed=2)

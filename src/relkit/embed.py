@@ -8,8 +8,8 @@ Phrases are pooled by the unweighted mean of their in-vocabulary tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,10 +18,13 @@ from .errors import FormatError, NumericError, OutOfVocabularyError, read_lines
 
 @dataclass
 class EmbeddingTable:
-    """token -> fixed-dimension dense vector."""
+    """token -> fixed-dimension dense vector; read-only once loaded, since
+    `embed_phrases` memoises pooled phrases (None: no known token) here."""
 
     dimension: int
     vectors: Dict[str, np.ndarray]
+    _pooled: Dict[str, Optional[np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __contains__(self, token: str) -> bool:
         return token in self.vectors
@@ -83,6 +86,24 @@ def embed_phrase(table: EmbeddingTable, phrase: str,
     for vec in hits:
         total += vec
     return total / len(hits), True
+
+
+def embed_phrases(table: EmbeddingTable, phrases: Sequence[str],
+                  strict: bool = True) -> Optional[np.ndarray]:
+    """Stacked `embed_phrase` vectors of the phrases that have one, in order,
+    as a fresh (k, e) array; None when none has. Each phrase is pooled once
+    per table. Strict mode raises on a phrase without one."""
+    rows = []
+    for phrase in phrases:
+        if phrase not in table._pooled:
+            vec, known = embed_phrase(table, phrase, strict=False)
+            table._pooled[phrase] = vec if known else None
+        vec = table._pooled[phrase]
+        if vec is not None:
+            rows.append(vec)
+        elif strict:
+            raise OutOfVocabularyError(f"no embeddable token in phrase: {phrase!r}")
+    return np.array(rows) if rows else None
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

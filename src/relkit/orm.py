@@ -1,9 +1,9 @@
 """Object-relationship mapping: per-pair predicate counts and candidates.
 
-Counts are exact 64-bit integers; conditional probabilities are computed
-on demand in double precision. Ranking is always descending count (so
-descending probability) with ties broken by ascending predicate string,
-so results are fully deterministic.
+Counts are exact 64-bit integers; conditional probabilities are in double
+precision, ranked once per pair and cached; a built table is read-only.
+Ranking is always descending count (so descending probability) with ties
+broken by ascending predicate string, so results are fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,11 +18,24 @@ from .errors import ConfigError, FormatError
 Pair = Tuple[str, str]
 
 
+@dataclass(frozen=True)
+class LookupResult:
+    """Ranked (predicate, probability) entries; backoff marks an unseen pair."""
+
+    entries: Tuple[Tuple[str, float], ...]
+    backoff: bool = False
+
+
 @dataclass
 class OrmTable:
-    """Predicate counts per ordered (subject, object) label pair."""
+    """Predicate counts per ordered (subject, object) label pair. Only
+    `build_orm` and `load_orm` fill them; `lookup` caches what it ranks."""
 
     pair_counts: Dict[Pair, Dict[str, int]] = field(default_factory=dict)
+    _lookups: Dict[Pair, LookupResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _backoff: Optional[LookupResult] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def marginal(self) -> Dict[str, int]:
         out: Dict[str, int] = {}
@@ -36,14 +49,6 @@ class OrmTable:
 
     def __len__(self) -> int:
         return len(self.pair_counts)
-
-
-@dataclass(frozen=True)
-class LookupResult:
-    """Ranked (predicate, probability) entries; backoff marks an unseen pair."""
-
-    entries: Tuple[Tuple[str, float], ...]
-    backoff: bool = False
 
 
 def build_orm(corpus: TripletCorpus) -> OrmTable:
@@ -72,12 +77,17 @@ def lookup(table: OrmTable, subject: str, obj: str,
     Unseen pairs fall back to the global predicate marginal (flagged), or
     to an empty result when backoff is disabled.
     """
-    counts = table.pair_counts.get((subject, obj))
-    if counts:
-        return LookupResult(_ranked(counts), backoff=False)
+    pair = (subject, obj)
+    hit = table._lookups.get(pair)
+    if hit is None and table.pair_counts.get(pair):
+        hit = table._lookups[pair] = LookupResult(_ranked(table.pair_counts[pair]))
+    if hit is not None:
+        return hit
     if not backoff:
         return LookupResult((), backoff=True)
-    return LookupResult(_ranked(table.marginal()), backoff=True)
+    if table._backoff is None:
+        table._backoff = LookupResult(_ranked(table.marginal()), backoff=True)
+    return table._backoff
 
 
 def sample_candidates(table: OrmTable, subject: str, obj: str,
@@ -89,11 +99,8 @@ def sample_candidates(table: OrmTable, subject: str, obj: str,
         raise ConfigError("sample_candidates requires M >= 1 and K >= 1")
     if k > m:
         raise ConfigError(f"K ({k}) must not exceed M ({m})")
-    top = list(lookup(table, subject, obj, backoff=backoff).entries)[:m]
-    rng = random.Random(seed)
-    if len(top) <= k:
-        return [r for r, _ in top]
-    return rng.sample([r for r, _ in top], k)
+    top = [r for r, _ in lookup(table, subject, obj, backoff=backoff).entries[:m]]
+    return top if len(top) <= k else random.Random(seed).sample(top, k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core import SceneInstance, Vocabulary
-from ..embed import EmbeddingTable, embed_phrase
+from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
@@ -79,33 +79,18 @@ def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
 
 
-def _embed_candidates(phrases: Sequence[str], table: EmbeddingTable,
-                      strict_oov: bool) -> Optional[np.ndarray]:
-    rows = []
-    for phrase in phrases:
-        vec, known = embed_phrase(table, phrase, strict=strict_oov)
-        if known:
-            rows.append(vec)
-    if not rows:
-        return None
-    return np.stack(rows)
-
-
 def draw_candidates(examples: Sequence[Example], orm: OrmTable,
                     object_vocab: Vocabulary, table: EmbeddingTable,
                     cfg: TrainConfig, epoch: int) -> None:
     """Refresh each edge's candidate embeddings in place (one draw per edge)."""
     for si, ex in enumerate(examples):
-        cands: List[Optional[np.ndarray]] = []
-        for ei, (i, j, _p) in enumerate(ex.edges):
-            s_label = object_vocab.labels[int(ex.object_labels[i])]
-            o_label = object_vocab.labels[int(ex.object_labels[j])]
-            phrases = sample_candidates(
-                orm, s_label, o_label, cfg.m_candidates, cfg.k_candidates,
+        labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
+        ex.candidate_embeddings = [
+            embed_phrases(table, sample_candidates(
+                orm, labels[i], labels[j], cfg.m_candidates, cfg.k_candidates,
                 seed=_edge_seed(cfg.seed, epoch, si, ei),
-                backoff=cfg.orm_backoff)
-            cands.append(_embed_candidates(phrases, table, cfg.strict_oov))
-        ex.candidate_embeddings = cands
+                backoff=cfg.orm_backoff), cfg.strict_oov)
+            for ei, (i, j, _p) in enumerate(ex.edges)]
 
 
 def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
@@ -134,14 +119,6 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
 # ---------------------------------------------------------------------------
 # Inference
 # ---------------------------------------------------------------------------
-
-def _eval_candidates(orm: OrmTable, s_label: str, o_label: str,
-                     k: int, backoff: bool, table: EmbeddingTable,
-                     strict_oov: bool) -> Optional[np.ndarray]:
-    # deterministic at eval time: the K most probable candidates, no draw
-    entries = lookup(orm, s_label, o_label, backoff=backoff).entries[:k]
-    return _embed_candidates([r for r, _ in entries], table, strict_oov)
-
 
 def predict_scene(params: ModelParams, instance: SceneInstance,
                   orm: OrmTable, object_vocab: Vocabulary,
@@ -175,20 +152,15 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
         pair_features=[pair_map[p] for p in pairs],
         target_embeddings=[np.zeros(params.dims.e)] * len(pairs),
     )
-    # choose the labels the ORM sees
-    if protocol == "predcls":
-        label_ids = list(g.labels())
-    else:
-        probs_tmp = forward_objects(params, pack_batch([ex], params.dims),
-                                    toggles)[1]
-        label_ids = [int(np.argmax(row)) for row in probs_tmp]
-    cands: List[Optional[np.ndarray]] = []
-    for s, o in pairs:
-        cands.append(_eval_candidates(
-            orm, object_vocab.labels[label_ids[s]],
-            object_vocab.labels[label_ids[o]],
-            k_candidates, orm_backoff, table, strict_oov))
-    ex.candidate_embeddings = cands
+    label_ids = g.labels() if protocol == "predcls" else forward_objects(
+        params, pack_batch([ex], params.dims), toggles)[1].argmax(axis=1).tolist()
+    labels = [object_vocab.labels[i] for i in label_ids]
+    # deterministic at eval time: the K most probable candidates, no draw
+    ex.candidate_embeddings = [
+        embed_phrases(table, [r for r, _ in lookup(
+            orm, labels[s], labels[o], backoff=orm_backoff).entries[:k_candidates]],
+            strict_oov)
+        for s, o in pairs]
     trace = forward_scene(params, ex, toggles)
     pair_probs = {pair: trace.rel_probs[idx] for idx, pair in enumerate(pairs)}
     pair_embs = {pair: trace.pred_emb[idx] for idx, pair in enumerate(pairs)}

@@ -1,0 +1,205 @@
+"""Pooled candidate embeddings against the per-phrase reference path.
+
+`draw_candidates` and `predict_scene` turn ORM candidates into embeddings
+through `embed_phrases`, which pools each phrase once per table. The
+reference below is the path they replaced: one `embed_phrase` call per
+candidate phrase, the known rows stacked with `np.stack`.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from relkit.corpus import Triplet, TripletCorpus
+from relkit.embed import embed_phrase, embed_phrases
+from relkit.errors import OutOfVocabularyError
+from relkit.orm import build_orm, lookup, sample_candidates
+from relkit.relhead import (Dims, Toggles, TrainConfig, build_example,
+                            draw_candidates, init_params, predict_scene)
+from relkit.relhead.model import forward_objects, pack_batch
+from relkit.synth import SynthConfig, generate
+
+# the package exports the function `train` under the submodule's name
+train_mod = importlib.import_module("relkit.relhead.train")
+
+OOV = "zorp blick"            # no token in the embedding table
+PARTLY_KNOWN = "relab zorp"   # pools to relab's vector alone
+TWO_TOKENS = "relac relab"    # the mean of two known tokens
+
+
+def reference_rows(table, phrases, strict):
+    rows = []
+    for phrase in phrases:
+        vec, known = embed_phrase(table, phrase, strict=strict)
+        if known:
+            rows.append(vec)
+    return np.stack(rows) if rows else None
+
+
+def reference_seed(seed, epoch, scene_idx, edge_idx):
+    return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
+
+
+def reference_draw(examples, orm, object_vocab, table, cfg, epoch):
+    out = []
+    for si, ex in enumerate(examples):
+        for ei, (i, j, _p) in enumerate(ex.edges):
+            phrases = sample_candidates(
+                orm, object_vocab.labels[int(ex.object_labels[i])],
+                object_vocab.labels[int(ex.object_labels[j])],
+                cfg.m_candidates, cfg.k_candidates,
+                seed=reference_seed(cfg.seed, epoch, si, ei),
+                backoff=cfg.orm_backoff)
+            out.append(reference_rows(table, phrases, cfg.strict_oov))
+    return out
+
+
+def assert_same_sets(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if e is None:
+            assert g is None
+        else:
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert np.array_equal(g, e)
+
+
+def drawn(examples):
+    return [c for ex in examples for c in ex.candidate_embeddings]
+
+
+@pytest.fixture
+def world():
+    """A synth world whose ORM, built from half the train scenes, carries
+    an OOV phrase, a partly known and a two-token phrase, so that candidate
+    sets mix known and unknown phrases and unseen pairs back off."""
+    data = generate(SynthConfig(n_object_labels=5, n_seen_predicates=8,
+                                n_train_scenes=20, n_test_scenes=10,
+                                objects_per_scene=4, edges_per_scene=4,
+                                seed=3))
+    labels = data.object_vocab.labels
+    corpus = TripletCorpus()
+    for scene in data.train_scenes[:10]:
+        ids = scene.graph.labels()
+        for s, o, p in scene.graph.edges:
+            corpus.add(Triplet(labels[ids[s]], data.predicate_vocab.labels[p],
+                               labels[ids[o]]))
+    for i, (s, o) in enumerate([(0, 1), (1, 2), (2, 0), (3, 4)]):
+        corpus.add(Triplet(labels[s], OOV, labels[o], weight=50))
+        corpus.add(Triplet(labels[o], PARTLY_KNOWN, labels[s], weight=40 + i))
+        corpus.add(Triplet(labels[s], TWO_TOKENS, labels[s], weight=30))
+    orm = build_orm(corpus)
+    examples = [build_example(s, data.object_vocab, data.predicate_vocab,
+                              data.embeddings) for s in data.train_scenes]
+    cfg = data.config
+    dims = Dims(cfg.d, cfg.r, cfg.e, len(data.object_vocab),
+                len(data.predicate_vocab))
+    return data, orm, examples, init_params(dims, seed=5)
+
+
+def test_fixture_mixes_known_unknown_and_backoff(world):
+    data, orm, examples, _ = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=1)
+    labels = data.object_vocab.labels
+    pairs = {(labels[int(ex.object_labels[i])], labels[int(ex.object_labels[j])])
+             for ex in examples for i, j, _ in ex.edges}
+    assert any(lookup(orm, *pair).backoff for pair in pairs)
+    assert any(not lookup(orm, *pair).backoff for pair in pairs)
+    phrases = {r for pair in pairs
+               for r, _ in lookup(orm, *pair).entries[:cfg.m_candidates]}
+    assert {OOV, PARTLY_KNOWN, TWO_TOKENS} <= phrases
+
+
+@pytest.mark.parametrize("backoff", [True, False])
+def test_draw_matches_per_phrase_reference(world, backoff):
+    data, orm, examples, _ = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=1,
+                      orm_backoff=backoff)
+    for epoch in range(3):
+        expected = reference_draw(examples, orm, data.object_vocab,
+                                  data.embeddings, cfg, epoch)
+        draw_candidates(examples, orm, data.object_vocab, data.embeddings,
+                        cfg, epoch)
+        assert_same_sets(drawn(examples), expected)
+    assert any(c is not None and len(c) < 3 for c in drawn(examples))
+
+
+@pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+def test_predict_scene_matches_per_phrase_reference(world, protocol,
+                                                    monkeypatch):
+    data, orm, _, params = world
+    seen = []
+    original = train_mod.forward_scene
+
+    def recording(params, ex, toggles):
+        seen.append(ex)
+        return original(params, ex, toggles)
+
+    monkeypatch.setattr(train_mod, "forward_scene", recording)
+    labels = data.object_vocab.labels
+    for scene in data.test_scenes + data.train_scenes[:5]:
+        predict_scene(params, scene, orm, data.object_vocab,
+                      data.predicate_vocab, data.embeddings, k_candidates=4,
+                      protocol=protocol)
+        ex = seen[-1]
+        if protocol == "predcls":
+            ids = scene.graph.labels()
+        else:
+            probs = forward_objects(params, pack_batch([ex], params.dims),
+                                    Toggles())[1]
+            ids = [int(np.argmax(row)) for row in probs]
+        expected = [reference_rows(data.embeddings, [r for r, _ in lookup(
+            orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
+            for s, o, _ in ex.edges]
+        assert_same_sets(ex.candidate_embeddings, expected)
+
+
+def test_lenient_drops_oov_and_strict_raises_after_caching(world):
+    data, _, _, _ = world
+    table = data.embeddings
+    phrases = ["relaa", OOV, PARTLY_KNOWN, TWO_TOKENS]
+    got = embed_phrases(table, phrases, strict=False)
+    assert got.shape == (3, table.dimension)
+    assert_same_sets([got], [reference_rows(table, phrases, strict=False)])
+    assert embed_phrases(table, [OOV], strict=False) is None
+    with pytest.raises(OutOfVocabularyError, match="zorp blick"):
+        embed_phrases(table, phrases, strict=True)
+    assert_same_sets([embed_phrases(table, phrases[2:], strict=True)],
+                     [reference_rows(table, phrases[2:], strict=True)])
+
+
+def test_strict_draw_and_predict_raise_after_lenient_calls(world):
+    data, orm, examples, params = world
+    lenient = TrainConfig(m_candidates=6, k_candidates=6, seed=1)
+    draw_candidates(examples, orm, data.object_vocab, data.embeddings,
+                    lenient, 0)
+    strict = TrainConfig(m_candidates=6, k_candidates=6, seed=1,
+                         strict_oov=True)
+    with pytest.raises(OutOfVocabularyError):
+        draw_candidates(examples, orm, data.object_vocab, data.embeddings,
+                        strict, 0)
+    scene = data.train_scenes[0]
+    predict_scene(params, scene, orm, data.object_vocab, data.predicate_vocab,
+                  data.embeddings, k_candidates=6, orm_backoff=True)
+    with pytest.raises(OutOfVocabularyError):
+        predict_scene(params, scene, orm, data.object_vocab,
+                      data.predicate_vocab, data.embeddings, k_candidates=6,
+                      orm_backoff=True, strict_oov=True)
+
+
+def test_writing_into_candidates_leaves_the_next_draw_alone(world):
+    data, orm, examples, _ = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=2)
+    draw_candidates(examples, orm, data.object_vocab, data.embeddings, cfg, 0)
+    first = [None if c is None else c.copy() for c in drawn(examples)]
+    for c in drawn(examples):
+        if c is not None:
+            c[...] = 1e9
+    draw_candidates(examples, orm, data.object_vocab, data.embeddings, cfg, 0)
+    assert_same_sets(drawn(examples), first)
+    rows = embed_phrases(data.embeddings, ["relaa", TWO_TOKENS])
+    rows[...] = -1.0
+    assert_same_sets([embed_phrases(data.embeddings, ["relaa", TWO_TOKENS])],
+                     [reference_rows(data.embeddings, ["relaa", TWO_TOKENS],
+                                     strict=True)])

@@ -1,6 +1,8 @@
 import itertools
 import math
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from helpers import random_corpus
 from relkit.corpus import (Triplet, TripletCorpus, ingest_triplet_file,
                            save_triplet_file)
 from relkit.errors import ConfigError, FormatError
+import relkit.orm
 from relkit.orm import (OrmTable, build_orm, load_orm, lookup,
                         sample_candidates, save_orm)
 
@@ -113,6 +116,72 @@ class TestLookup:
         assert result.backoff
 
 
+def brute_force_lookup(table, subject, obj, backoff):
+    """(entries, backoff) ranked afresh from pair_counts: counts descending,
+    ties by ascending predicate (a stable sort by predicate first)."""
+    counts = table.pair_counts.get((subject, obj))
+    unseen = not counts
+    if unseen:
+        if not backoff:
+            return (), True
+        counts = Counter()
+        for preds in table.pair_counts.values():
+            counts.update(preds)
+    total = sum(counts.values())
+    ranked = sorted(sorted(counts.items()), key=lambda kv: kv[1], reverse=True)
+    return tuple((r, c / total) for r, c in ranked), unseen
+
+
+class TestLookupIndex:
+    def test_interleaved_lookups_match_brute_force(self):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            table = build_orm(random_corpus(rng, 400, 12))
+            seen = sorted(table.pair_counts)
+            unseen = [("x", "y"), ("o0", "o0"), ("o1", "nobody")]
+            for _ in range(400):
+                pool = seen if seen and rng.random() < 0.7 else unseen
+                s, o = pool[int(rng.integers(len(pool)))]
+                backoff = bool(rng.random() < 0.5)
+                got = lookup(table, s, o, backoff=backoff)
+                assert (got.entries, got.backoff) == \
+                    brute_force_lookup(table, s, o, backoff)
+
+    def test_marginal_built_once_per_table(self, tmp_path, monkeypatch):
+        calls = []
+        original = OrmTable.marginal
+
+        def counting(self):
+            calls.append(id(self))
+            return original(self)
+
+        monkeypatch.setattr(OrmTable, "marginal", counting)
+        rng = np.random.default_rng(12)
+        path = tmp_path / "orm.tsv"
+        save_orm(build_orm(random_corpus(rng, 300, 10)), path)
+        tables = [build_orm(random_corpus(rng, 300, 10)), load_orm(path)]
+        assert calls == []  # nothing is ranked at build or load time
+        for table in tables:
+            for i in range(100):
+                lookup(table, f"unseen{i}", "x", backoff=bool(i % 2))
+                sample_candidates(table, "x", f"unseen{i}", m=4, k=2, seed=i)
+        assert calls == [id(tables[0]), id(tables[1])]
+
+    def test_loaded_table_answers_like_built(self, tmp_path):
+        rng = np.random.default_rng(13)
+        built = build_orm(random_corpus(rng, 500, 10))
+        lookup(built, "x", "y")  # a warm cache must not reach the file
+        path = tmp_path / "orm.tsv"
+        save_orm(built, path)
+        loaded = load_orm(path)
+        queries = sorted(built.pair_counts) + [("x", "y"), ("o0", "o0")]
+        for seed, (s, o) in enumerate(queries * 2):
+            for backoff in (True, False):
+                assert lookup(loaded, s, o, backoff) == lookup(built, s, o, backoff)
+                assert sample_candidates(loaded, s, o, 6, 3, seed, backoff) == \
+                    sample_candidates(built, s, o, 6, 3, seed, backoff)
+
+
 class TestSampleCandidates:
     def test_k_exceeds_m_rejected(self):
         table = build_orm(corpus_of(("a", "r", "b", 1)))
@@ -128,6 +197,24 @@ class TestSampleCandidates:
     def test_single_top_candidate(self):
         table = build_orm(corpus_of(("a", "r1", "b", 3), ("a", "r2", "b", 1)))
         assert sample_candidates(table, "a", "b", m=1, k=1, seed=9) == ["r1"]
+
+    def test_at_most_k_candidates_in_ranked_order(self, monkeypatch):
+        def no_rng(seed):
+            raise AssertionError("no draw needed with at most K candidates")
+
+        monkeypatch.setattr(relkit.orm, "random", SimpleNamespace(Random=no_rng))
+        table = build_orm(corpus_of(("a", "r1", "b", 1), ("a", "r2", "b", 5),
+                                    ("a", "r3", "b", 5), ("c", "r9", "d", 2)))
+        for seed in range(50):
+            assert sample_candidates(table, "a", "b", m=5, k=3, seed=seed) == \
+                ["r2", "r3", "r1"]
+            assert sample_candidates(table, "a", "b", m=2, k=2, seed=seed) == \
+                ["r2", "r3"]
+            assert sample_candidates(table, "x", "y", m=5, k=4, seed=seed) == \
+                ["r2", "r3", "r9", "r1"]
+        monkeypatch.undo()
+        assert sample_candidates(table, "a", "b", m=3, k=2, seed=4) == \
+            random.Random(4).sample(["r2", "r3", "r1"], 2)
 
     def test_deterministic_given_seed(self):
         table = build_orm(corpus_of(*[("a", f"r{i}", "b", i + 1)

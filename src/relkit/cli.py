@@ -2,9 +2,7 @@
 
 Subcommands: parse, build-orm, query, embed, synth, train, eval, zeroshot,
 report. Every command is deterministic given its config and seed; outputs
-carry no timestamps unless --timestamps is passed. `--workers`, the config
-key `workers` and RELKIT_THREADS are accepted for compatibility and have no
-effect; the head trains in one batched pass.
+carry no timestamps unless --timestamps is passed.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import os
 import sys
 from pathlib import Path
 
@@ -24,15 +21,6 @@ from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import ConfigError, RelkitError, read_lines
 from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
                       load_params, predict_scene, save_params, train)
-
-
-def _check_threads_env() -> None:
-    cap = os.environ.get("RELKIT_THREADS")
-    if cap:
-        try:
-            int(cap)
-        except ValueError as exc:
-            raise ConfigError(f"bad RELKIT_THREADS value: {cap!r}") from exc
 
 
 def _load_run_config(args) -> cfgmod.RunConfig:
@@ -173,7 +161,6 @@ def _load_shared(args):
 
 
 def cmd_train(args) -> int:
-    _check_threads_env()
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     n_pred = args.n_predicate_labels or len(predicate_vocab)
@@ -218,13 +205,17 @@ def cmd_eval(args) -> int:
 
 
 def cmd_zeroshot(args) -> int:
+    ks = [v.strip() for v in args.topk.split(",")]
+    bad = [v for v in ks if not v.isdecimal() or int(v) < 1]
+    if bad:
+        raise ConfigError(f"--topk takes integers >= 1, got {bad[0]!r}")
+    ks = [int(v) for v in ks]
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
     labels = [line.strip() for _, line in read_lines(args.labels)
               if line.strip()]
     matrix = zeroshot.build_label_matrix(labels, table)
-    ks = [int(v) for v in args.topk.split(",")]
     ranked_lists = []
     gt_names = []
     with _output(args) as out:
@@ -235,6 +226,9 @@ def cmd_zeroshot(args) -> int:
                 orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
                 protocol="predcls")
             for s, o, p in scene.graph.edges:
+                if (s, o) not in pair_embs:
+                    raise ConfigError(f"scene {si}: edge ({s},{o}) has no "
+                                      f"ingested pair feature")
                 probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix,
                                                 cfg.zeroshot_temperature)
                 top = zeroshot.topk(probs, matrix.labels, max(ks))
@@ -279,7 +273,6 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--objects", required=True, help="object vocabulary TSV")
     p.add_argument("--predicates", required=True, help="predicate vocabulary TSV")
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, help="accepted; has no effect")
     p.add_argument("--ablation", choices=["all-off"],
                    help="disable every ablation mechanism")
 

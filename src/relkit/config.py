@@ -42,7 +42,6 @@ class RunConfig:
     zeroshot_temperature: float = 1.0
     synonym_threshold: float = 0.6
     longtail_threshold: int = 1024
-    workers: int = 1  # accepted so older config files load; has no effect
 
     def __post_init__(self):
         if min(self.d, self.r, self.e) < 1:

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidBoxError, read_lines
+from .errors import FormatError, InvalidBoxError, RelkitError, read_lines
 
 
 @dataclass(frozen=True)
@@ -173,6 +173,8 @@ def scene_from_dict(doc: dict) -> SceneInstance:
                    for o in doc["objects"]]
         graph = SceneGraph.make(objects, doc.get("edges", []))
         feats = doc.get("object_features", [])
+        if len(set(map(len, feats))) > 1:
+            raise ValueError("object_features rows differ in length")
         pairs = {}
         for key, vec in doc.get("pair_features", {}).items():
             s, o = key.split(",")
@@ -195,8 +197,9 @@ def load_scenes(path) -> List[SceneInstance]:
         if not line:
             continue
         try:
-            doc = json.loads(line)
+            out.append(scene_from_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        out.append(scene_from_dict(doc))
+        except RelkitError as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return out

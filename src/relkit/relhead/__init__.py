@@ -1,17 +1,16 @@
 """Differentiable relationship head: forward pipeline, loss, gradients,
 training loop, and scene inference."""
 
-from .model import (attend, classify_objects, composite_loss, Example,
-                    forward_scene, ForwardTrace, geometric_quad,
-                    loss_and_gradients, predict_relationship, scene_loss,
-                    softmax, Toggles)
+from .model import (classify_objects, composite_loss, Example, forward_scene,
+                    ForwardTrace, geometric_quad, loss_and_gradients,
+                    predict_relationship, scene_loss, softmax, Toggles)
 from .params import Dims, init_params, load_params, ModelParams, save_params
 from .train import (build_example, draw_candidates, predict_scene, train,
                     TrainConfig)
 
 __all__ = [
-    "attend", "classify_objects", "composite_loss", "Example",
-    "forward_scene", "ForwardTrace", "geometric_quad", "loss_and_gradients",
+    "classify_objects", "composite_loss", "Example", "forward_scene",
+    "ForwardTrace", "geometric_quad", "loss_and_gradients",
     "predict_relationship", "scene_loss", "softmax", "Toggles",
     "Dims", "init_params", "load_params", "ModelParams", "save_params",
     "build_example", "draw_candidates", "predict_scene", "train",

@@ -105,19 +105,6 @@ def _attend_bwd(cache: tuple, dout: np.ndarray
     return dq, dC, dW
 
 
-def attend(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
-           mean_scale: bool = True) -> np.ndarray:
-    """Softmax attention of a query over context rows, fused with the query."""
-    q = np.asarray(q, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
-    if C.ndim != 2 or C.shape[0] == 0:
-        raise EmptySceneError("attention requires at least one context row")
-    if C.shape[1] != q.size or W_fuse.shape != (2 * q.size, q.size):
-        raise NumericError(
-            f"attend shape mismatch: q{q.shape} C{C.shape} W{W_fuse.shape}")
-    return _attend_fwd(q[None, None], C[None], W_fuse, mean_scale)[0][0, 0]
-
-
 # ---------------------------------------------------------------------------
 # Stage ops the kernel shares with single-vector callers
 # ---------------------------------------------------------------------------
@@ -158,17 +145,16 @@ def predict_relationship(f_tripleprime: np.ndarray, params: ModelParams
 # ---------------------------------------------------------------------------
 
 def _weighted_ce(probs: np.ndarray, labels: np.ndarray, weight: np.ndarray,
-                 eps: float, grad: bool = True
-                 ) -> Tuple[float, Optional[np.ndarray]]:
+                 grad: bool = True) -> Tuple[float, Optional[np.ndarray]]:
     """sum_i weight_i * CE_i and, if `grad`, its gradient w.r.t. the logits."""
     rows = np.arange(len(labels))
     p = probs[rows, labels]
-    loss = float(weight @ -np.log(np.maximum(p, eps)))
+    loss = float(weight @ -np.log(np.maximum(p, CE_EPS)))
     if not grad:
         return loss, None
     dlogits = probs * weight[:, None]
     dlogits[rows, labels] -= weight
-    dlogits[p <= eps] = 0.0  # clamped CE has zero gradient
+    dlogits[p <= CE_EPS] = 0.0  # clamped CE has zero gradient
     return loss, dlogits
 
 
@@ -192,17 +178,16 @@ def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray,
 def _composite(obj_probs: np.ndarray, labels: np.ndarray, obj_weight: np.ndarray,
                rel_probs: np.ndarray, predicates: np.ndarray, targets: np.ndarray,
                pred_emb: np.ndarray, edge_weight: np.ndarray,
-               lambdas: Tuple[float, float, float], eps: float, grad: bool
+               lambdas: Tuple[float, float, float], grad: bool
                ) -> Tuple[float, tuple]:
     """The three lambda-weighted loss terms, summed with per-instance weights,
     and, if `grad`, their gradients w.r.t. the object logits, predicate
     logits and predicted embeddings (None for a term that is off)."""
     terms = [(0.0, None)] * 3
     if lambdas[0] > 0 and len(labels):
-        terms[0] = _weighted_ce(obj_probs, labels, lambdas[0] * obj_weight, eps, grad)
+        terms[0] = _weighted_ce(obj_probs, labels, lambdas[0] * obj_weight, grad)
     if lambdas[1] > 0 and len(predicates):
-        terms[1] = _weighted_ce(rel_probs, predicates, lambdas[1] * edge_weight, eps,
-                                grad)
+        terms[1] = _weighted_ce(rel_probs, predicates, lambdas[1] * edge_weight, grad)
     if lambdas[2] > 0 and len(predicates):
         terms[2] = _weighted_cosine(targets, pred_emb, lambdas[2] * edge_weight, grad)
     return sum(loss for loss, _ in terms), tuple(g for _, g in terms)
@@ -212,8 +197,7 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
                    predicate_labels: Sequence[int], rel_probs: np.ndarray,
                    target_embeddings: Sequence[np.ndarray],
                    predicted_embeddings: Sequence[np.ndarray],
-                   lambdas: Tuple[float, float, float],
-                   eps: float = CE_EPS) -> float:
+                   lambdas: Tuple[float, float, float]) -> float:
     """lambda1 * object CE + lambda2 * relationship CE + lambda3 * cosine loss,
     each term averaged over its instances. Each edge has one predicate
     label, one target and one predicted embedding."""
@@ -223,7 +207,7 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
                       np.asarray(predicate_labels),
                       np.asarray(target_embeddings, dtype=np.float64),
                       np.asarray(predicted_embeddings, dtype=np.float64),
-                      np.full(m, 1.0 / max(m, 1)), lambdas, eps, grad=False)[0]
+                      np.full(m, 1.0 / max(m, 1)), lambdas, grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -418,15 +402,14 @@ def forward_scene(params: ModelParams, ex: Example,
 
 
 def scene_loss(trace: ForwardTrace, ex: Example,
-               lambdas: Tuple[float, float, float],
-               eps: float = CE_EPS) -> float:
+               lambdas: Tuple[float, float, float]) -> float:
     """Loss of `ex` given `trace`, its forward pass (from forward_scene)."""
     if (len(trace.obj_probs), len(trace.rel_probs)) != (len(ex.features),
                                                         len(ex.edges)):
         raise ConfigError("trace and example differ in object or edge count")
     return composite_loss(ex.object_labels, trace.obj_probs,
                           [p for _, _, p in ex.edges], trace.rel_probs,
-                          ex.target_embeddings, trace.pred_emb, lambdas, eps)
+                          ex.target_embeddings, trace.pred_emb, lambdas)
 
 
 def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
@@ -485,22 +468,18 @@ def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
 
 def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
                        toggles: Toggles = Toggles(),
-                       lambdas: Optional[Tuple[float, float, float]] = None,
-                       eps: float = CE_EPS,
                        packed: Optional[PackedBatch] = None
                        ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Mean loss over the batch and its exact analytic gradients.
+    """Mean params.lambdas-weighted batch loss and its exact gradients.
 
     `packed` is an earlier pack_batch of the same examples; passing it
     skips re-packing everything but the candidate sets.
     """
-    if lambdas is None:
-        lambdas = params.lambdas
     packed = pack_batch(batch, params.dims, packed)
     trace = forward_batch(params, packed, toggles)
     loss, heads = _composite(trace.obj_probs, packed.labels, packed.obj_weight,
                              trace.rel_probs, packed.predicates, packed.targets,
-                             trace.pred_emb, packed.edge_weight, lambdas, eps,
+                             trace.pred_emb, packed.edge_weight, params.lambdas,
                              grad=True)
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")

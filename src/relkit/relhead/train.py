@@ -154,6 +154,10 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
     )
     label_ids = g.labels() if protocol == "predcls" else forward_objects(
         params, pack_batch([ex], params.dims), toggles)[1].argmax(axis=1).tolist()
+    bad = [i for i in label_ids if not 0 <= i < len(object_vocab)]
+    if bad:
+        raise ConfigError(f"{protocol}: object label {bad[0]} outside the "
+                          f"{len(object_vocab)}-label object vocabulary")
     labels = [object_vocab.labels[i] for i in label_ids]
     # deterministic at eval time: the K most probable candidates, no draw
     ex.candidate_embeddings = [

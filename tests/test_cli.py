@@ -1,4 +1,4 @@
-import os
+import json
 import re
 
 import pytest
@@ -29,6 +29,14 @@ def workspace(tmp_path_factory):
                "--out", str(ckpt), "--epochs", "4", "--seed", "3",
                "--n-predicate-labels", "5") == 0
     return {"root": root, "data": data, "ckpt": ckpt}
+
+
+def edited_scenes(ws, path, edit):
+    """Write the first test scene, changed in place by `edit`, to `path`."""
+    doc = json.loads((ws["data"] / "test.jsonl").read_text().splitlines()[0])
+    edit(doc)
+    path.write_text(json.dumps(doc) + "\n")
+    return str(path)
 
 
 def model_args(ws, scenes="train.jsonl"):
@@ -140,25 +148,6 @@ class TestTrain:
         assert (tmp_path / "a.ckpt").read_bytes() \
             == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_thread_cap_does_not_change_output(self, workspace, tmp_path,
-                                               monkeypatch):
-        args = model_args(workspace) + ["--epochs", "3", "--seed", "5",
-                                        "--n-predicate-labels", "5",
-                                        "--workers", "4"]
-        monkeypatch.setenv("RELKIT_THREADS", "1")
-        assert run("train", *args, "--out", str(tmp_path / "t1.ckpt")) == 0
-        monkeypatch.setenv("RELKIT_THREADS", "4")
-        assert run("train", *args, "--out", str(tmp_path / "t4.ckpt")) == 0
-        assert (tmp_path / "t1.ckpt").read_bytes() \
-            == (tmp_path / "t4.ckpt").read_bytes()
-
-    def test_bad_threads_env_is_config_error(self, workspace, tmp_path,
-                                             monkeypatch):
-        monkeypatch.setenv("RELKIT_THREADS", "lots")
-        args = model_args(workspace) + ["--epochs", "1",
-                                        "--n-predicate-labels", "5"]
-        assert run("train", *args, "--out", str(tmp_path / "x.ckpt")) == 2
-
     def test_predicate_id_out_of_range_is_config_error(self, workspace,
                                                        tmp_path, capsys):
         # the synthetic set has 5 predicates; a 2-way classifier cannot
@@ -169,6 +158,12 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(r"scene \d+ edge \d+: predicate id [2-4] outside "
                          r"\[0, 2\)", err), err
+
+    def test_workers_flag_is_usage_error(self, workspace, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run("train", *model_args(workspace), "--workers", "4",
+                "--out", str(tmp_path / "x.ckpt"), "--epochs", "1")
+        assert exc.value.code == 2
 
     def test_missing_scenes_is_data_error(self, workspace, tmp_path):
         args = model_args(workspace)
@@ -219,6 +214,35 @@ class TestEval:
         assert run("eval", *model_args(workspace),
                    "--checkpoint", str(bad)) == 3
 
+    def test_ragged_object_features_is_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        def drop_a_value(doc):
+            doc["object_features"][1].pop()
+        args = model_args(workspace)
+        args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", drop_a_value)
+        assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 3
+        assert f"{args[1]}:1: malformed scene document: object_features rows " \
+            "differ in length" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+    def test_object_label_outside_vocabulary_is_config_error(
+            self, workspace, tmp_path, capsys, protocol):
+        args = model_args(workspace, "test.jsonl")
+        if protocol == "predcls":
+            def relabel(doc):
+                doc["objects"][0]["label"] = 99
+            args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
+        else:  # the classifier's 8 labels predict beyond a 1-label vocabulary
+            objects = tmp_path / "objects.tsv"
+            objects.write_text((workspace["data"] / "objects.tsv")
+                               .read_text().splitlines()[0] + "\n")
+            args[args.index("--objects") + 1] = str(objects)
+        assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
+                   "--protocol", protocol) == 2
+        assert re.search(rf"{protocol}: object label \d+ outside the "
+                         rf"\d-label object vocabulary",
+                         capsys.readouterr().err)
+
     @pytest.mark.parametrize("header",
                              ["tensor", "tensor W_r 3 x", "tensor W_r -1 -1"])
     def test_bad_tensor_header_is_data_error(self, workspace, tmp_path, capsys,
@@ -243,6 +267,31 @@ class TestZeroshot:
         out = capsys.readouterr().out
         assert "top1_accuracy\t" in out and "top3_accuracy\t" in out
 
+    @pytest.mark.parametrize("topk", ["5,x", "0", "3,-1"])
+    def test_bad_topk_is_config_error(self, workspace, tmp_path, capsys, topk):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("relaa\nrelab\n")
+        assert run("zeroshot", *model_args(workspace),
+                   "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", topk) == 2
+        bad = topk.split(",")[-1]
+        assert f"--topk takes integers >= 1, got {bad!r}" \
+            in capsys.readouterr().err
+
+    def test_edge_without_pair_feature_is_config_error(self, workspace,
+                                                       tmp_path, capsys):
+        def drop_pair(doc):
+            s, o, _ = doc["edges"][-1]
+            del doc["pair_features"][f"{s},{o}"]
+        args = model_args(workspace)
+        args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", drop_pair)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("relaa\nrelab\n")
+        assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1") == 2
+        assert re.search(r"scene 0: edge \(\d+,\d+\) has no ingested pair "
+                         r"feature", capsys.readouterr().err)
+
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_bytes(b"relaa\nrel\xe9b\n")
@@ -262,12 +311,15 @@ class TestReport:
         assert "#longtail_threshold\t10" in out
         assert "rare" in out
 
-    def test_unknown_config_key_is_data_error(self, workspace, tmp_path):
+    @pytest.mark.parametrize("key", ["not_a_key", "workers"])
+    def test_unknown_config_key_is_data_error(self, workspace, tmp_path,
+                                              capsys, key):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("not_a_key = 1\n")
+        cfgfile.write_text(f"{key} = 4\n")
         assert run("report", "--config", str(cfgfile),
                    "--predicates", str(workspace["data"] / "predicates.tsv"),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 3
+        assert f":1: unknown key {key!r}" in capsys.readouterr().err
 
     def test_invalid_config_combination_is_config_error(self, workspace,
                                                         tmp_path):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -92,14 +93,22 @@ class TestSerialization:
         inst = random_instance(rng)
         assert scene_from_dict(json.loads(json.dumps(scene_to_dict(inst)))) == inst
 
-    def test_malformed_document(self):
-        with pytest.raises(FormatError):
-            scene_from_dict({"objects": [{"box": [0, 0, 1, 1]}]})
+    @pytest.mark.parametrize("doc", [
+        {"objects": [{"box": [0, 0, 1, 1]}]},
+        {"objects": [{"label": 0, "box": [0, 0, 1, 1]},
+                     {"label": 1, "box": [2, 2, 1, 1]}],
+         "object_features": [[1.0, 2.0], [3.0]]},  # ragged rows
+    ])
+    def test_malformed_document(self, doc):
+        with pytest.raises(FormatError, match="malformed scene document"):
+            scene_from_dict(doc)
 
-    def test_malformed_line_reports_line_number(self, tmp_path):
+    @pytest.mark.parametrize("line", ["not json",
+                                      '{"objects": [{"box": [0, 0, 1, 1]}]}'])
+    def test_malformed_line_reports_line_number(self, tmp_path, line):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"objects": []}\nnot json\n')
-        with pytest.raises(FormatError, match=":2:"):
+        path.write_text('{"objects": []}\n' + line + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
             load_scenes(path)
 
     @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2, 3], 5])

@@ -6,11 +6,11 @@ import pytest
 from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, FormatError,
                            InvalidBoxError)
-from relkit.relhead import (Dims, Example, Toggles, attend,
-                            classify_objects, composite_loss, forward_scene,
-                            geometric_quad, init_params, load_params,
-                            loss_and_gradients, predict_relationship,
-                            save_params, scene_loss, train, TrainConfig)
+from relkit.relhead import (Dims, Example, Toggles, classify_objects,
+                            composite_loss, forward_scene, geometric_quad,
+                            init_params, load_params, loss_and_gradients,
+                            predict_relationship, save_params, scene_loss,
+                            train, TrainConfig)
 
 DIMS = Dims(d=8, r=4, e=6, n_object_labels=4, n_predicate_labels=5)
 
@@ -38,9 +38,10 @@ def enriched_objects(features, boxes, params):
     return forward_scene(params, ex).enriched
 
 
-def edge_output(params, f, fi, fj, candidates=None, subject_object=False):
+def edge_output(params, f, fi, fj, candidates=None, **toggles):
     """f3 of one edge whose input vector is f and whose subject and object
-    rows are fi and fj, from the kernel with object attention off. The
+    rows are fi and fj, from the kernel with object and subject-object
+    attention off unless `toggles` (Toggles fields) say otherwise. The
     geometric encoding is pinned to f[d:] and the spatial projection to the
     r-parts of fi and fj; all of it is exact in floating point."""
     params = params.copy()
@@ -52,57 +53,68 @@ def edge_output(params, f, fi, fj, candidates=None, subject_object=False):
                  np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]),
                  np.zeros(2, np.int64), [(0, 1, 0)], [f[:d]],
                  [np.ones(DIMS.e)], [candidates])
-    toggles = Toggles(object_attention=False,
-                      subject_object_attention=subject_object)
+    toggles = Toggles(**{"object_attention": False,
+                         "subject_object_attention": False, **toggles})
     return forward_scene(params, ex, toggles).f3[0]
 
 
+def text_contexts(params, candidates):
+    """The text-attention context rows of a candidate set."""
+    return candidates @ params.tensors["W_txt"] + params.tensors["b_txt"]
+
+
 class TestAttend:
+    """The attention formula, on the kernel's text-attention site."""
+
     def test_singleton_context(self):
         rng = np.random.default_rng(0)
-        q = rng.normal(size=3)
-        c = rng.normal(size=(1, 3))
-        W = rng.normal(size=(6, 3))
-        expected = np.concatenate([q, c[0]]) @ W
-        assert np.allclose(attend(q, c, W), expected, atol=1e-12)
+        params = init_params(DIMS, seed=0)
+        f = rng.normal(size=DIMS.dpr)
+        cand = rng.normal(size=(1, DIMS.e))
+        expected = np.concatenate([f, text_contexts(params, cand)[0]]) \
+            @ params.tensors["W_att_txt"]
+        for mean in (True, False):  # the 1/k factor is 1 for k = 1
+            assert np.allclose(edge_output(params, f, f, f, cand,
+                                           attention_mean=mean),
+                               expected, atol=1e-12)
 
     def test_identical_rows_with_mean_factor(self):
         # k identical rows c: uniform weights, so v = c/k under the printed
         # 1/k convention, and v = c with the factor disabled
         rng = np.random.default_rng(1)
-        q = rng.normal(size=3)
-        c = rng.normal(size=3)
-        C = np.tile(c, (4, 1))
-        W = rng.normal(size=(6, 3))
-        assert np.allclose(attend(q, C, W, mean_scale=True),
-                           np.concatenate([q, c / 4]) @ W, atol=1e-12)
-        assert np.allclose(attend(q, C, W, mean_scale=False),
-                           np.concatenate([q, c]) @ W, atol=1e-12)
+        params = init_params(DIMS, seed=1)
+        f = rng.normal(size=DIMS.dpr)
+        cand = np.tile(rng.normal(size=DIMS.e), (4, 1))
+        c = text_contexts(params, cand)[0]
+        W = params.tensors["W_att_txt"]
+        assert np.allclose(edge_output(params, f, f, f, cand),
+                           np.concatenate([f, c / 4]) @ W, atol=1e-12)
+        assert np.allclose(edge_output(params, f, f, f, cand,
+                                       attention_mean=False),
+                           np.concatenate([f, c]) @ W, atol=1e-12)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(2)
+        params = init_params(DIMS, seed=2)
         for _ in range(20):
-            q = rng.normal(size=3)
-            C = rng.normal(size=(2, 3))
-            W = rng.normal(size=(6, 3))
-            for mean_scale in (True, False):
-                got = attend(q, C, W, mean_scale)
-                ref = scalar_attend(q, C, W, mean_scale)
+            f = rng.normal(size=DIMS.dpr)
+            cand = rng.normal(size=(2, DIMS.e))
+            for mean in (True, False):
+                got = edge_output(params, f, f, f, cand, attention_mean=mean)
+                ref = scalar_attend(f, text_contexts(params, cand),
+                                    params.tensors["W_att_txt"], mean)
                 assert np.allclose(got, ref, atol=1e-10)
 
     def test_permutation_invariant_in_context_rows(self):
         rng = np.random.default_rng(3)
+        params = init_params(DIMS, seed=3)
         for _ in range(30):
-            q = rng.normal(size=4)
-            C = rng.normal(size=(5, 4))
-            W = rng.normal(size=(8, 4))
+            f = rng.normal(size=DIMS.dpr)
+            cand = rng.normal(size=(5, DIMS.e))
             perm = rng.permutation(5)
-            assert np.allclose(attend(q, C, W), attend(q, C[perm], W),
+            assert np.allclose(edge_output(params, f, f, f, cand),
+                               edge_output(params, f, f, f, cand[perm]),
                                atol=1e-12)
-
-    def test_empty_context_rejected(self):
-        with pytest.raises(EmptySceneError):
-            attend(np.ones(2), np.empty((0, 2)), np.ones((4, 2)))
 
 
 class TestObjectStages:
@@ -229,8 +241,8 @@ class TestPairStages:
         params = init_params(DIMS, seed=13)
         f = rng.normal(size=DIMS.dpr)
         cand = rng.normal(size=(1, DIMS.e))
-        V = cand @ params.tensors["W_txt"] + params.tensors["b_txt"]
-        expected = attend(f, V, params.tensors["W_att_txt"])
+        V = text_contexts(params, cand)
+        expected = np.concatenate([f, V[0]]) @ params.tensors["W_att_txt"]
         assert np.allclose(edge_output(params, f, f, f, cand), expected,
                            atol=1e-12)
 
@@ -247,8 +259,7 @@ class TestPairStages:
         params = init_params(DIMS, seed=15)
         f = rng.normal(size=DIMS.dpr)
         cand = rng.normal(size=(3, DIMS.e))
-        V = cand @ params.tensors["W_txt"] + params.tensors["b_txt"]
-        ref = scalar_attend(f, V, params.tensors["W_att_txt"])
+        ref = scalar_attend(f, text_contexts(params, cand), params.tensors["W_att_txt"])
         assert np.allclose(edge_output(params, f, f, f, cand), ref, atol=1e-10)
 
     def test_subject_object_symmetric_contexts(self):
@@ -256,7 +267,7 @@ class TestPairStages:
         params = init_params(DIMS, seed=16)
         f = rng.normal(size=DIMS.dpr)
         fi = rng.normal(size=DIMS.dpr)
-        got = edge_output(params, f, fi, fi, subject_object=True)
+        got = edge_output(params, f, fi, fi, subject_object_attention=True)
         row = np.concatenate([fi, fi]) @ params.tensors["W_so"]
         # both context rows identical: weighted mean is row/k with the 1/k
         # convention (k = 2)
@@ -269,7 +280,8 @@ class TestPairStages:
         params.tensors["W_so"][:] = 0.0
         f = rng.normal(size=DIMS.dpr)
         got = edge_output(params, f, rng.normal(size=DIMS.dpr),
-                          rng.normal(size=DIMS.dpr), subject_object=True)
+                          rng.normal(size=DIMS.dpr),
+                          subject_object_attention=True)
         expected = np.concatenate([f, np.zeros(DIMS.dpr)]) \
             @ params.tensors["W_att_so"]
         assert np.allclose(got, expected, atol=1e-12)
@@ -283,8 +295,8 @@ class TestPairStages:
         contexts = np.stack([np.concatenate([fi, fj]) @ params.tensors["W_so"],
                              np.concatenate([fj, fi]) @ params.tensors["W_so"]])
         ref = scalar_attend(f, contexts, params.tensors["W_att_so"])
-        assert np.allclose(edge_output(params, f, fi, fj, subject_object=True),
-                           ref, atol=1e-10)
+        got = edge_output(params, f, fi, fj, subject_object_attention=True)
+        assert np.allclose(got, ref, atol=1e-10)
 
     def test_predict_relationship_probabilities(self):
         rng = np.random.default_rng(19)

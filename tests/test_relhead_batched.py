@@ -15,7 +15,7 @@ import reference_relhead as ref
 from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, InvalidBoxError,
                            NumericError)
-from relkit.relhead import (Dims, Example, Toggles, forward_scene,
+from relkit.relhead import (Dims, Example, ModelParams, Toggles, forward_scene,
                             init_params, loss_and_gradients, scene_loss)
 from relkit.relhead.model import CE_EPS, forward_batch, pack_batch
 
@@ -40,10 +40,10 @@ def mixed_batch(seed):
 
 
 def assert_matches_reference(params, batch, toggles, lambdas):
+    params = ModelParams(params.dims, params.tensors, lambdas)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        loss, grads = loss_and_gradients(params, batch, toggles, lambdas)
-    ref_loss, ref_grads = ref.loss_and_gradients(params, batch, toggles,
-                                                 lambdas)
+        loss, grads = loss_and_gradients(params, batch, toggles)
+    ref_loss, ref_grads = ref.loss_and_gradients(params, batch, toggles)
     assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
     assert set(grads) == set(ref_grads)
     for name, expected in ref_grads.items():
@@ -172,8 +172,9 @@ def test_zero_target_vector_and_non_finite_inputs():
     ex = random_example(np.random.default_rng(3), DIMS)
     ex.target_embeddings[0] = np.zeros(DIMS.e)
     with pytest.raises(NumericError, match="zero vector"):
-        loss_and_gradients(params, [ex], lambdas=(1.0, 1.0, 1.0))
-    loss_and_gradients(params, [ex], lambdas=(1.0, 1.0, 0.0))  # unused
+        loss_and_gradients(params, [ex])
+    loss_and_gradients(ModelParams(params.dims, params.tensors,
+                                   (1.0, 1.0, 0.0)), [ex])  # unused
     for field, value in (("features", np.inf), ("pair_features", np.nan)):
         ex = random_example(np.random.default_rng(4), DIMS)
         if field == "features":

@@ -216,26 +216,24 @@ def cmd_zeroshot(args) -> int:
     labels = [line.strip() for _, line in read_lines(args.labels)
               if line.strip()]
     matrix = zeroshot.build_label_matrix(labels, table)
-    ranked_lists = []
-    gt_names = []
-    with _output(args) as out:
-        for si, scene in enumerate(scenes):
-            _, pair_embs = predict_scene(
-                params, scene, orm_table, object_vocab, predicate_vocab,
-                table, _toggles(cfg), k_candidates=cfg.k_candidates,
-                orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
-                protocol="predcls")
-            for s, o, p in scene.graph.edges:
-                if (s, o) not in pair_embs:
-                    raise ConfigError(f"scene {si}: edge ({s},{o}) has no "
-                                      f"ingested pair feature")
-                probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix,
-                                                cfg.zeroshot_temperature)
-                top = zeroshot.topk(probs, matrix.labels, max(ks))
-                ranked_lists.append(top)
-                gt_names.append(predicate_vocab.labels[p])
-                out.write(f"{si}\t{s}\t{o}\t{predicate_vocab.labels[p]}\t"
-                          + ",".join(top) + "\n")
+    lines, ranked_lists, gt_names = [], [], []
+    for si, scene in enumerate(scenes):
+        _, pair_embs = predict_scene(
+            params, scene, orm_table, object_vocab, predicate_vocab,
+            table, _toggles(cfg), k_candidates=cfg.k_candidates,
+            orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
+            protocol="predcls")
+        for s, o, p in scene.graph.edges:
+            if (s, o) not in pair_embs:
+                raise ConfigError(f"scene {si}: edge ({s},{o}) has no "
+                                  f"ingested pair feature")
+            probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix,
+                                            cfg.zeroshot_temperature)
+            ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
+            gt_names.append(predicate_vocab.labels[p])
+            lines.append(f"{si}\t{s}\t{o}\t{gt_names[-1]}\t{','.join(ranked_lists[-1])}\n")
+    with _output(args) as out:  # written only once every scene is scored
+        out.writelines(lines)
         for k in ks:
             acc = evalkit.topk_accuracy(ranked_lists, gt_names, k)
             out.write(f"top{k}_accuracy\t{acc:.6f}\n")

@@ -48,8 +48,8 @@ class RunConfig:
             raise ConfigError("dimensions must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ConfigError("loss weights must be >= 0")
-        if self.k_candidates > self.m_candidates:
-            raise ConfigError("K must not exceed M")
+        if not 1 <= self.k_candidates <= self.m_candidates:
+            raise ConfigError("K and M must satisfy 1 <= K <= M")
 
 
 _BOOL = {"true": True, "yes": True, "1": True,

@@ -80,6 +80,8 @@ class SceneInstance:
         )
 
     def object_feature_matrix(self) -> np.ndarray:
+        if self.graph.objects and not self.object_features:
+            raise FormatError("scene has objects but no object_features")
         return np.asarray(self.object_features, dtype=np.float64)
 
     def pair_feature_map(self) -> Dict[Tuple[int, int], np.ndarray]:

@@ -11,14 +11,13 @@ object rows. Ragged sites are grouped by size, never padded: object
 self-attention runs once per object count n > 1, on the (scenes, n, n)
 block of those scenes with the diagonal excluded, and text attention once
 per candidate-set size. One-object scenes and edges without candidates
-skip the site. Each epoch re-packs only the candidate groups. Object
-terms of the loss weigh lambda1/(B n_b), edge terms lambda2/(B m_b) and
-lambda3/(B m_b): the batch mean of per-scene means.
+skip the site. Training packs once and swaps in each epoch's candidate
+groups. Object terms of the loss weigh lambda1/(B n_b), edge terms
+lambda2/(B m_b) and lambda3/(B m_b): the batch mean of per-scene means.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -229,7 +228,7 @@ class PackedBatch:
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
     edge_weight: np.ndarray     # (E,) 1 / (B m_b)
     # per candidate-set size k > 0: the edges' rows (G,) and sets (G, k, e)
-    cand_groups: List[Tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    cand_groups: List[Tuple[np.ndarray, np.ndarray]]
 
 
 def _expect_shape(what: str, arr, shape: Tuple[int, ...]) -> None:
@@ -264,7 +263,10 @@ def _validate(s: int, ex: Example, dims: Dims) -> None:
                 _expect_shape(f"scene {s} edge {k}: {what}", v, (width,))
 
 
-def _pack_static(examples: Sequence[Example], dims: Dims) -> PackedBatch:
+def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
+    """Pack examples for the batched kernel, checking widths and ids."""
+    if not examples:
+        raise EmptySceneError("empty batch")
     for s, ex in enumerate(examples):
         _validate(s, ex, dims)
     counts = [len(ex.features) for ex in examples]
@@ -288,6 +290,7 @@ def _pack_static(examples: Sequence[Example], dims: Dims) -> PackedBatch:
         predicates=edges[:, 2],
         so_rows=ends[:, [0, 1, 1, 0]],
         edge_weight=np.repeat(1.0 / (b * np.maximum(m, 1)), m),
+        cand_groups=_pack_candidates(examples, dims.e),
     )
 
 
@@ -306,20 +309,6 @@ def _pack_candidates(examples: Sequence[Example], e: int
             sets.append(c)
     return [(np.array(rows), np.array(sets, dtype=np.float64))
             for _, (rows, sets) in sorted(by_size.items())]
-
-
-def pack_batch(examples: Sequence[Example], dims: Dims,
-               static: Optional[PackedBatch] = None) -> PackedBatch:
-    """Pack examples for the batched kernel, checking widths and ids.
-
-    With `static` (an earlier pack of the same examples) only the candidate
-    sets are packed again.
-    """
-    if not examples:
-        raise EmptySceneError("empty batch")
-    batch = _pack_static(examples, dims) if static is None else copy.copy(static)
-    batch.cand_groups = _pack_candidates(examples, dims.e)
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +460,8 @@ def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
                        packed: Optional[PackedBatch] = None
                        ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean params.lambdas-weighted batch loss and its exact gradients.
-
-    `packed` is an earlier pack_batch of the same examples; passing it
-    skips re-packing everything but the candidate sets.
-    """
-    packed = pack_batch(batch, params.dims, packed)
+    `packed`, if given, is the complete pack of `batch`; it is used as it is."""
+    packed = pack_batch(batch, params.dims) if packed is None else packed
     trace = forward_batch(params, packed, toggles)
     loss, heads = _composite(trace.obj_probs, packed.labels, packed.obj_weight,
                              trace.rel_probs, packed.predicates, packed.targets,

@@ -1,7 +1,8 @@
 """Batch preparation, the gradient-descent training loop, and inference.
 
 Training is plain full-batch gradient descent with a fixed learning rate.
-ORM candidate sets are re-drawn every epoch from a seed derived from
+Each edge's top-M ORM phrases are looked up once per run. Only the edges
+with more than K of them are re-drawn each epoch, from a seed derived from
 (run seed, epoch, scene, edge), so runs are bit-reproducible.
 """
 
@@ -18,8 +19,8 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, Toggles, forward_objects, forward_scene,
-                    loss_and_gradients, pack_batch)
+from .model import (Example, Toggles, _expect_shape, forward_objects,
+                    forward_scene, loss_and_gradients, pack_batch)
 from .params import ModelParams
 
 log = logging.getLogger("relkit.train")
@@ -37,10 +38,19 @@ class TrainConfig:
     strict_oov: bool = False
 
     def __post_init__(self):
-        if self.k_candidates > self.m_candidates:
-            raise ConfigError("K must not exceed M")
+        if not 1 <= self.k_candidates <= self.m_candidates:
+            raise ConfigError("K and M must satisfy 1 <= K <= M")
         if self.epochs < 0 or self.learning_rate < 0:
             raise ConfigError("epochs and learning rate must be >= 0")
+
+
+def _scene_example(instance: SceneInstance, edges, pair_features, targets) -> Example:
+    """The scene's objects plus the given per-edge inputs."""
+    g = instance.graph
+    return Example(instance.object_feature_matrix(),
+                   np.array([[b.x, b.y, b.w, b.h] for b in g.boxes()], np.float64),
+                   np.array(g.labels(), dtype=np.int64), list(edges),
+                   pair_features, targets, [None] * len(edges))
 
 
 def build_example(instance: SceneInstance,
@@ -52,45 +62,77 @@ def build_example(instance: SceneInstance,
 
     Every edge must carry an ingested pair feature vector.
     """
-    g = instance.graph
-    features = instance.object_feature_matrix()
-    boxes = np.array([[b.x, b.y, b.w, b.h] for b in g.boxes()], dtype=np.float64)
     pair_map = instance.pair_feature_map()
     pair_feats: List[np.ndarray] = []
     targets: List[np.ndarray] = []
-    for s, o, p in g.edges:
+    for s, o, p in instance.graph.edges:
         if (s, o) not in pair_map:
             raise ConfigError(f"edge ({s},{o}) has no ingested pair feature")
         pair_feats.append(pair_map[(s, o)])
-        vec, _ = embed_phrase(table, predicate_vocab.labels[p], strict=strict_oov)
-        targets.append(vec)
-    return Example(
-        features=features,
-        boxes=boxes,
-        object_labels=np.array(g.labels(), dtype=np.int64),
-        edges=list(g.edges),
-        pair_features=pair_feats,
-        target_embeddings=targets,
-        candidate_embeddings=[None] * len(g.edges),
-    )
+        targets.append(embed_phrase(table, predicate_vocab.labels[p], strict=strict_oov)[0])
+    return _scene_example(instance, instance.graph.edges, pair_feats, targets)
 
 
 def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
 
 
-def draw_candidates(examples: Sequence[Example], orm: OrmTable,
-                    object_vocab: Vocabulary, table: EmbeddingTable,
-                    cfg: TrainConfig, epoch: int) -> None:
-    """Refresh each edge's candidate embeddings in place (one draw per edge)."""
-    for si, ex in enumerate(examples):
-        labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
-        ex.candidate_embeddings = [
-            embed_phrases(table, sample_candidates(
-                orm, labels[i], labels[j], cfg.m_candidates, cfg.k_candidates,
-                seed=_edge_seed(cfg.seed, epoch, si, ei),
-                backoff=cfg.orm_backoff), cfg.strict_oov)
-            for ei, (i, j, _p) in enumerate(ex.edges)]
+class CandidateIndex:
+    """Every edge's candidate set as rows of one pooled phrase matrix. An
+    edge with at most K top-M phrases keeps them all as its set for the
+    whole run; `draw_candidates` draws the sets of the others."""
+
+    def __init__(self, examples: Sequence[Example], orm: OrmTable,
+                 object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
+        self.orm, self.cfg, self.table = orm, cfg, table
+        tops, self.drawn = [], []  # drawn: edge row, scene, edge, subject, object
+        for si, ex in enumerate(examples):
+            labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
+            for ei, (i, j, _p) in enumerate(ex.edges):
+                top = lookup(orm, labels[i], labels[j], backoff=cfg.orm_backoff)
+                tops.append([r for r, _ in top.entries[:cfg.m_candidates]])
+                if len(tops[-1]) > cfg.k_candidates:
+                    self.drawn.append((len(tops) - 1, si, ei, labels[i], labels[j]))
+        known = [p for p in dict.fromkeys(p for top in tops for p in top)
+                 if embed_phrases(table, [p], strict=False) is not None]
+        self.row_of = {p: r for r, p in enumerate(known)}
+        self.matrix = (embed_phrases(table, known, strict=False) if known  # (P, e)
+                       else np.zeros((0, table.dimension)))
+        self.sizes = np.zeros(len(tops), np.int64)  # (E,) set sizes
+        self.rows = np.zeros((len(tops), max(map(len, tops), default=0)), np.int64)
+        for edge, top in enumerate(tops):
+            if len(top) <= cfg.k_candidates:
+                self.put(edge, top)
+
+    def put(self, edge: int, phrases: Sequence[str]) -> None:
+        """Make the known phrases the edge's set; strict mode raises on others."""
+        rows = [self.row_of[p] for p in phrases if p in self.row_of]
+        if len(rows) < len(phrases) and self.cfg.strict_oov:
+            embed_phrases(self.table, phrases)  # raises on the first unknown
+        self.sizes[edge] = len(rows)
+        self.rows[edge, :len(rows)] = rows  # sets are left-aligned
+
+
+def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
+                    epoch: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Draw the sets of the edges with more than K phrases; return every
+    set, grouped as pack_batch groups them. Each edge's
+    `candidate_embeddings` entry becomes a view of its set (None if empty)."""
+    cfg = index.cfg
+    for edge, si, ei, s, o in index.drawn:
+        index.put(edge, sample_candidates(
+            index.orm, s, o, cfg.m_candidates, cfg.k_candidates,
+            seed=_edge_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff))
+    groups, sets = [], [None] * len(index.sizes)
+    for k in np.unique(index.sizes[index.sizes > 0]).tolist():
+        edges = np.flatnonzero(index.sizes == k)
+        groups.append((edges, index.matrix[index.rows[edges, :k]]))
+        for edge, c in zip(edges.tolist(), groups[-1][1]):
+            sets[edge] = c
+    rest = iter(sets)
+    for ex in examples:
+        ex.candidate_embeddings = [next(rest) for _ in ex.edges]
+    return groups
 
 
 def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
@@ -101,9 +143,11 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
         raise ConfigError("training requires a non-empty dataset")
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
+    index = CandidateIndex(examples, orm, object_vocab, table, cfg)
+    _expect_shape("phrase embeddings", index.matrix, (len(index.matrix), params.dims.e))
     losses: List[float] = []
     for epoch in range(cfg.epochs):
-        draw_candidates(examples, orm, object_vocab, table, cfg, epoch)
+        packed.cand_groups = draw_candidates(examples, index, epoch)
         try:
             loss, grads = loss_and_gradients(
                 params, examples, cfg.toggles, packed=packed)
@@ -143,15 +187,10 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
     g = instance.graph
     pair_map = instance.pair_feature_map()
     pairs = sorted(pair_map)
-    ex = Example(
-        features=instance.object_feature_matrix(),
-        boxes=np.array([[b.x, b.y, b.w, b.h] for b in g.boxes()],
-                       dtype=np.float64),
-        object_labels=np.array(g.labels(), dtype=np.int64),
-        edges=[(s, o, 0) for s, o in pairs],  # predicate ids unused at inference
-        pair_features=[pair_map[p] for p in pairs],
-        target_embeddings=[np.zeros(params.dims.e)] * len(pairs),
-    )
+    # predicate ids and targets are unused at inference
+    ex = _scene_example(instance, [(s, o, 0) for s, o in pairs],
+                        [pair_map[p] for p in pairs],
+                        [np.zeros(params.dims.e)] * len(pairs))
     label_ids = g.labels() if protocol == "predcls" else forward_objects(
         params, pack_batch([ex], params.dims), toggles)[1].argmax(axis=1).tolist()
     bad = [i for i in label_ids if not 0 <= i < len(object_vocab)]

@@ -1,9 +1,11 @@
-"""Pooled candidate embeddings against the per-phrase reference path.
+"""Pooled candidate embeddings against the reference paths they replaced.
 
-`draw_candidates` and `predict_scene` turn ORM candidates into embeddings
-through `embed_phrases`, which pools each phrase once per table. The
-reference below is the path they replaced: one `embed_phrase` call per
-candidate phrase, the known rows stacked with `np.stack`.
+`CandidateIndex` and `predict_scene` turn ORM candidates into embeddings
+through `embed_phrases`, which pools each phrase once per table. The first
+reference is one `embed_phrase` call per candidate phrase, the known rows
+stacked with `np.stack`. The second is the per-edge draw that training ran
+before the index: `sample_candidates` for every edge in every epoch, then
+`embed_phrases` per edge, then the sets grouped by size.
 """
 
 import importlib
@@ -13,10 +15,11 @@ import pytest
 
 from relkit.corpus import Triplet, TripletCorpus
 from relkit.embed import embed_phrase, embed_phrases
-from relkit.errors import OutOfVocabularyError
+from relkit.errors import ConfigError, OutOfVocabularyError
 from relkit.orm import build_orm, lookup, sample_candidates
-from relkit.relhead import (Dims, Toggles, TrainConfig, build_example,
-                            draw_candidates, init_params, predict_scene)
+from relkit.relhead import (CandidateIndex, Dims, Toggles, TrainConfig,
+                            build_example, draw_candidates, init_params,
+                            loss_and_gradients, predict_scene, train)
 from relkit.relhead.model import forward_objects, pack_batch
 from relkit.synth import SynthConfig, generate
 
@@ -69,11 +72,11 @@ def drawn(examples):
     return [c for ex in examples for c in ex.candidate_embeddings]
 
 
-@pytest.fixture
-def world():
+def make_world(oov=True):
     """A synth world whose ORM, built from half the train scenes, carries
-    an OOV phrase, a partly known and a two-token phrase, so that candidate
-    sets mix known and unknown phrases and unseen pairs back off."""
+    an OOV phrase (unless `oov` is false), a partly known and a two-token
+    phrase, so that candidate sets mix known and unknown phrases and unseen
+    pairs back off."""
     data = generate(SynthConfig(n_object_labels=5, n_seen_predicates=8,
                                 n_train_scenes=20, n_test_scenes=10,
                                 objects_per_scene=4, edges_per_scene=4,
@@ -86,7 +89,8 @@ def world():
             corpus.add(Triplet(labels[ids[s]], data.predicate_vocab.labels[p],
                                labels[ids[o]]))
     for i, (s, o) in enumerate([(0, 1), (1, 2), (2, 0), (3, 4)]):
-        corpus.add(Triplet(labels[s], OOV, labels[o], weight=50))
+        if oov:
+            corpus.add(Triplet(labels[s], OOV, labels[o], weight=50))
         corpus.add(Triplet(labels[o], PARTLY_KNOWN, labels[s], weight=40 + i))
         corpus.add(Triplet(labels[s], TWO_TOKENS, labels[s], weight=30))
     orm = build_orm(corpus)
@@ -96,6 +100,17 @@ def world():
     dims = Dims(cfg.d, cfg.r, cfg.e, len(data.object_vocab),
                 len(data.predicate_vocab))
     return data, orm, examples, init_params(dims, seed=5)
+
+
+@pytest.fixture
+def world():
+    return make_world()
+
+
+def draw(examples, orm, object_vocab, table, cfg, epoch):
+    """One draw from a fresh index."""
+    return draw_candidates(
+        examples, CandidateIndex(examples, orm, object_vocab, table, cfg), epoch)
 
 
 def test_fixture_mixes_known_unknown_and_backoff(world):
@@ -109,6 +124,11 @@ def test_fixture_mixes_known_unknown_and_backoff(world):
     phrases = {r for pair in pairs
                for r, _ in lookup(orm, *pair).entries[:cfg.m_candidates]}
     assert {OOV, PARTLY_KNOWN, TWO_TOKENS} <= phrases
+    # seen pairs with more than K phrases and with at most K
+    sizes = [len(lookup(orm, *pair, backoff=False).entries[:cfg.m_candidates])
+             for pair in pairs]
+    assert any(n > cfg.k_candidates for n in sizes)
+    assert any(0 < n <= cfg.k_candidates for n in sizes)
 
 
 @pytest.mark.parametrize("backoff", [True, False])
@@ -116,11 +136,12 @@ def test_draw_matches_per_phrase_reference(world, backoff):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=1,
                       orm_backoff=backoff)
+    index = CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
+                           cfg)
     for epoch in range(3):
         expected = reference_draw(examples, orm, data.object_vocab,
                                   data.embeddings, cfg, epoch)
-        draw_candidates(examples, orm, data.object_vocab, data.embeddings,
-                        cfg, epoch)
+        draw_candidates(examples, index, epoch)
         assert_same_sets(drawn(examples), expected)
     assert any(c is not None and len(c) < 3 for c in drawn(examples))
 
@@ -172,13 +193,11 @@ def test_lenient_drops_oov_and_strict_raises_after_caching(world):
 def test_strict_draw_and_predict_raise_after_lenient_calls(world):
     data, orm, examples, params = world
     lenient = TrainConfig(m_candidates=6, k_candidates=6, seed=1)
-    draw_candidates(examples, orm, data.object_vocab, data.embeddings,
-                    lenient, 0)
+    draw(examples, orm, data.object_vocab, data.embeddings, lenient, 0)
     strict = TrainConfig(m_candidates=6, k_candidates=6, seed=1,
                          strict_oov=True)
     with pytest.raises(OutOfVocabularyError):
-        draw_candidates(examples, orm, data.object_vocab, data.embeddings,
-                        strict, 0)
+        draw(examples, orm, data.object_vocab, data.embeddings, strict, 0)
     scene = data.train_scenes[0]
     predict_scene(params, scene, orm, data.object_vocab, data.predicate_vocab,
                   data.embeddings, k_candidates=6, orm_backoff=True)
@@ -191,15 +210,143 @@ def test_strict_draw_and_predict_raise_after_lenient_calls(world):
 def test_writing_into_candidates_leaves_the_next_draw_alone(world):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=2)
-    draw_candidates(examples, orm, data.object_vocab, data.embeddings, cfg, 0)
+    index = CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
+                           cfg)
+    draw_candidates(examples, index, 0)
     first = [None if c is None else c.copy() for c in drawn(examples)]
     for c in drawn(examples):
         if c is not None:
             c[...] = 1e9
-    draw_candidates(examples, orm, data.object_vocab, data.embeddings, cfg, 0)
+    draw_candidates(examples, index, 0)
     assert_same_sets(drawn(examples), first)
     rows = embed_phrases(data.embeddings, ["relaa", TWO_TOKENS])
     rows[...] = -1.0
     assert_same_sets([embed_phrases(data.embeddings, ["relaa", TWO_TOKENS])],
                      [reference_rows(data.embeddings, ["relaa", TWO_TOKENS],
                                      strict=True)])
+
+
+# ---------------------------------------------------------------------------
+# The index against the per-edge draw it replaced
+# ---------------------------------------------------------------------------
+
+def per_edge_draw(examples, orm, object_vocab, table, cfg, epoch):
+    """Every edge drawn, then pooled with one embed_phrases call."""
+    labels = object_vocab.labels
+    return [embed_phrases(table, sample_candidates(
+        orm, labels[int(ex.object_labels[i])], labels[int(ex.object_labels[j])],
+        cfg.m_candidates, cfg.k_candidates,
+        seed=reference_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff),
+        cfg.strict_oov)
+        for si, ex in enumerate(examples) for ei, (i, j, _p) in enumerate(ex.edges)]
+
+
+def per_edge_groups(sets):
+    """The sets grouped by size: ascending sizes, ascending edge rows."""
+    by_size = {}
+    for row, c in enumerate(sets):
+        if c is not None:
+            rows, arrays = by_size.setdefault(len(c), ([], []))
+            rows.append(row)
+            arrays.append(c)
+    return [(np.array(rows), np.array(arrays, dtype=np.float64))
+            for _, (rows, arrays) in sorted(by_size.items())]
+
+
+def per_edge_train(cfg, examples, orm, object_vocab, table, params):
+    """The training loop around the per-edge draw, packing every epoch."""
+    params = params.copy()
+    losses = []
+    for epoch in range(cfg.epochs):
+        sets = iter(per_edge_draw(examples, orm, object_vocab, table, cfg,
+                                  epoch))
+        for ex in examples:
+            ex.candidate_embeddings = [next(sets) for _ in ex.edges]
+        loss, grads = loss_and_gradients(params, examples, cfg.toggles)
+        for name in params.tensors:
+            params.tensors[name] -= cfg.learning_rate * grads[name]
+        losses.append(loss)
+    return params, losses
+
+
+ORACLE_CASES = [(backoff, strict) for backoff in (True, False)
+                for strict in (False, True)]
+
+
+@pytest.mark.parametrize("backoff, strict", ORACLE_CASES,
+                         ids=[f"backoff={b}-strict={s}" for b, s in ORACLE_CASES])
+def test_index_draw_matches_per_edge_draw(backoff, strict):
+    data, orm, examples, _ = make_world(oov=not strict)
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4,
+                      orm_backoff=backoff, strict_oov=strict)
+    args = (orm, data.object_vocab, data.embeddings, cfg)
+    index = CandidateIndex(examples, *args)
+    for epoch in range(4):
+        expected = per_edge_draw(examples, *args, epoch)
+        groups = draw_candidates(examples, index, epoch)
+        assert_same_sets(drawn(examples), expected)
+        want = per_edge_groups(expected)
+        assert [len(rows) for rows, _ in groups] == [len(rows) for rows, _ in want]
+        for (rows, sets), (want_rows, want_sets) in zip(groups, want):
+            assert rows.dtype == want_rows.dtype
+            assert np.array_equal(rows, want_rows)
+            assert sets.dtype == want_sets.dtype
+            assert np.array_equal(sets, want_sets)
+            for row in rows.tolist():
+                assert np.shares_memory(drawn(examples)[row], sets)
+    if not backoff:  # unseen pairs have no candidates
+        assert any(c is None for c in drawn(examples))
+
+
+@pytest.mark.parametrize("backoff, strict", ORACLE_CASES,
+                         ids=[f"backoff={b}-strict={s}" for b, s in ORACLE_CASES])
+def test_train_is_byte_identical_to_per_edge_draw(backoff, strict):
+    data, orm, examples, params = make_world(oov=not strict)
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4, epochs=5,
+                      learning_rate=0.3, orm_backoff=backoff, strict_oov=strict)
+    args = (examples, orm, data.object_vocab, data.embeddings, params)
+    got, got_losses = train(cfg, *args)
+    want, want_losses = per_edge_train(cfg, *args)
+    assert got_losses == want_losses
+    for name, tensor in want.tensors.items():
+        assert got.tensors[name].tobytes() == tensor.tobytes(), name
+
+
+def test_strict_oov_raises_in_both_paths(world):
+    data, orm, examples, params = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4, epochs=2,
+                      strict_oov=True)
+    args = (examples, orm, data.object_vocab, data.embeddings, params)
+    for run in (train, per_edge_train):
+        with pytest.raises(OutOfVocabularyError, match="'zorp blick'"):
+            run(cfg, *args)
+
+
+def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):
+    data, orm, examples, params = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4, epochs=3)
+    seeds = []
+    original = train_mod.sample_candidates
+
+    def recording(*args, seed, **kwargs):
+        seeds.append(seed)
+        return original(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(train_mod, "sample_candidates", recording)
+    train(cfg, examples, orm, data.object_vocab, data.embeddings, params)
+    labels = data.object_vocab.labels
+    above = [(si, ei) for si, ex in enumerate(examples)
+             for ei, (i, j, _p) in enumerate(ex.edges)
+             if len(lookup(orm, labels[int(ex.object_labels[i])],
+                           labels[int(ex.object_labels[j])]
+                           ).entries[:cfg.m_candidates]) > cfg.k_candidates]
+    assert 0 < len(above) < sum(len(ex.edges) for ex in examples)
+    assert sorted(seeds) == sorted(reference_seed(cfg.seed, epoch, si, ei)
+                                   for epoch in range(cfg.epochs)
+                                   for si, ei in above)
+
+
+@pytest.mark.parametrize("k, m", [(0, 5), (-1, 5), (0, 0), (1, 0)])
+def test_k_and_m_below_one_rejected(k, m):
+    with pytest.raises(ConfigError, match="1 <= K <= M"):
+        TrainConfig(m_candidates=m, k_candidates=k)

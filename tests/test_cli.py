@@ -171,6 +171,16 @@ class TestTrain:
         assert run("train", *args, "--out", str(tmp_path / "x.ckpt"),
                    "--epochs", "1", "--n-predicate-labels", "5") == 3
 
+    def test_missing_object_features_is_data_error(self, workspace, tmp_path,
+                                                   capsys):
+        args = model_args(workspace)
+        args[1] = edited_scenes(workspace, tmp_path / "s.jsonl",
+                                lambda doc: doc.pop("object_features"))
+        assert run("train", *args, "--out", str(tmp_path / "x.ckpt"),
+                   "--epochs", "1", "--n-predicate-labels", "5") == 3
+        assert "no object_features" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
 
 class TestEval:
     def test_table_output(self, workspace, capsys):
@@ -207,6 +217,27 @@ class TestEval:
                    "--checkpoint", str(workspace["ckpt"]),
                    "--ablation", "all-off") == 0
         assert "R@50" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("setting", ["k_candidates = 0",
+                                         "k_candidates = -1",
+                                         "m_candidates = 0"])
+    def test_k_or_m_below_one_is_config_error(self, workspace, tmp_path,
+                                              capsys, setting):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(setting + "\n")
+        assert run("eval", *model_args(workspace), "--config", str(cfgfile),
+                   "--checkpoint", str(workspace["ckpt"])) == 2
+        assert "1 <= K <= M" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+    def test_missing_object_features_is_data_error(self, workspace, tmp_path,
+                                                   capsys, protocol):
+        args = model_args(workspace)
+        args[1] = edited_scenes(workspace, tmp_path / "s.jsonl",
+                                lambda doc: doc.pop("object_features"))
+        assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
+                   "--protocol", protocol) == 3
+        assert "no object_features" in capsys.readouterr().err
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -291,6 +322,23 @@ class TestZeroshot:
                    "--labels", str(labels), "--topk", "1") == 2
         assert re.search(r"scene 0: edge \(\d+,\d+\) has no ingested pair "
                          r"feature", capsys.readouterr().err)
+
+    def test_late_failure_leaves_no_output_file(self, workspace, tmp_path):
+        lines = (workspace["data"] / "test.jsonl").read_text().splitlines()
+        second = json.loads(lines[1])
+        s, o, _ = second["edges"][-1]
+        del second["pair_features"][f"{s},{o}"]
+        scenes = tmp_path / "s.jsonl"
+        scenes.write_text(lines[0] + "\n" + json.dumps(second) + "\n")
+        args = model_args(workspace)
+        args[1] = str(scenes)
+        labels = tmp_path / "labels.txt"
+        labels.write_text("relaa\nrelab\n")
+        out = tmp_path / "zs.tsv"
+        assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1",
+                   "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"

@@ -17,6 +17,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(m_candidates=3, k_candidates=4)
 
+    @pytest.mark.parametrize("k, m", [(0, 5), (-1, 5), (0, 0), (1, 0)])
+    def test_k_or_m_below_one_rejected(self, k, m):
+        with pytest.raises(ConfigError, match="1 <= K <= M"):
+            RunConfig(m_candidates=m, k_candidates=k)
+
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda2=-0.5)

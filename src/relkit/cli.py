@@ -157,6 +157,12 @@ def _load_shared(args):
     table = embed.load_embeddings(args.vectors)
     orm_table = ormmod.load_orm(args.orm)
     scenes = core.load_scenes(args.scenes)
+    for si, scene in enumerate(scenes):
+        for k, (_, _, p) in enumerate(scene.graph.edges):
+            if p >= len(predicate_vocab):
+                raise ConfigError(f"{args.scenes}: scene {si} edge {k}: predicate "
+                                  f"id {p} outside the {len(predicate_vocab)} labels "
+                                  f"of {args.predicates}")
     return object_vocab, predicate_vocab, table, orm_table, scenes
 
 
@@ -380,7 +386,7 @@ def main(argv=None) -> int:
     except RelkitError as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"relkit: error: {exc}", file=sys.stderr)
         return 3
 

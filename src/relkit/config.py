@@ -103,7 +103,7 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    items = []
+    items, line_of = [], {}
     for lineno, line in read_lines(path):
         line = line.rstrip("\n")
         if not line:
@@ -111,6 +111,10 @@ def load_vocab(path) -> Vocabulary:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'label<TAB>count'")
+        if parts[0] in line_of:
+            raise FormatError(f"{path}:{lineno}: label {parts[0]!r} repeats "
+                              f"line {line_of[parts[0]]}")
+        line_of[parts[0]] = lineno
         try:
             items.append((parts[0], int(parts[1])))
         except ValueError as exc:

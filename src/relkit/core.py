@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -36,10 +37,24 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class SceneGraph:
-    """Directed graph: labeled boxes plus (subject, object, predicate) edges."""
+    """Directed graph: labeled boxes plus (subject, object, predicate) edges.
+    Labels and predicate ids are >= 0; each edge joins two distinct objects,
+    and no ordered pair has two edges. Else a FormatError."""
 
     objects: Tuple[Tuple[int, BoundingBox], ...]
     edges: Tuple[Tuple[int, int, int], ...]
+
+    def __post_init__(self):
+        n = len(self.objects)
+        for i, (label, _) in enumerate(self.objects):
+            if label < 0:
+                raise FormatError(f"object {i}: label {label} must be >= 0")
+        for k, (s, o, p) in enumerate(self.edges):
+            if s == o or not (0 <= s < n and 0 <= o < n) or p < 0:
+                raise FormatError(f"edge {k}: {[s, o, p]} needs two distinct "
+                                  f"objects in [0, {n}) and a predicate id >= 0")
+        if len({(s, o) for s, o, _ in self.edges}) < len(self.edges):
+            raise FormatError("two edges join the same (subject, object) pair")
 
     @staticmethod
     def make(objects: Sequence[Tuple[int, BoundingBox]],
@@ -60,11 +75,28 @@ class SceneGraph:
 
 @dataclass(frozen=True)
 class SceneInstance:
-    """One training/evaluation example: graph plus ingested feature vectors."""
+    """One training/evaluation example: graph plus ingested feature vectors.
+    One feature row per object, all of one width; pair features name two
+    distinct objects; every value is finite. Else a FormatError."""
 
     graph: SceneGraph
     object_features: Tuple[Tuple[float, ...], ...] = ()
     pair_features: Tuple[Tuple[Tuple[int, int], Tuple[float, ...]], ...] = ()
+
+    def __post_init__(self):
+        n, rows = self.graph.n_objects, self.object_features
+        if len(rows) != n:
+            raise FormatError(f"scene has {n} objects but {len(rows) or 'no'} "
+                              f"object_features rows")
+        if len(set(map(len, rows))) > 1:
+            raise FormatError("object_features rows differ in length")
+        for (s, o), _ in self.pair_features:
+            if s == o or not (0 <= s < n and 0 <= o < n):
+                raise FormatError(f"pair_features key {s},{o}: not two distinct "
+                                  f"objects in [0, {n})")
+        values = chain(*rows, *(vec for _, vec in self.pair_features))
+        if not all(map(math.isfinite, values)):
+            raise FormatError("non-finite feature value")
 
     @staticmethod
     def make(graph: SceneGraph,
@@ -80,8 +112,6 @@ class SceneInstance:
         )
 
     def object_feature_matrix(self) -> np.ndarray:
-        if self.graph.objects and not self.object_features:
-            raise FormatError("scene has objects but no object_features")
         return np.asarray(self.object_features, dtype=np.float64)
 
     def pair_feature_map(self) -> Dict[Tuple[int, int], np.ndarray]:
@@ -111,49 +141,11 @@ class Vocabulary:
         return len(self.labels)
 
 
-def validate_scene(instance: SceneInstance) -> List[str]:
-    """Check all type invariants; returns one message per violation."""
-    violations: List[str] = []
-    g = instance.graph
-    n = g.n_objects
-    for i, (label, box) in enumerate(g.objects):
-        if box.w <= 0 or box.h <= 0:
-            violations.append(f"objects[{i}].box: width and height must be positive")
-        if not all(math.isfinite(v) for v in (box.x, box.y, box.w, box.h)):
-            violations.append(f"objects[{i}].box: coordinates must be finite")
-        if label < 0:
-            violations.append(f"objects[{i}].label: must be >= 0")
-    seen_pairs = set()
-    for k, (s, o, p) in enumerate(g.edges):
-        if not (0 <= s < n and 0 <= o < n):
-            violations.append(f"edges[{k}]: endpoint index out of range")
-            continue
-        if s == o:
-            violations.append(f"edges[{k}]: subject index equals object index")
-        if (s, o) in seen_pairs:
-            violations.append(f"edges[{k}]: duplicate ({s}, {o}) edge")
-        seen_pairs.add((s, o))
-        if p < 0:
-            violations.append(f"edges[{k}].predicate: must be >= 0")
-    if instance.object_features:
-        if len(instance.object_features) != n:
-            violations.append("object_features: need exactly one feature per object")
-        dims = {len(row) for row in instance.object_features}
-        if len(dims) > 1:
-            violations.append("object_features: feature dimensions must be uniform")
-    for (s, o), vec in instance.pair_features:
-        if not (0 <= s < n and 0 <= o < n) or s == o:
-            violations.append(f"pair_features[{s},{o}]: invalid ordered pair")
-        if not all(math.isfinite(v) for v in vec):
-            violations.append(f"pair_features[{s},{o}]: non-finite entry")
-    return violations
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization: one document per instance.
 # {"objects":[{"label":int,"box":[x,y,w,h]}...], "edges":[[s,o,p]...],
 #  "object_features":[[...]...], "pair_features":{"s,o":[...]}}
-# Feature fields are optional on read.
+# "edges" and "pair_features" are optional, "object_features" only without objects.
 # ---------------------------------------------------------------------------
 
 def scene_to_dict(instance: SceneInstance) -> dict:
@@ -174,16 +166,11 @@ def scene_from_dict(doc: dict) -> SceneInstance:
         objects = [(int(o["label"]), BoundingBox(*map(float, o["box"])))
                    for o in doc["objects"]]
         graph = SceneGraph.make(objects, doc.get("edges", []))
-        feats = doc.get("object_features", [])
-        if len(set(map(len, feats))) > 1:
-            raise ValueError("object_features rows differ in length")
-        pairs = {}
-        for key, vec in doc.get("pair_features", {}).items():
-            s, o = key.split(",")
-            pairs[(int(s), int(o))] = [float(v) for v in vec]
-    except (KeyError, TypeError, ValueError) as exc:
+        pairs = {tuple(map(int, key.split(","))): [float(v) for v in vec]
+                 for key, vec in doc.get("pair_features", {}).items()}
+        return SceneInstance.make(graph, doc.get("object_features", []), pairs)
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scene document: {exc}") from exc
-    return SceneInstance.make(graph, feats, pairs)
 
 
 def save_scenes(instances: Sequence[SceneInstance], path) -> None:

@@ -184,6 +184,8 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
     """
     if protocol not in ("predcls", "sgcls"):
         raise ConfigError(f"unknown protocol: {protocol}")
+    if k_candidates < 1:
+        raise ConfigError(f"K must satisfy 1 <= K, got {k_candidates}")
     g = instance.graph
     pair_map = instance.pair_feature_map()
     pairs = sorted(pair_map)

@@ -176,6 +176,14 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
         assert_same_sets(ex.candidate_embeddings, expected)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_predict_scene_rejects_k_below_one(world, k):
+    data, orm, _, params = world
+    with pytest.raises(ConfigError, match=f"1 <= K, got {k}"):
+        predict_scene(params, data.test_scenes[0], orm, data.object_vocab,
+                      data.predicate_vocab, data.embeddings, k_candidates=k)
+
+
 def test_lenient_drops_oov_and_strict_raises_after_caching(world):
     data, _, _, _ = world
     table = data.embeddings

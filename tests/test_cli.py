@@ -178,7 +178,8 @@ class TestTrain:
                                 lambda doc: doc.pop("object_features"))
         assert run("train", *args, "--out", str(tmp_path / "x.ckpt"),
                    "--epochs", "1", "--n-predicate-labels", "5") == 3
-        assert "no object_features" in capsys.readouterr().err
+        assert f"{args[1]}:1: scene has 3 objects but no object_features" \
+            in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
 
@@ -237,7 +238,8 @@ class TestEval:
                                 lambda doc: doc.pop("object_features"))
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 3
-        assert "no object_features" in capsys.readouterr().err
+        assert f"{args[1]}:1: scene has 3 objects but no object_features" \
+            in capsys.readouterr().err
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -252,8 +254,8 @@ class TestEval:
         args = model_args(workspace)
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", drop_a_value)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 3
-        assert f"{args[1]}:1: malformed scene document: object_features rows " \
-            "differ in length" in capsys.readouterr().err
+        assert f"{args[1]}:1: object_features rows differ in length" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
     def test_object_label_outside_vocabulary_is_config_error(
@@ -346,6 +348,73 @@ class TestZeroshot:
         assert run("zeroshot", *model_args(workspace),
                    "--checkpoint", str(workspace["ckpt"]),
                    "--labels", str(labels), "--topk", "1") == 3
+
+
+def change_first_edge(obj=None, predicate=None):
+    """A scene edit that gives the first edge a new object ("self": its
+    subject) and that pair a pair feature, or a new predicate id."""
+    def edit(doc):
+        edge = doc["edges"][0]
+        if obj is not None:
+            edge[1] = edge[0] if obj == "self" else obj
+            doc["pair_features"][f"{edge[0]},{edge[1]}"] = [0.0] * 16
+        if predicate is not None:
+            edge[2] = predicate
+    return edit
+
+
+# Scene defects that reach every model command, with the exit code and the
+# message after the scene path. The synthetic predicate vocabulary has 7
+# labels, and each scene has 3 objects.
+SCENE_DEFECTS = {
+    "predicate-beyond-vocabulary": (
+        change_first_edge(predicate=7), 2,
+        r": scene 0 edge 0: predicate id 7 outside the 7 labels of "),
+    "negative-predicate": (
+        change_first_edge(predicate=-1), 3,
+        r":1: edge 0: \[\d, \d, -1\] needs .* a predicate id >= 0"),
+    "edge-out-of-range": (
+        change_first_edge(obj=9), 3,
+        r":1: edge 0: \[\d, 9, \d\] needs two distinct objects in \[0, 3\)"),
+    "self-loop": (
+        change_first_edge(obj="self"), 3,
+        r":1: edge 0: \[(\d), \1, \d\] needs two distinct objects"),
+    "duplicate-pair": (
+        lambda doc: doc["edges"].append(doc["edges"][0][:2] + [0]), 3,
+        r":1: two edges join the same \(subject, object\) pair"),
+    "pair-feature-key-out-of-range": (
+        lambda doc: doc["pair_features"].update({"0,9": [0.0] * 16}), 3,
+        r":1: pair_features key 0,9: not two distinct objects in \[0, 3\)"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SCENE_DEFECTS))
+@pytest.mark.parametrize("command", ["train", "eval", "zeroshot"])
+def test_scene_defect_is_located_error(workspace, tmp_path, capsys, command,
+                                       defect):
+    edit, code, message = SCENE_DEFECTS[defect]
+    args = model_args(workspace)
+    args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", edit)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("relaa\nrelab\n")
+    extra = {"train": ["--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
+                       "--n-predicate-labels", "5"],
+             "eval": ["--checkpoint", str(workspace["ckpt"])],
+             "zeroshot": ["--checkpoint", str(workspace["ckpt"]),
+                          "--labels", str(labels), "--topk", "1"]}[command]
+    assert run(command, *args, *extra) == code
+    err = capsys.readouterr().err
+    assert re.search(re.escape(f"relkit: error: {args[1]}") + message, err), err
+
+
+@pytest.mark.parametrize("which", ["scenes", "out"])
+def test_directory_for_a_file_is_data_error(workspace, tmp_path, capsys,
+                                            which):
+    args = model_args(workspace) + ["--out", str(tmp_path / "x.ckpt"),
+                                    "--epochs", "1", "--n-predicate-labels", "5"]
+    args[args.index(f"--{which}") + 1] = str(tmp_path)
+    assert run("train", *args) == 3
+    assert "relkit: error: " in capsys.readouterr().err
 
 
 class TestReport:

@@ -126,6 +126,13 @@ class TestVocabFile:
         with pytest.raises(FormatError, match=":1"):
             load_vocab(path)
 
+    def test_repeated_label_named(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("wearing\t54\nriding\t7\n\nwearing\t2\n")
+        with pytest.raises(FormatError, match=f"{path}:4: label 'wearing' "
+                                              f"repeats line 1"):
+            load_vocab(path)
+
     def test_non_utf8_line_named(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_bytes("café\t3\n".encode() + b"b\xffd\t2\n")

@@ -5,10 +5,21 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from relkit.core import (BoundingBox, SceneGraph, SceneInstance, Vocabulary,
-                         load_scenes, save_scenes, scene_from_dict,
-                         scene_to_dict, validate_scene)
+from relkit.core import (BoundingBox, Vocabulary, load_scenes, save_scenes,
+                         scene_from_dict, scene_to_dict)
 from relkit.errors import FormatError, InvalidBoxError
+
+
+def scene_line(**changes):
+    """A well-formed two-object scene as a JSONL line; a change to None
+    drops the field."""
+    doc = {"objects": [{"label": 0, "box": [0, 0, 1, 1]},
+                       {"label": 1, "box": [2, 2, 1, 1]}],
+           "edges": [[0, 1, 3]],
+           "object_features": [[1.0, 2.0], [3.0, 4.0]],
+           "pair_features": {"0,1": [0.5, 0.5]}}
+    doc.update(changes)
+    return json.dumps({k: v for k, v in doc.items() if v is not None})
 
 
 class TestBoundingBox:
@@ -23,43 +34,6 @@ class TestBoundingBox:
             BoundingBox(float("nan"), 0, 1, 1)
         with pytest.raises(InvalidBoxError):
             BoundingBox(0, float("inf"), 1, 1)
-
-
-class TestValidateScene:
-    def _box(self):
-        return BoundingBox(0, 0, 1, 1)
-
-    def test_well_formed(self):
-        rng = np.random.default_rng(0)
-        inst = random_instance(rng)
-        assert validate_scene(inst) == []
-
-    def test_self_loop_edge(self):
-        g = SceneGraph.make([(0, self._box()), (1, self._box())], [(1, 1, 0)])
-        violations = validate_scene(SceneInstance.make(g))
-        assert len(violations) == 1
-        assert "subject index equals object index" in violations[0]
-
-    def test_duplicate_pair_edge(self):
-        g = SceneGraph.make([(0, self._box()), (1, self._box())],
-                            [(0, 1, 0), (0, 1, 1)])
-        violations = validate_scene(SceneInstance.make(g))
-        assert any("duplicate" in v for v in violations)
-
-    def test_out_of_range_edge(self):
-        g = SceneGraph.make([(0, self._box())], [(0, 5, 0)])
-        violations = validate_scene(SceneInstance.make(g))
-        assert any("out of range" in v for v in violations)
-
-    def test_feature_count_mismatch(self):
-        g = SceneGraph.make([(0, self._box()), (1, self._box())], [])
-        inst = SceneInstance.make(g, [[1.0, 2.0]])
-        assert any("one feature per object" in v for v in validate_scene(inst))
-
-    def test_ragged_features(self):
-        g = SceneGraph.make([(0, self._box()), (1, self._box())], [])
-        inst = SceneInstance.make(g, [[1.0, 2.0], [1.0]])
-        assert any("uniform" in v for v in validate_scene(inst))
 
 
 class TestVocabulary:
@@ -83,9 +57,10 @@ class TestSerialization:
     def test_features_optional_on_read(self):
         doc = {"objects": [{"label": 0, "box": [0, 0, 1, 1]},
                            {"label": 1, "box": [2, 2, 1, 1]}],
-               "edges": [[0, 1, 3]]}
+               "edges": [[0, 1, 3]],
+               "object_features": [[1.0, 2.0], [3.0, 4.0]]}
         inst = scene_from_dict(doc)
-        assert inst.object_features == ()
+        assert inst.pair_features == ()
         assert inst.graph.edges == ((0, 1, 3),)
 
     def test_dict_round_trip_preserves_pair_features(self):
@@ -95,20 +70,46 @@ class TestSerialization:
 
     @pytest.mark.parametrize("doc", [
         {"objects": [{"box": [0, 0, 1, 1]}]},
-        {"objects": [{"label": 0, "box": [0, 0, 1, 1]},
-                     {"label": 1, "box": [2, 2, 1, 1]}],
-         "object_features": [[1.0, 2.0], [3.0]]},  # ragged rows
+        {"objects": [], "pair_features": []},
+        {"objects": [{"label": 1e400, "box": [0, 0, 1, 1]}]},
     ])
     def test_malformed_document(self, doc):
         with pytest.raises(FormatError, match="malformed scene document"):
             scene_from_dict(doc)
 
-    @pytest.mark.parametrize("line", ["not json",
-                                      '{"objects": [{"box": [0, 0, 1, 1]}]}'])
-    def test_malformed_line_reports_line_number(self, tmp_path, line):
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "invalid JSON"),
+        (scene_line(objects=[{"box": [0, 0, 1, 1]}]), "malformed scene document"),
+        (scene_line(edges=[[1, 1, 0]]), "[1, 1, 0] needs two distinct objects"),
+        (scene_line(edges=[[0, 1, 0], [0, 1, 1]]),
+         "two edges join the same (subject, object) pair"),
+        (scene_line(edges=[[0, 5, 0]]), "[0, 5, 0] needs two distinct objects "
+                                        "in [0, 2)"),
+        (scene_line(object_features=[[1.0, 2.0]]),
+         "scene has 2 objects but 1 object_features rows"),
+        (scene_line(object_features=[[1.0, 2.0], [1.0]]),
+         "object_features rows differ in length"),
+        (scene_line(objects=[{"label": -1, "box": [0, 0, 1, 1]},
+                             {"label": 1, "box": [2, 2, 1, 1]}]),
+         "object 0: label -1 must be >= 0"),
+        (scene_line(edges=[[0, 1, -1]]), "a predicate id >= 0"),
+        (scene_line(pair_features={"0,9": [0.5, 0.5]}),
+         "pair_features key 0,9: not two distinct objects in [0, 2)"),
+        (scene_line(object_features=None),
+         "scene has 2 objects but no object_features rows"),
+        (scene_line(object_features=[[1.0, float("nan")], [3.0, 4.0]]),
+         "non-finite feature value"),
+        (scene_line(pair_features={"0,1": [float("inf"), 0.5]}),
+         "non-finite feature value"),
+    ], ids=["json", "no-label", "self-loop", "duplicate-pair", "edge-range",
+            "feature-count", "ragged-features", "negative-label",
+            "negative-predicate", "pair-key-range", "no-object-features",
+            "nan-object-feature", "inf-pair-feature"])
+    def test_malformed_line_reports_line_number(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"objects": []}\n' + line + "\n")
-        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
+        path.write_text(scene_line() + "\n" + line + "\n")  # line 1 is well-formed
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ") + ".*"
+                           + re.escape(message)):
             load_scenes(path)
 
     @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2, 3], 5])

@@ -1,0 +1,82 @@
+"""Seeded fuzz of every file that `train`, `eval` and `zeroshot` read.
+
+Each case mutates one input file (truncation, one flipped bit, a few
+deleted bytes or a duplicated line) and runs the commands on it through
+`relkit.cli.main`, in-process. A command may succeed on a mutated file,
+but it may fail only with a typed error: exit code 2, 3 or 4 and a
+`relkit: error:` line on stderr, never an escaped exception.
+"""
+
+import numpy as np
+import pytest
+
+from relkit.cli import main
+
+MUTATIONS_PER_FILE = 24
+TARGETS = ["scenes", "orm", "vectors", "objects", "predicates", "checkpoint"]
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    """A small synthetic world, its ORM, a checkpoint and a label file."""
+    root = tmp_path_factory.mktemp("fuzz")
+    assert main(["synth", "--out-dir", str(root), "--seed", "5",
+                 "--train-scenes", "6", "--test-scenes", "1",
+                 "--predicates", "5"]) == 0
+    assert main(["build-orm", "--in", str(root / "corpus.jsonl"),
+                 "--out", str(root / "orm.tsv")]) == 0
+    files = {"scenes": root / "train.jsonl", "orm": root / "orm.tsv",
+             "vectors": root / "vectors.txt", "objects": root / "objects.tsv",
+             "predicates": root / "predicates.tsv",
+             "checkpoint": root / "model.ckpt", "labels": root / "labels.txt"}
+    assert main(["train", *model_args(files), "--out", str(files["checkpoint"]),
+                 "--epochs", "2"]) == 0
+    files["labels"].write_text("relaa\nrelab\nrelac\n")
+    return files
+
+
+def model_args(files):
+    return [arg for name in ("scenes", "orm", "vectors", "objects", "predicates")
+            for arg in (f"--{name}", str(files[name]))]
+
+
+def mutate(data: bytes, rng: np.random.Generator) -> bytes:
+    at = int(rng.integers(len(data)))
+    kind = int(rng.integers(4))
+    if kind == 0:  # truncation
+        return data[:at]
+    if kind == 1:  # one flipped bit
+        return data[:at] + bytes([data[at] ^ 1 << int(rng.integers(8))]) \
+            + data[at + 1:]
+    if kind == 2:  # up to 8 deleted bytes
+        return data[:at] + data[at + int(rng.integers(1, 9)):]
+    lines = data.splitlines(keepends=True)  # a duplicated line
+    i = int(rng.integers(len(lines)))
+    return b"".join(lines[:i + 1] + lines[i:])
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_mutated_input_fails_with_typed_error(world, tmp_path, capsys, target):
+    rng = np.random.default_rng(TARGETS.index(target))
+    original = world[target].read_bytes()
+    commands = (["eval", "zeroshot"] if target == "checkpoint"
+                else ["train", "eval", "zeroshot"])
+    escapes = []
+    for case in range(MUTATIONS_PER_FILE):
+        files = dict(world)
+        files[target] = tmp_path / f"{case}-{world[target].name}"
+        files[target].write_bytes(mutate(original, rng))
+        extra = {"train": ["--out", str(tmp_path / "out.ckpt"), "--epochs", "2"],
+                 "eval": ["--checkpoint", str(files["checkpoint"])],
+                 "zeroshot": ["--checkpoint", str(files["checkpoint"]),
+                              "--labels", str(files["labels"]), "--topk", "1"]}
+        for command in commands:
+            try:
+                code = main([command, *model_args(files), *extra[command]])
+            except Exception as exc:  # any escape is the failure
+                escapes.append(f"{files[target]} {command}: {exc!r}")
+                continue
+            err = capsys.readouterr().err
+            if code not in (0, 2, 3, 4) or (code and "relkit: error: " not in err):
+                escapes.append(f"{files[target]} {command}: exit {code}, {err!r}")
+    assert not escapes, "\n".join(escapes)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relkit.core import validate_scene
+from relkit.core import scene_from_dict, scene_to_dict
 from relkit.errors import ConfigError
 from relkit.synth import SynthConfig, SynthDataset, generate
 
@@ -27,7 +27,7 @@ class TestGenerate:
         for scene in ds.train_scenes + ds.test_scenes:
             assert scene.graph.n_objects == cfg.objects_per_scene
             assert len(scene.graph.edges) == cfg.edges_per_scene
-            assert validate_scene(scene) == []
+            assert scene_from_dict(scene_to_dict(scene)) == scene
             assert scene.object_feature_matrix().shape == (
                 cfg.objects_per_scene, cfg.d)
             for vec in scene.pair_feature_map().values():

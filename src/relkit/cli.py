@@ -13,12 +13,10 @@ import datetime
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
-from .errors import ConfigError, RelkitError, read_lines
+from .errors import ConfigError, FormatError, RelkitError, TextFile
 from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
                       load_params, predict_scene, save_params, train)
 
@@ -73,7 +71,8 @@ def cmd_parse(args) -> int:
     if args.jsonl:
         corpus = corpusmod.ingest_triplet_file(args.infile)
     else:
-        text = "".join(line for _, line in read_lines(args.infile))
+        with TextFile(args.infile) as lines:
+            text = "".join(lines)
         corpus = corpusmod.extract_from_text(text, stoplist, lexicon,
                                              source=str(args.infile))
     if args.min_count and args.min_count > 1:
@@ -158,6 +157,11 @@ def _load_shared(args):
     orm_table = ormmod.load_orm(args.orm)
     scenes = core.load_scenes(args.scenes)
     for si, scene in enumerate(scenes):
+        for i, label in enumerate(scene.graph.labels()):
+            if label >= len(object_vocab):
+                raise ConfigError(f"{args.scenes}: scene {si} object {i}: label "
+                                  f"{label} outside the {len(object_vocab)} "
+                                  f"labels of {args.objects}")
         for k, (_, _, p) in enumerate(scene.graph.edges):
             if p >= len(predicate_vocab):
                 raise ConfigError(f"{args.scenes}: scene {si} edge {k}: predicate "
@@ -219,9 +223,11 @@ def cmd_zeroshot(args) -> int:
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
-    labels = [line.strip() for _, line in read_lines(args.labels)
-              if line.strip()]
-    matrix = zeroshot.build_label_matrix(labels, table)
+    with TextFile(args.labels) as lines:
+        labels = [line.strip() for line in lines if line.strip()]
+        if not labels:
+            raise FormatError("no labels")
+        matrix = zeroshot.build_label_matrix(labels, table)
     lines, ranked_lists, gt_names = [], [], []
     for si, scene in enumerate(scenes):
         _, pair_embs = predict_scene(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .core import Vocabulary
-from .errors import ConfigError, FormatError, read_lines
+from .errors import ConfigError, FormatError, TextFile
 
 
 @dataclass
@@ -72,19 +72,17 @@ def _parse_value(field: dataclasses.Field, raw: str):
 def load_config(path) -> RunConfig:
     values: Dict[str, object] = {}
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
-    for lineno, line in read_lines(path):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise FormatError(f"{path}:{lineno}: expected 'key = value'")
-        key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in fields:
-            raise FormatError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
+    with TextFile(path) as lines:
+        for line in lines:
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                raise FormatError("expected 'key = value'")
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            if key not in fields:
+                raise FormatError(f"unknown key {key!r}")
             values[key] = _parse_value(fields[key], raw)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return RunConfig(**values)
 
 
@@ -104,19 +102,20 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 def load_vocab(path) -> Vocabulary:
     items, line_of = [], {}
-    for lineno, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise FormatError(f"{path}:{lineno}: expected 'label<TAB>count'")
-        if parts[0] in line_of:
-            raise FormatError(f"{path}:{lineno}: label {parts[0]!r} repeats "
-                              f"line {line_of[parts[0]]}")
-        line_of[parts[0]] = lineno
-        try:
-            items.append((parts[0], int(parts[1])))
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: bad count") from exc
+    with TextFile(path) as lines:
+        for line in lines:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise FormatError("expected 'label<TAB>count'")
+            if parts[0] in line_of:
+                raise FormatError(f"label {parts[0]!r} repeats "
+                                  f"line {line_of[parts[0]]}")
+            line_of[parts[0]] = lines.lineno
+            count = int(parts[1])
+            if count < 0:
+                raise FormatError(f"count {count} must be >= 0")
+            items.append((parts[0], count))
     return Vocabulary.make(items)

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidBoxError, RelkitError, read_lines
+from .errors import FormatError, InvalidBoxError, TextFile
 
 
 @dataclass(frozen=True)
@@ -163,12 +163,21 @@ def scene_to_dict(instance: SceneInstance) -> dict:
 
 def scene_from_dict(doc: dict) -> SceneInstance:
     try:
-        objects = [(int(o["label"]), BoundingBox(*map(float, o["box"])))
+        objects = [(o["label"], BoundingBox(*map(float, o["box"])))
                    for o in doc["objects"]]
-        graph = SceneGraph.make(objects, doc.get("edges", []))
-        pairs = {tuple(map(int, key.split(","))): [float(v) for v in vec]
-                 for key, vec in doc.get("pair_features", {}).items()}
-        return SceneInstance.make(graph, doc.get("object_features", []), pairs)
+        edges = doc.get("edges", [])
+        bad = [v for v in chain([l for l, _ in objects], *edges)
+               if type(v) is not int]
+        if bad:  # bool and float are not ids
+            raise TypeError(f"id {bad[0]!r} is not an integer")
+        pairs: Dict[Tuple[int, int], List[float]] = {}
+        for key, vec in doc.get("pair_features", {}).items():
+            pair = tuple(map(int, key.split(",")))
+            if pair in pairs:
+                raise ValueError(f"pair_features key {key!r} repeats {pair}")
+            pairs[pair] = [float(v) for v in vec]
+        return SceneInstance.make(SceneGraph.make(objects, edges),
+                                  doc.get("object_features", []), pairs)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scene document: {exc}") from exc
 
@@ -180,15 +189,6 @@ def save_scenes(instances: Sequence[SceneInstance], path) -> None:
 
 
 def load_scenes(path) -> List[SceneInstance]:
-    out = []
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            out.append(scene_from_dict(json.loads(line)))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        except RelkitError as exc:
-            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return out
+    with TextFile(path) as lines:
+        return [scene_from_dict(json.loads(line)) for line in lines
+                if line.strip()]

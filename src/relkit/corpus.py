@@ -14,10 +14,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .core import Vocabulary
-from .errors import FormatError, read_lines
+from .errors import FormatError, TextFile
 
 # Articles, pronouns, copulas and similar function words dropped before
 # parsing. Fixed and documented; override with --stoplist.
@@ -161,24 +161,12 @@ def extract_from_text(text: str,
 def ingest_triplet_file(path) -> TripletCorpus:
     """Read a triplet JSONL file; weights accumulate across duplicate lines."""
     corpus = TripletCorpus(provenance=[str(path)])
-    for lineno, line in read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-        try:
-            triplet = Triplet(
-                subject=str(doc["subject"]),
-                predicate=str(doc["predicate"]),
-                object=str(doc["object"]),
-                weight=int(doc.get("weight", 1)),
-            )
-        except KeyError as exc:
-            raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-        corpus.add(triplet)
+    with TextFile(path) as lines:
+        for line in lines:
+            if line.strip():
+                doc = json.loads(line)
+                corpus.add(Triplet(str(doc["subject"]), str(doc["predicate"]),
+                                   str(doc["object"]), int(doc.get("weight", 1))))
     return corpus
 
 
@@ -223,9 +211,6 @@ def filter_vocabulary(corpus: TripletCorpus, min_count: int
 
 def load_wordlist(path) -> Set[str]:
     """One token per line; blank lines and '#' comments ignored."""
-    out: Set[str] = set()
-    for _, line in read_lines(path):
-        word = line.strip().lower()
-        if word and not word.startswith("#"):
-            out.add(word)
-    return out
+    with TextFile(path) as lines:
+        words = {line.strip().lower() for line in lines}
+    return {w for w in words if w and not w.startswith("#")}

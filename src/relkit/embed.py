@@ -7,13 +7,12 @@ Phrases are pooled by the unweighted mean of their in-vocabulary tokens.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, NumericError, OutOfVocabularyError, read_lines
+from .errors import FormatError, NumericError, OutOfVocabularyError, TextFile
 
 
 @dataclass
@@ -36,27 +35,23 @@ class EmbeddingTable:
 def load_embeddings(path) -> EmbeddingTable:
     dimension = None
     vectors: Dict[str, np.ndarray] = {}
-    for lineno, line in read_lines(path):
-        parts = line.split()
-        if not parts:
-            continue
-        token, entries = parts[0], parts[1:]
-        try:
-            vec = np.array([float(v) for v in entries], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-numeric entry") from exc
-        if not np.all(np.isfinite(vec)):
-            raise FormatError(f"{path}:{lineno}: non-finite entry")
+    with TextFile(path) as lines:
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            if not np.all(np.isfinite(vec)):
+                raise FormatError("non-finite entry")
+            if dimension is None:
+                if vec.size == 0:
+                    raise FormatError("empty vector")
+                dimension = vec.size
+            elif vec.size != dimension:
+                raise FormatError(f"dimension {vec.size} != {dimension}")
+            vectors[parts[0]] = vec
         if dimension is None:
-            if vec.size == 0:
-                raise FormatError(f"{path}:{lineno}: empty vector")
-            dimension = vec.size
-        elif vec.size != dimension:
-            raise FormatError(
-                f"{path}:{lineno}: dimension {vec.size} != {dimension}")
-        vectors[token] = vec
-    if dimension is None:
-        raise FormatError(f"{path}: empty embedding file")
+            raise FormatError("empty embedding file")
     return EmbeddingTable(dimension=int(dimension), vectors=vectors)
 
 

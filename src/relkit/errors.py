@@ -6,6 +6,9 @@ Exit-code categories used by the CLI:
   4 - numeric errors
 """
 
+import json
+from pathlib import Path
+
 
 class RelkitError(Exception):
     """Base class for all toolkit errors."""
@@ -49,18 +52,42 @@ class EmptySceneError(RelkitError):
     exit_code = 3
 
 
-def read_lines(path):
-    """Yield numbered lines of a UTF-8 text file; bad bytes are FormatErrors."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield from enumerate(fh, start=1)
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise FormatError(
-                f"{path}:{line}: byte {exc.start}: not UTF-8") from exc
-        raise
+_PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
+                 OverflowError)
+_HINTS = {json.JSONDecodeError: "invalid JSON: ", KeyError: "missing field "}
+
+
+class TextFile:
+    """A UTF-8 text file read line by line: `with TextFile(path) as lines:`.
+    An error raised in the block gets a `path:line: ` prefix (`path: ` before
+    the first or after the last line). A RelkitError keeps its type, a parse
+    error becomes a FormatError, a byte that is not UTF-8 is named by offset.
+    `lines.lineno` is the number of the current line."""
+
+    def __init__(self, path):
+        self.path, self.lineno = path, None
+
+    def __enter__(self):
+        self._fh = open(self.path, encoding="utf-8")
+        self._numbered = enumerate(self._fh, start=1)
+        return self
+
+    def __iter__(self):  # every iterator continues where the last one stopped
+        for self.lineno, line in self._numbered:
+            yield line
+        self.lineno = None
+
+    def __exit__(self, kind, exc, tb):
+        self._fh.close()
+        if isinstance(exc, UnicodeDecodeError):
+            try:
+                Path(self.path).read_bytes().decode("utf-8")
+            except UnicodeDecodeError as bad:
+                line = bad.object.count(b"\n", 0, bad.start) + 1
+                raise FormatError(f"{self.path}:{line}: byte {bad.start}: "
+                                  f"not UTF-8") from exc
+        if not isinstance(exc, (RelkitError, *_PARSE_ERRORS)):
+            return False
+        where = self.path if self.lineno is None else f"{self.path}:{self.lineno}"
+        error = type(exc) if isinstance(exc, RelkitError) else FormatError
+        raise error(f"{where}: {_HINTS.get(type(exc), '')}{exc}") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .corpus import TripletCorpus
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, TextFile
 
 Pair = Tuple[str, str]
 
@@ -119,47 +119,22 @@ def save_orm(table: OrmTable, path) -> None:
 
 def load_orm(path) -> OrmTable:
     table = OrmTable()
-    declared_total: Optional[int] = None
-    end = 0
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            offset, end = end, end + len(raw)
-            try:
-                line = raw.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"{path}: byte {offset + exc.start}: not UTF-8") from exc
-            if lineno == 1:
-                parts = line.split("\t")
-                if len(parts) != 2 or parts[0] != "#total":
-                    raise FormatError(
-                        f"{path}: byte {offset}: expected '#total\\t<n>' header")
-                try:
-                    declared_total = int(parts[1])
-                except ValueError as exc:
-                    raise FormatError(
-                        f"{path}: byte {offset}: bad total: {parts[1]}") from exc
-                continue
+    with TextFile(path) as lines:
+        header = next(iter(lines), "").rstrip("\n").split("\t")
+        if len(header) != 2 or header[0] != "#total":
+            raise FormatError("expected '#total\\t<n>' header")
+        declared_total = int(header[1])
+        for line in lines:
+            line = line.rstrip("\n")
             if not line:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise FormatError(
-                    f"{path}: byte {offset}: expected 4 tab-separated fields")
-            s, o, r, count_str = parts
-            try:
-                count = int(count_str)
-            except ValueError as exc:
-                raise FormatError(
-                    f"{path}: byte {offset}: bad count: {count_str}") from exc
+            s, o, r, count = line.split("\t")
+            count = int(count)
             if count < 1:
-                raise FormatError(f"{path}: byte {offset}: count must be >= 1")
+                raise FormatError("count must be >= 1")
             preds = table.pair_counts.setdefault((s, o), {})
             preds[r] = preds.get(r, 0) + count
-    if declared_total is None:
-        raise FormatError(f"{path}: missing '#total' header (empty file?)")
-    if table.total() != declared_total:
-        raise FormatError(
-            f"{path}: byte {end}: declared total {declared_total} "
-            f"!= summed counts {table.total()} (truncated file?)")
+        if table.total() != declared_total:
+            raise FormatError(f"declared total {declared_total} != summed "
+                              f"counts {table.total()} (truncated file?)")
     return table

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, read_lines
+from ..errors import ConfigError, FormatError, TextFile
 
 
 @dataclass(frozen=True)
@@ -115,43 +117,28 @@ def save_params(params: ModelParams, path) -> None:
 
 
 def load_params(path) -> ModelParams:
-    lines = [line.rstrip("\n") for _, line in read_lines(path)]
-    if not lines or lines[0] != _MAGIC:
-        raise FormatError(f"{path}: not a relkit checkpoint")
-    try:
-        dims = Dims(*(int(v) for v in lines[1].split()[1:]))
-        lambdas = tuple(float(v) for v in lines[2].split()[1:])
-        if len(lambdas) != 3:
-            raise ValueError("need three loss weights")
-    except (IndexError, ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
     tensors: Dict[str, np.ndarray] = {}
-    i = 3
-    while i < len(lines):
-        parts = lines[i].split()
-        if not parts:
-            i += 1
-            continue
-        if parts[0] != "tensor":
-            raise FormatError(f"{path}:{i + 1}: expected tensor block")
-        try:
-            name = parts[1]
+    with TextFile(path) as lines:
+        if next(iter(lines), "").rstrip("\n") != _MAGIC:
+            raise FormatError("not a relkit checkpoint")
+        dims = Dims(*(int(v) for v in next(iter(lines), "").split()[1:]))
+        lambdas = tuple(float(v) for v in next(iter(lines), "").split()[1:])
+        if len(lambdas) != 3:
+            raise FormatError("need three loss weights")
+        for line in lines:
+            parts = line.split()
+            if not parts:
+                continue
+            if (parts[0] != "tensor" or len(parts) < 2
+                    or not all(s.isdecimal() for s in parts[2:])):
+                raise FormatError(f"bad tensor header: {line.strip()!r}")
             shape = tuple(int(s) for s in parts[2:])
-            if any(s < 0 for s in shape):
-                raise ValueError(f"negative dimension in {shape}")
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"{path}:{i + 1}: bad tensor header: {exc}") from exc
-        size = int(np.prod(shape))
-        block = lines[i + 1:i + 1 + size]
-        if len(block) != size:
-            raise FormatError(f"{path}: truncated tensor {name}")
+            size = math.prod(shape)
+            values = np.array([float(v) for v in islice(lines, size)])
+            if values.size != size:
+                raise FormatError(f"truncated tensor {parts[1]}")
+            tensors[parts[1]] = values.reshape(shape)
         try:
-            values = np.array([float(v) for v in block], dtype=np.float64)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad value in tensor {name}") from exc
-        tensors[name] = values.reshape(shape)
-        i += 1 + size
-    try:
-        return ModelParams(dims, tensors, lambdas)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+            return ModelParams(dims, tensors, lambdas)
+        except ConfigError as exc:
+            raise FormatError(str(exc)) from exc

@@ -68,6 +68,24 @@ class TestParse:
                    "--out", str(tmp_path / "o.jsonl")) == 3
         assert f"{infile}:2: byte 29: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["parse", "--jsonl"], ["build-orm"]])
+    @pytest.mark.parametrize("line", [
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": "x"}',
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": 1e400}',
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": 0}',
+        '{"subject": "", "predicate": "r", "object": "b"}',
+        '["a", "r", "b"]', '"a r b"'], ids=["weight-string", "weight-inf",
+                                            "weight-zero", "empty-field",
+                                            "list", "string"])
+    def test_malformed_triplet_is_located_data_error(self, tmp_path, capsys,
+                                                     command, line):
+        infile = tmp_path / "triplets.jsonl"
+        infile.write_text('{"subject": "a", "predicate": "r", "object": "b"}\n'
+                          + line + "\n")
+        assert run(*command, "--in", str(infile),
+                   "--out", str(tmp_path / "out")) == 3
+        assert f"relkit: error: {infile}:2: " in capsys.readouterr().err
+
 
 class TestQuery:
     def test_lookup_output(self, workspace, capsys):
@@ -261,20 +279,24 @@ class TestEval:
     def test_object_label_outside_vocabulary_is_config_error(
             self, workspace, tmp_path, capsys, protocol):
         args = model_args(workspace, "test.jsonl")
-        if protocol == "predcls":
+        if protocol == "predcls":  # caught when the scenes are loaded
             def relabel(doc):
                 doc["objects"][0]["label"] = 99
-            args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
+            message = r": scene 0 object 0: label 99 outside the 8 labels of "
         else:  # the classifier's 8 labels predict beyond a 1-label vocabulary
+            def relabel(doc):
+                for obj in doc["objects"]:
+                    obj["label"] = 0
             objects = tmp_path / "objects.tsv"
             objects.write_text((workspace["data"] / "objects.tsv")
                                .read_text().splitlines()[0] + "\n")
             args[args.index("--objects") + 1] = str(objects)
+            message = (r"sgcls: object label \d+ outside the 1-label object "
+                       r"vocabulary")
+        args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 2
-        assert re.search(rf"{protocol}: object label \d+ outside the "
-                         rf"\d-label object vocabulary",
-                         capsys.readouterr().err)
+        assert re.search(message, capsys.readouterr().err)
 
     @pytest.mark.parametrize("header",
                              ["tensor", "tensor W_r 3 x", "tensor W_r -1 -1"])
@@ -342,6 +364,18 @@ class TestZeroshot:
                    "--out", str(out)) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "no labels"),  # what synth writes with --heldout 0
+        ("relaa\nzzz\n", "no embeddable token in phrase: 'zzz'")])
+    def test_bad_labels_file_is_data_error(self, workspace, tmp_path, capsys,
+                                           text, message):
+        labels = tmp_path / "heldout.txt"
+        labels.write_text(text)
+        assert run("zeroshot", *model_args(workspace),
+                   "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1") == 3
+        assert f"relkit: error: {labels}: {message}" in capsys.readouterr().err
+
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_bytes(b"relaa\nrel\xe9b\n")
@@ -365,7 +399,7 @@ def change_first_edge(obj=None, predicate=None):
 
 # Scene defects that reach every model command, with the exit code and the
 # message after the scene path. The synthetic predicate vocabulary has 7
-# labels, and each scene has 3 objects.
+# labels, the object vocabulary 8, and each scene has 3 objects.
 SCENE_DEFECTS = {
     "predicate-beyond-vocabulary": (
         change_first_edge(predicate=7), 2,
@@ -382,6 +416,9 @@ SCENE_DEFECTS = {
     "duplicate-pair": (
         lambda doc: doc["edges"].append(doc["edges"][0][:2] + [0]), 3,
         r":1: two edges join the same \(subject, object\) pair"),
+    "object-label-beyond-vocabulary": (
+        lambda doc: doc["objects"][0].update(label=10 ** 20), 2,
+        r": scene 0 object 0: label 10{20} outside the 8 labels of "),
     "pair-feature-key-out-of-range": (
         lambda doc: doc["pair_features"].update({"0,9": [0.0] * 16}), 3,
         r":1: pair_features key 0,9: not two distinct objects in \[0, 3\)"),

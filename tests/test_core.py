@@ -101,10 +101,22 @@ class TestSerialization:
          "non-finite feature value"),
         (scene_line(pair_features={"0,1": [float("inf"), 0.5]}),
          "non-finite feature value"),
+        (scene_line(objects=[{"label": 1.9, "box": [0, 0, 1, 1]},
+                             {"label": 1, "box": [2, 2, 1, 1]}]),
+         "id 1.9 is not an integer"),
+        (scene_line(objects=[{"label": True, "box": [0, 0, 1, 1]},
+                             {"label": 1, "box": [2, 2, 1, 1]}]),
+         "id True is not an integer"),
+        (scene_line(edges=[[0, 1, 2.7]]), "id 2.7 is not an integer"),
+        (scene_line(edges=[[0, True, 2]]), "id True is not an integer"),
+        (scene_line(pair_features={"0,1": [1.0], "00,1": [2.0]}),
+         "pair_features key '00,1' repeats (0, 1)"),
     ], ids=["json", "no-label", "self-loop", "duplicate-pair", "edge-range",
             "feature-count", "ragged-features", "negative-label",
             "negative-predicate", "pair-key-range", "no-object-features",
-            "nan-object-feature", "inf-pair-feature"])
+            "nan-object-feature", "inf-pair-feature", "float-label",
+            "bool-label", "float-edge-entry", "bool-edge-entry",
+            "repeated-pair-key"])
     def test_malformed_line_reports_line_number(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(scene_line() + "\n" + line + "\n")  # line 1 is well-formed

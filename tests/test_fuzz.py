@@ -1,10 +1,12 @@
-"""Seeded fuzz of every file that `train`, `eval` and `zeroshot` read.
+"""Seeded fuzz of every file that `train`, `eval` and `zeroshot` read, and of
+the triplet file that `parse --jsonl` and `build-orm` read.
 
 Each case mutates one input file (truncation, one flipped bit, a few
-deleted bytes or a duplicated line) and runs the commands on it through
-`relkit.cli.main`, in-process. A command may succeed on a mutated file,
-but it may fail only with a typed error: exit code 2, 3 or 4 and a
-`relkit: error:` line on stderr, never an escaped exception.
+deleted bytes, a duplicated line or a line replaced by a JSON value of
+another kind) and runs the commands that read it through `relkit.cli.main`,
+in-process. A command may succeed on a mutated file, but it may fail only
+with a typed error: exit code 2, 3 or 4 and a `relkit: error:` line on
+stderr, never an escaped exception.
 """
 
 import numpy as np
@@ -13,7 +15,12 @@ import pytest
 from relkit.cli import main
 
 MUTATIONS_PER_FILE = 24
-TARGETS = ["scenes", "orm", "vectors", "objects", "predicates", "checkpoint"]
+JSON_VALUES = [b'"x"', b"[0]", b"1e400", b"{}"]
+TARGETS = ["scenes", "orm", "vectors", "objects", "predicates", "checkpoint",
+           "triplets", "labels"]
+# the commands that read a target; the others are read by train, eval, zeroshot
+READERS = {"checkpoint": ["eval", "zeroshot"], "triplets": ["parse", "build-orm"],
+           "labels": ["zeroshot"]}
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +35,8 @@ def world(tmp_path_factory):
     files = {"scenes": root / "train.jsonl", "orm": root / "orm.tsv",
              "vectors": root / "vectors.txt", "objects": root / "objects.tsv",
              "predicates": root / "predicates.tsv",
-             "checkpoint": root / "model.ckpt", "labels": root / "labels.txt"}
+             "checkpoint": root / "model.ckpt", "labels": root / "labels.txt",
+             "triplets": root / "corpus.jsonl"}
     assert main(["train", *model_args(files), "--out", str(files["checkpoint"]),
                  "--epochs", "2"]) == 0
     files["labels"].write_text("relaa\nrelab\nrelac\n")
@@ -42,7 +50,7 @@ def model_args(files):
 
 def mutate(data: bytes, rng: np.random.Generator) -> bytes:
     at = int(rng.integers(len(data)))
-    kind = int(rng.integers(4))
+    kind = int(rng.integers(5))
     if kind == 0:  # truncation
         return data[:at]
     if kind == 1:  # one flipped bit
@@ -50,29 +58,35 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
             + data[at + 1:]
     if kind == 2:  # up to 8 deleted bytes
         return data[:at] + data[at + int(rng.integers(1, 9)):]
-    lines = data.splitlines(keepends=True)  # a duplicated line
+    lines = data.splitlines(keepends=True)
     i = int(rng.integers(len(lines)))
-    return b"".join(lines[:i + 1] + lines[i:])
+    if kind == 3:  # a duplicated line
+        return b"".join(lines[:i + 1] + lines[i:])
+    value = JSON_VALUES[int(rng.integers(len(JSON_VALUES)))]  # a foreign value
+    return b"".join(lines[:i] + [value + b"\n"] + lines[i + 1:])
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_mutated_input_fails_with_typed_error(world, tmp_path, capsys, target):
     rng = np.random.default_rng(TARGETS.index(target))
     original = world[target].read_bytes()
-    commands = (["eval", "zeroshot"] if target == "checkpoint"
-                else ["train", "eval", "zeroshot"])
+    commands = READERS.get(target, ["train", "eval", "zeroshot"])
     escapes = []
     for case in range(MUTATIONS_PER_FILE):
         files = dict(world)
         files[target] = tmp_path / f"{case}-{world[target].name}"
         files[target].write_bytes(mutate(original, rng))
-        extra = {"train": ["--out", str(tmp_path / "out.ckpt"), "--epochs", "2"],
-                 "eval": ["--checkpoint", str(files["checkpoint"])],
-                 "zeroshot": ["--checkpoint", str(files["checkpoint"]),
-                              "--labels", str(files["labels"]), "--topk", "1"]}
+        out = str(tmp_path / "out")
+        argv = {"parse": ["--jsonl", "--in", str(files["triplets"]), "--out", out],
+                "build-orm": ["--in", str(files["triplets"]), "--out", out],
+                "train": [*model_args(files), "--out", out, "--epochs", "2"],
+                "eval": [*model_args(files), "--checkpoint", str(files["checkpoint"])],
+                "zeroshot": [*model_args(files),
+                             "--checkpoint", str(files["checkpoint"]),
+                             "--labels", str(files["labels"]), "--topk", "1"]}
         for command in commands:
             try:
-                code = main([command, *model_args(files), *extra[command]])
+                code = main([command, *argv[command]])
             except Exception as exc:  # any escape is the failure
                 escapes.append(f"{files[target]} {command}: {exc!r}")
                 continue

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from types import SimpleNamespace
 
@@ -261,26 +262,26 @@ class TestPersistence:
         save_orm(OrmTable(), path)
         assert load_orm(path).pair_counts == {}
 
-    def test_truncated_file_reports_offset(self, tmp_path):
+    def test_truncated_file_reports_total(self, tmp_path):
         rng = np.random.default_rng(6)
         table = build_orm(random_corpus(rng, 200, 8))
         path = tmp_path / "orm.tsv"
         save_orm(table, path)
         data = path.read_bytes()
         path.write_bytes(data[:len(data) // 2 + data[len(data) // 2:].index(b"\n") + 1])
-        with pytest.raises(FormatError, match="byte"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}: declared total")):
             load_orm(path)
 
     def test_corrupt_count(self, tmp_path):
         path = tmp_path / "orm.tsv"
         path.write_text("#total\t1\na\tb\tr\tnotanumber\n")
-        with pytest.raises(FormatError, match="byte"):
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
             load_orm(path)
 
     def test_non_utf8_line_reports_offset(self, tmp_path):
         path = tmp_path / "orm.tsv"
         path.write_bytes(b"#total\t1\na\tb\tr\xff\t1\n")
-        with pytest.raises(FormatError, match="byte 14: not UTF-8"):
+        with pytest.raises(FormatError, match=":2: byte 14: not UTF-8"):
             load_orm(path)
 
     def test_file_order_is_lookup_order(self, tmp_path):

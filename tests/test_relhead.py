@@ -533,6 +533,15 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_params(path)
 
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        save_params(init_params(DIMS, seed=33), path)
+        lines = path.read_text().splitlines()
+        lines[9] = "x"  # a value line inside the first tensor block
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"{path}:10: could not convert"):
+            load_params(path)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         path.write_text("not a checkpoint\n")

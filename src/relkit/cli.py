@@ -18,7 +18,7 @@ from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import ConfigError, FormatError, RelkitError, TextFile
 from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
-                      load_params, predict_scene, save_params, train)
+                      load_params, predict_batch, save_params, train)
 
 
 def _load_run_config(args) -> cfgmod.RunConfig:
@@ -195,16 +195,11 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
-    toggles = _toggles(cfg)
-    predictions = []
-    for scene in scenes:
-        pred, _ = predict_scene(params, scene, orm_table, object_vocab,
-                                predicate_vocab, table, toggles,
-                                k_candidates=cfg.k_candidates,
-                                orm_backoff=cfg.orm_backoff,
-                                strict_oov=cfg.strict_oov,
-                                protocol=args.protocol)
-        predictions.append(pred)
+    predictions = [pred for pred, _ in predict_batch(
+        params, scenes, orm_table, object_vocab, predicate_vocab, table,
+        _toggles(cfg), k_candidates=cfg.k_candidates,
+        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
+        protocol=args.protocol)]
     evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
                 else evalkit.sgcls_eval)
     metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
@@ -228,13 +223,13 @@ def cmd_zeroshot(args) -> int:
         if not labels:
             raise FormatError("no labels")
         matrix = zeroshot.build_label_matrix(labels, table)
+    predictions = predict_batch(
+        params, scenes, orm_table, object_vocab, predicate_vocab, table,
+        _toggles(cfg), k_candidates=cfg.k_candidates,
+        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
+        protocol="predcls")
     lines, ranked_lists, gt_names = [], [], []
-    for si, scene in enumerate(scenes):
-        _, pair_embs = predict_scene(
-            params, scene, orm_table, object_vocab, predicate_vocab,
-            table, _toggles(cfg), k_candidates=cfg.k_candidates,
-            orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
-            protocol="predcls")
+    for si, (scene, (_, pair_embs)) in enumerate(zip(scenes, predictions)):
         for s, o, p in scene.graph.edges:
             if (s, o) not in pair_embs:
                 raise ConfigError(f"scene {si}: edge ({s},{o}) has no "

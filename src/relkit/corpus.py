@@ -74,6 +74,10 @@ class Triplet:
             raise FormatError(f"triplet fields must be non-empty: {self}")
         if self.weight < 1:
             raise FormatError(f"triplet weight must be >= 1: {self}")
+        fields = self.subject + self.predicate + self.object
+        if "\t" in fields or "\n" in fields or "\r" in fields:  # TSV fields
+            raise FormatError(f"triplet fields must not hold a tab or line "
+                              f"break: {self}")
 
     def key(self) -> Tuple[str, str, str]:
         return (self.subject, self.predicate, self.object)
@@ -165,8 +169,11 @@ def ingest_triplet_file(path) -> TripletCorpus:
         for line in lines:
             if line.strip():
                 doc = json.loads(line)
+                weight = doc.get("weight", 1)
+                if type(weight) is not int:  # bool and float are not counts
+                    raise FormatError(f"weight {weight!r} is not an integer")
                 corpus.add(Triplet(str(doc["subject"]), str(doc["predicate"]),
-                                   str(doc["object"]), int(doc.get("weight", 1))))
+                                   str(doc["object"]), weight))
     return corpus
 
 

@@ -76,7 +76,7 @@ def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
 
 def ranked_predicates(probs: np.ndarray) -> List[int]:
     """Predicate ids by descending probability, ties ascending id."""
-    return sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+    return np.argsort(-np.asarray(probs), kind="stable").tolist()
 
 
 def _scene_triplets(pred: ScenePrediction, graph_constraint: bool
@@ -84,7 +84,7 @@ def _scene_triplets(pred: ScenePrediction, graph_constraint: bool
     out: List[TripletPrediction] = []
     for (s, o), probs in pred.pair_probs.items():
         if graph_constraint:
-            best = ranked_predicates(probs)[0]
+            best = int(np.argmax(probs))  # ties: the lowest id
             out.append(TripletPrediction(s, o, best, float(probs[best])))
         else:
             for p, conf in enumerate(probs):
@@ -146,13 +146,12 @@ def sgcls_eval(predictions: Sequence[ScenePrediction],
         if pred.object_probs is None:
             raise NumericError("sgcls_eval requires object probability outputs")
         obj_probs = np.asarray(pred.object_probs, dtype=np.float64)
-        pred_labels = [int(np.argmax(row)) for row in obj_probs]
+        pred_labels = obj_probs.argmax(axis=1).tolist()
+        label_probs = obj_probs.max(axis=1).tolist()
         gt_labels = scene.graph.labels()
         triplets = []
         for t in _scene_triplets(pred, graph_constraint):
-            conf = (float(obj_probs[t.subject, pred_labels[t.subject]])
-                    * float(obj_probs[t.object, pred_labels[t.object]])
-                    * t.confidence)
+            conf = label_probs[t.subject] * label_probs[t.object] * t.confidence
             labels_ok = (pred_labels[t.subject] == gt_labels[t.subject]
                          and pred_labels[t.object] == gt_labels[t.object])
             # a wrong-label triplet still occupies a top-K slot, but can

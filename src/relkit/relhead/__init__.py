@@ -6,13 +6,13 @@ from .model import (classify_objects, composite_loss, Example, forward_scene,
                     predict_relationship, scene_loss, softmax, Toggles)
 from .params import Dims, init_params, load_params, ModelParams, save_params
 from .train import (build_example, CandidateIndex, draw_candidates,
-                    predict_scene, train, TrainConfig)
+                    predict_batch, predict_scene, train, TrainConfig)
 
 __all__ = [
     "classify_objects", "composite_loss", "Example", "forward_scene",
     "ForwardTrace", "geometric_quad", "loss_and_gradients",
     "predict_relationship", "scene_loss", "softmax", "Toggles",
     "Dims", "init_params", "load_params", "ModelParams", "save_params",
-    "build_example", "CandidateIndex", "draw_candidates", "predict_scene",
-    "train", "TrainConfig",
+    "build_example", "CandidateIndex", "draw_candidates", "predict_batch",
+    "predict_scene", "train", "TrainConfig",
 ]

@@ -297,16 +297,17 @@ def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
 def _pack_candidates(examples: Sequence[Example], e: int
                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
     by_size: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
-    edges = [(s, k, ex) for s, ex in enumerate(examples) for k in range(len(ex.edges))]
-    for row, (s, k, ex) in enumerate(edges):
-        c = ex.candidate_embeddings[k] if k < len(ex.candidate_embeddings) else None
-        if c is not None and len(c):
-            if np.shape(c) != (len(c), e):
-                _expect_shape(f"scene {s} edge {k}: candidate embeddings", c,
-                              (len(c), e))
-            rows, sets = by_size.setdefault(len(c), ([], []))
-            rows.append(row)
-            sets.append(c)
+    row = 0  # of the scene's first edge
+    for s, ex in enumerate(examples):
+        for k, c in enumerate(ex.candidate_embeddings[:len(ex.edges)]):
+            if c is not None and len(c):
+                if np.shape(c) != (len(c), e):
+                    _expect_shape(f"scene {s} edge {k}: candidate embeddings",
+                                  c, (len(c), e))
+                rows, sets = by_size.setdefault(len(c), ([], []))
+                rows.append(row + k)
+                sets.append(c)
+        row += len(ex.edges)
     return [(np.array(rows), np.array(sets, dtype=np.float64))
             for _, (rows, sets) in sorted(by_size.items())]
 
@@ -350,11 +351,14 @@ def forward_objects(params: ModelParams, batch: PackedBatch,
     return enriched, classify_objects(enriched, params), obj_caches
 
 
-def forward_batch(params: ModelParams, batch: PackedBatch,
+def forward_edges(params: ModelParams, batch: PackedBatch,
+                  objects: Tuple[np.ndarray, np.ndarray, List[tuple]],
                   toggles: Toggles = Toggles()) -> ForwardTrace:
+    """The edge stage on top of `objects`, the batch's forward_objects
+    output; the trace holds both stages."""
     t = params.tensors
     dpr = params.dims.dpr
-    enriched, obj_probs, obj_caches = forward_objects(params, batch, toggles)
+    enriched, obj_probs, obj_caches = objects
     n_edges = len(batch.so_rows)
     quad = None
     if toggles.geometric_relationships:
@@ -382,6 +386,12 @@ def forward_batch(params: ModelParams, batch: PackedBatch,
     rel_probs, pred_emb = predict_relationship(f, params)
     return ForwardTrace(batch, obj_caches, enriched, obj_probs, quad, txt_caches,
                         so_cache, f, rel_probs, pred_emb)
+
+
+def forward_batch(params: ModelParams, batch: PackedBatch,
+                  toggles: Toggles = Toggles()) -> ForwardTrace:
+    return forward_edges(params, batch, forward_objects(params, batch, toggles),
+                         toggles)
 
 
 def forward_scene(params: ModelParams, ex: Example,

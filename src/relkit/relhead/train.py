@@ -19,8 +19,11 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, Toggles, _expect_shape, forward_objects,
-                    forward_scene, loss_and_gradients, pack_batch)
+from .model import (Example, Toggles, _expect_shape, _pack_candidates,
+                    forward_edges, forward_objects, loss_and_gradients,
+                    pack_batch)
+# Unused here: the benchmark's tracer requires this module to name it.
+from .model import forward_scene  # noqa: F401
 from .params import ModelParams
 
 log = logging.getLogger("relkit.train")
@@ -164,7 +167,7 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
 # Inference
 # ---------------------------------------------------------------------------
 
-def predict_scene(params: ModelParams, instance: SceneInstance,
+def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
                   orm: OrmTable, object_vocab: Vocabulary,
                   predicate_vocab: Vocabulary, table: EmbeddingTable,
                   toggles: Toggles = Toggles(),
@@ -172,42 +175,63 @@ def predict_scene(params: ModelParams, instance: SceneInstance,
                   orm_backoff: bool = True,
                   strict_oov: bool = False,
                   protocol: str = "predcls"
-                  ) -> Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]:
-    """Score every ingested pair of a scene.
+                  ) -> List[Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]]:
+    """Score every ingested pair of every scene with one object pass and
+    one edge pass over the whole batch.
 
     predcls: ORM lookups use the ground-truth object labels; object_probs
     is omitted from the output. sgcls: labels come from the object
     classifier's argmax and object_probs is included.
 
-    Returns the prediction plus each pair's predicted relationship
-    embedding (for zero-shot classification).
+    Returns, per scene, the prediction plus each pair's predicted
+    relationship embedding (for zero-shot classification). An error names
+    the scene by its index in `scenes`.
     """
     if protocol not in ("predcls", "sgcls"):
         raise ConfigError(f"unknown protocol: {protocol}")
     if k_candidates < 1:
         raise ConfigError(f"K must satisfy 1 <= K, got {k_candidates}")
-    g = instance.graph
-    pair_map = instance.pair_feature_map()
-    pairs = sorted(pair_map)
-    # predicate ids and targets are unused at inference
-    ex = _scene_example(instance, [(s, o, 0) for s, o in pairs],
-                        [pair_map[p] for p in pairs],
-                        [np.zeros(params.dims.e)] * len(pairs))
-    label_ids = g.labels() if protocol == "predcls" else forward_objects(
-        params, pack_batch([ex], params.dims), toggles)[1].argmax(axis=1).tolist()
-    bad = [i for i in label_ids if not 0 <= i < len(object_vocab)]
-    if bad:
-        raise ConfigError(f"{protocol}: object label {bad[0]} outside the "
-                          f"{len(object_vocab)}-label object vocabulary")
-    labels = [object_vocab.labels[i] for i in label_ids]
+    if not scenes:
+        return []
+    examples, pairs = [], []
+    for instance in scenes:
+        pair_map = instance.pair_feature_map()
+        pairs.append(sorted(pair_map))
+        # predicate ids and targets are unused at inference
+        examples.append(_scene_example(
+            instance, [(s, o, 0) for s, o in pairs[-1]],
+            [pair_map[p] for p in pairs[-1]],
+            [np.zeros(params.dims.e)] * len(pairs[-1])))
+    packed = pack_batch(examples, params.dims)  # no candidates yet
+    objects = forward_objects(params, packed, toggles)
+    label_ids = (packed.labels if protocol == "predcls"
+                 else objects[1].argmax(axis=1)).tolist()
+    try:  # the ids are >= 0
+        labels = [object_vocab.labels[i] for i in label_ids]
+    except IndexError:
+        bad = next(i for i in label_ids if i >= len(object_vocab))
+        raise ConfigError(f"{protocol}: object label {bad} outside the "
+                          f"{len(object_vocab)}-label object vocabulary") from None
     # deterministic at eval time: the K most probable candidates, no draw
-    ex.candidate_embeddings = [
-        embed_phrases(table, [r for r, _ in lookup(
-            orm, labels[s], labels[o], backoff=orm_backoff).entries[:k_candidates]],
-            strict_oov)
-        for s, o in pairs]
-    trace = forward_scene(params, ex, toggles)
-    pair_probs = {pair: trace.rel_probs[idx] for idx, pair in enumerate(pairs)}
-    pair_embs = {pair: trace.pred_emb[idx] for idx, pair in enumerate(pairs)}
-    obj_probs = trace.obj_probs if protocol == "sgcls" else None
-    return ScenePrediction(pair_probs=pair_probs, object_probs=obj_probs), pair_embs
+    sets = (embed_phrases(table, [r for r, _ in lookup(
+        orm, labels[s], labels[o], backoff=orm_backoff).entries[:k_candidates]],
+        strict_oov) for s, o in packed.so_rows[:, :2].tolist())
+    for ex in examples:
+        ex.candidate_embeddings = [next(sets) for _ in ex.edges]
+    packed.cand_groups = _pack_candidates(examples, params.dims.e)
+    trace = forward_edges(params, packed, objects, toggles)
+    out, n0, e0 = [], 0, 0
+    for ex, scene_pairs in zip(examples, pairs):
+        n1, e1 = n0 + len(ex.features), e0 + len(scene_pairs)
+        obj_probs = trace.obj_probs[n0:n1] if protocol == "sgcls" else None
+        probs, embs = trace.rel_probs[e0:e1], trace.pred_emb[e0:e1]
+        out.append((ScenePrediction(dict(zip(scene_pairs, probs)), obj_probs),
+                    dict(zip(scene_pairs, embs))))
+        n0, e0 = n1, e1
+    return out
+
+
+def predict_scene(params: ModelParams, instance: SceneInstance, *args, **kwargs
+                  ) -> Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]:
+    """`predict_batch` on a batch of one scene, with the same later arguments."""
+    return predict_batch(params, [instance], *args, **kwargs)[0]

@@ -7,7 +7,7 @@ during training participate exactly like seen ones, which is the point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -20,12 +20,13 @@ from .errors import NumericError
 class LabelEmbeddingMatrix:
     labels: Tuple[str, ...]
     matrix: np.ndarray  # |labels| x e, row i = embed_phrase(labels[i])
+    norms: np.ndarray = field(init=False, repr=False, compare=False)  # row norms
 
     def __post_init__(self):
         if self.matrix.shape[0] != len(self.labels):
             raise NumericError("label/matrix row count mismatch")
-        norms = np.linalg.norm(self.matrix, axis=1)
-        if np.any(norms == 0.0):
+        object.__setattr__(self, "norms", np.linalg.norm(self.matrix, axis=1))
+        if np.any(self.norms == 0.0):
             raise NumericError("label embedding rows must be nonzero")
 
 
@@ -44,8 +45,7 @@ def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix,
         raise NumericError("cosine undefined for a zero representation")
     if temperature <= 0.0:
         raise NumericError("temperature must be positive")
-    row_norms = np.linalg.norm(labels.matrix, axis=1)
-    sims = labels.matrix @ v_hat / (row_norms * norm)
+    sims = labels.matrix @ v_hat / (labels.norms * norm)
     z = sims / temperature
     z -= z.max()
     exp = np.exp(z)

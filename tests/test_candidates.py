@@ -13,13 +13,16 @@ import importlib
 import numpy as np
 import pytest
 
+from helpers import random_instance
+from relkit.core import SceneInstance
 from relkit.corpus import Triplet, TripletCorpus
 from relkit.embed import embed_phrase, embed_phrases
 from relkit.errors import ConfigError, OutOfVocabularyError
 from relkit.orm import build_orm, lookup, sample_candidates
 from relkit.relhead import (CandidateIndex, Dims, Toggles, TrainConfig,
                             build_example, draw_candidates, init_params,
-                            loss_and_gradients, predict_scene, train)
+                            loss_and_gradients, predict_batch, predict_scene,
+                            train)
 from relkit.relhead.model import forward_objects, pack_batch
 from relkit.synth import SynthConfig, generate
 
@@ -151,13 +154,13 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
                                                     monkeypatch):
     data, orm, _, params = world
     seen = []
-    original = train_mod.forward_scene
+    original = train_mod._pack_candidates
 
-    def recording(params, ex, toggles):
-        seen.append(ex)
-        return original(params, ex, toggles)
+    def recording(examples, e):
+        seen.extend(examples)
+        return original(examples, e)
 
-    monkeypatch.setattr(train_mod, "forward_scene", recording)
+    monkeypatch.setattr(train_mod, "_pack_candidates", recording)
     labels = data.object_vocab.labels
     for scene in data.test_scenes + data.train_scenes[:5]:
         predict_scene(params, scene, orm, data.object_vocab,
@@ -174,6 +177,54 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
             orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
             for s, o, _ in ex.edges]
         assert_same_sets(ex.candidate_embeddings, expected)
+
+
+@pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+def test_predict_batch_matches_per_scene_calls(world, protocol):
+    data, orm, _, params = world
+    rng = np.random.default_rng(17)
+    ragged = [random_instance(rng, n=n, n_edges=int(rng.integers(0, 2 * n)),
+                              n_obj_labels=len(data.object_vocab),
+                              n_pred_labels=len(data.predicate_vocab),
+                              d=data.config.d) for n in range(1, 13)]
+    bare = data.test_scenes[0]  # its edges, without pair features
+    bare = SceneInstance(bare.graph, bare.object_features)
+    scenes = data.test_scenes[:5] + ragged[:6] + [bare] + ragged[6:] + \
+        data.test_scenes[5:]
+    labels = data.object_vocab.labels
+    looked = [lookup(orm, labels[ids[s]], labels[ids[o]])
+              for scene in scenes for ids in [scene.graph.labels()]
+              for s, o in scene.pair_feature_map()]
+    assert any(r.backoff for r in looked)
+    assert any(OOV in dict(r.entries[:4]) for r in looked)
+    args = (orm, data.object_vocab, data.predicate_vocab, data.embeddings)
+    batch = predict_batch(params, scenes, *args, k_candidates=4,
+                          protocol=protocol)
+    assert len(batch) == len(scenes)
+    for scene, (pred, embs) in zip(scenes, batch):
+        one, one_embs = predict_scene(params, scene, *args, k_candidates=4,
+                                      protocol=protocol)
+        pairs = sorted(scene.pair_feature_map())
+        assert list(pred.pair_probs) == list(one.pair_probs) == pairs
+        assert list(embs) == list(one_embs) == pairs
+        for pair in pairs:
+            np.testing.assert_allclose(pred.pair_probs[pair],
+                                       one.pair_probs[pair], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(embs[pair], one_embs[pair],
+                                       rtol=0, atol=1e-12)
+        if protocol == "predcls":
+            assert pred.object_probs is None and one.object_probs is None
+        else:
+            assert pred.object_probs.shape == (scene.graph.n_objects,
+                                               len(data.object_vocab))
+            np.testing.assert_allclose(pred.object_probs, one.object_probs,
+                                       rtol=0, atol=1e-12)
+
+
+def test_predict_batch_of_nothing_is_empty(world):
+    data, orm, _, params = world
+    assert predict_batch(params, [], orm, data.object_vocab,
+                         data.predicate_vocab, data.embeddings) == []
 
 
 @pytest.mark.parametrize("k", [0, -1])

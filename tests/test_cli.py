@@ -74,9 +74,16 @@ class TestParse:
         '{"subject": "a", "predicate": "r", "object": "b", "weight": 1e400}',
         '{"subject": "a", "predicate": "r", "object": "b", "weight": 0}',
         '{"subject": "", "predicate": "r", "object": "b"}',
-        '["a", "r", "b"]', '"a r b"'], ids=["weight-string", "weight-inf",
-                                            "weight-zero", "empty-field",
-                                            "list", "string"])
+        '["a", "r", "b"]', '"a r b"',
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": 1.9}',
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": true}',
+        '{"subject": "a", "predicate": "r", "object": "b", "weight": "2"}',
+        r'{"subject": "a\tb", "predicate": "on", "object": "c"}',
+        r'{"subject": "a", "predicate": "on\nit", "object": "c"}',
+        r'{"subject": "a", "predicate": "on", "object": "c\r"}'],
+        ids=["weight-string", "weight-inf", "weight-zero", "empty-field",
+             "list", "string", "weight-float", "weight-bool",
+             "weight-numeric-string", "tab", "newline", "carriage-return"])
     def test_malformed_triplet_is_located_data_error(self, tmp_path, capsys,
                                                      command, line):
         infile = tmp_path / "triplets.jsonl"
@@ -258,6 +265,22 @@ class TestEval:
                    "--protocol", protocol) == 3
         assert f"{args[1]}:1: scene has 3 objects but no object_features" \
             in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["eval"], ["zeroshot", "--labels"]])
+    def test_wrong_feature_width_names_the_scene(self, workspace, tmp_path,
+                                                 capsys, command):
+        lines = (workspace["data"] / "test.jsonl").read_text().splitlines()
+        doc = json.loads(lines[2])
+        for row in doc["object_features"]:
+            row.append(0.5)
+        lines[2] = json.dumps(doc)
+        args = model_args(workspace)
+        args[1] = str(tmp_path / "s.jsonl")
+        (tmp_path / "s.jsonl").write_text("\n".join(lines) + "\n")
+        if command[0] == "zeroshot":
+            command = command + [str(workspace["data"] / "heldout.txt")]
+        assert run(*command, *args, "--checkpoint", str(workspace["ckpt"])) == 2
+        assert "scene 2: object features have shape" in capsys.readouterr().err
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"

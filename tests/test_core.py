@@ -41,6 +41,11 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             Vocabulary.make([("a", 1), ("a", 2)])
 
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb"])
+    def test_rejects_a_label_that_breaks_a_tsv_line(self, label):
+        with pytest.raises(FormatError, match="tab or line break"):
+            Vocabulary.make([("x", 1), (label, 2)])
+
     def test_rejects_negative_counts(self):
         with pytest.raises(FormatError):
             Vocabulary.make([("a", -1)])

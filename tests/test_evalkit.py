@@ -5,9 +5,10 @@ from helpers import random_box, random_instance
 from relkit.core import SceneGraph, SceneInstance, Vocabulary
 from relkit.embed import EmbeddingTable, cosine
 from relkit.errors import NumericError
-from relkit.evalkit import (ScenePrediction, TripletPrediction, longtail_split,
-                            predcls_eval, ranked_predicates, recall_at_k,
-                            sgcls_eval, synonym_report, topk_accuracy)
+from relkit.evalkit import (ScenePrediction, TripletPrediction, _scene_triplets,
+                            longtail_split, predcls_eval, ranked_predicates,
+                            recall_at_k, sgcls_eval, synonym_report,
+                            topk_accuracy)
 
 
 def graph_with_edges(edges, n=4):
@@ -254,3 +255,67 @@ class TestSynonymReport:
 
 def test_ranked_predicates_tie_break():
     assert ranked_predicates(np.array([0.4, 0.4, 0.2])) == [0, 1, 2]
+
+
+def sorted_rank(probs):
+    """The sorted rule: descending probability, ties ascending id."""
+    return sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+
+
+def planted_vector(rng, width):
+    """Random probabilities with exact zeros and planted ties."""
+    v = rng.random(width)
+    v[rng.random(width) < 0.25] = 0.0
+    for _ in range(int(rng.integers(0, 4)) if width > 1 else 0):
+        i, j = rng.choice(width, size=2, replace=False)
+        v[j] = v[i]
+    return v if rng.random() > 0.05 else np.zeros(width)
+
+
+def test_numpy_ranking_matches_the_sorted_rule():
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        v = planted_vector(rng, int(rng.integers(1, 21)))
+        expected = sorted_rank(v)
+        assert ranked_predicates(v) == expected
+        (best,) = _scene_triplets(ScenePrediction({(0, 1): v}),
+                                  graph_constraint=True)
+        assert (best.predicate, best.confidence) == (expected[0],
+                                                     float(v[expected[0]]))
+
+
+def reference_sgcls_recall(preds, scenes, k):
+    """SG-Cls R@K with labels and predicates picked by the sorted rule."""
+    values = []
+    for pred, scene in zip(preds, scenes):
+        rows = pred.object_probs
+        labels = [sorted_rank(row)[0] for row in rows]
+        gt = scene.graph.labels()
+        scored = []
+        for (s, o), probs in pred.pair_probs.items():
+            p = sorted_rank(probs)[0]
+            conf = float(rows[s][labels[s]]) * float(rows[o][labels[o]]) * float(probs[p])
+            ok = labels[s] == gt[s] and labels[o] == gt[o]
+            scored.append((-conf, s, o, p if ok else -1))
+        top = {(s, o, p) for _, s, o, p in sorted(scored)[:k]}
+        values.append(len(set(scene.graph.edges) & top) / len(scene.graph.edges))
+    return float(np.mean(values))
+
+
+def test_sgcls_labels_match_the_sorted_rule():
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        scenes = [random_instance(rng, n=4, n_edges=int(rng.integers(1, 6)))
+                  for _ in range(3)]
+        preds = []
+        for scene in scenes:
+            rows = np.array([planted_vector(rng, 4) for _ in scene.graph.labels()])
+            for i, label in enumerate(scene.graph.labels()):
+                if rng.random() < 0.5:  # tie the true label with another one
+                    rows[i, label] = rows[i].max()
+            pair_probs = {(s, o): planted_vector(rng, 5)
+                          for s, o, _ in scene.graph.edges}
+            preds.append(ScenePrediction(pair_probs, rows))
+        got = sgcls_eval(preds, scenes, recall_ks=(1, 2, 50))
+        for k in (1, 2, 50):
+            assert got[f"R@{k}"] == reference_sgcls_recall(preds, scenes, k)

@@ -239,10 +239,10 @@ def cmd_zeroshot(args) -> int:
             ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
             gt_names.append(predicate_vocab.labels[p])
             lines.append(f"{si}\t{s}\t{o}\t{gt_names[-1]}\t{','.join(ranked_lists[-1])}\n")
+    accuracies = [evalkit.topk_accuracy(ranked_lists, gt_names, k) for k in ks]
     with _output(args) as out:  # written only once every scene is scored
         out.writelines(lines)
-        for k in ks:
-            acc = evalkit.topk_accuracy(ranked_lists, gt_names, k)
+        for k, acc in zip(ks, accuracies):
             out.write(f"top{k}_accuracy\t{acc:.6f}\n")
     return 0
 

@@ -14,7 +14,8 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .core import Vocabulary
 from .errors import FormatError, TextFile
@@ -93,9 +94,6 @@ class TripletCorpus:
     def add(self, triplet: Triplet) -> None:
         self.counts[triplet.key()] = self.counts.get(triplet.key(), 0) + triplet.weight
 
-    def triplets(self) -> List[Triplet]:
-        return [Triplet(s, r, o, w) for (s, r, o), w in sorted(self.counts.items())]
-
     def total_weight(self) -> int:
         return sum(self.counts.values())
 
@@ -107,58 +105,63 @@ def _is_predicate_token(token: str, lexicon: Set[str]) -> bool:
     return token in lexicon or token.endswith("ing") or token.endswith("s")
 
 
+class _Grammar:
+    """The clause grammar. `words` memoises each raw whitespace token's
+    normalized words, paired with whether each is predicate-like, so the
+    stop-word rule stays per raw token; it lives for one call and grows with
+    the number of distinct raw tokens."""
+
+    def __init__(self, stoplist: Optional[Set[str]], lexicon: Optional[Set[str]]):
+        self.stoplist = DEFAULT_STOPLIST if stoplist is None else stoplist
+        self.lexicon = DEFAULT_PREDICATE_LEXICON if lexicon is None else lexicon
+        self.words: Dict[str, Tuple[Tuple[str, bool], ...]] = {}
+
+    def keys(self, line: str) -> Iterator[Tuple[str, str, str]]:
+        """Yield at most one (subject, predicate, object) key per clause."""
+        memo = self.words
+        for clause in _CLAUSE_SPLIT.split(line):
+            tokens: List[Tuple[str, bool]] = []
+            for raw in clause.split():
+                words = memo.get(raw)
+                if words is None:
+                    norm = normalize_token(raw, self.stoplist)
+                    words = memo[raw] = () if norm is None else tuple(
+                        (w, _is_predicate_token(w, self.lexicon))
+                        for w in norm.split())
+                tokens += words
+            n, i = len(tokens), 0
+            while i < n and not tokens[i][1]:
+                i += 1
+            j = i
+            while j < n and tokens[j][1]:
+                j += 1
+            k = j
+            while k < n and not tokens[k][1]:
+                k += 1
+            if 0 < i < j < k:  # subject, predicate and object runs
+                yield (tokens[i - 1][0], " ".join(w for w, _ in tokens[i:j]),
+                       tokens[k - 1][0])
+
+
 def extract_triplets(sentence: str,
                      stoplist: Optional[Set[str]] = None,
                      predicate_lexicon: Optional[Set[str]] = None) -> List[Triplet]:
     """Extract at most one (subject, predicate, object) triplet per clause."""
-    if stoplist is None:
-        stoplist = DEFAULT_STOPLIST
-    if predicate_lexicon is None:
-        predicate_lexicon = DEFAULT_PREDICATE_LEXICON
-    out: List[Triplet] = []
-    for clause in _CLAUSE_SPLIT.split(sentence):
-        tokens: List[str] = []
-        for raw in clause.split():
-            norm = normalize_token(raw, stoplist)
-            if norm is not None:
-                tokens.extend(norm.split())
-        triplet = _parse_clause(tokens, predicate_lexicon)
-        if triplet is not None:
-            out.append(triplet)
-    return out
-
-
-def _parse_clause(tokens: List[str], lexicon: Set[str]) -> Optional[Triplet]:
-    i, n = 0, len(tokens)
-    subject_run: List[str] = []
-    while i < n and not _is_predicate_token(tokens[i], lexicon):
-        subject_run.append(tokens[i])
-        i += 1
-    if not subject_run:
-        return None
-    predicate_run: List[str] = []
-    while i < n and _is_predicate_token(tokens[i], lexicon):
-        predicate_run.append(tokens[i])
-        i += 1
-    if not predicate_run:
-        return None
-    object_run: List[str] = []
-    while i < n and not _is_predicate_token(tokens[i], lexicon):
-        object_run.append(tokens[i])
-        i += 1
-    if not object_run:
-        return None
-    return Triplet(subject_run[-1], " ".join(predicate_run), object_run[-1])
+    return [Triplet(*k)
+            for k in _Grammar(stoplist, predicate_lexicon).keys(sentence)]
 
 
 def extract_from_text(text: str,
                       stoplist: Optional[Set[str]] = None,
                       predicate_lexicon: Optional[Set[str]] = None,
                       source: str = "<text>") -> TripletCorpus:
+    # The grammar's keys need no Triplet check: every field is a non-empty
+    # [a-z] word or a space-joined run of them, and each clause weighs 1.
     corpus = TripletCorpus(provenance=[source])
+    counts, keys = corpus.counts, _Grammar(stoplist, predicate_lexicon).keys
     for line in text.splitlines():
-        for triplet in extract_triplets(line, stoplist, predicate_lexicon):
-            corpus.add(triplet)
+        for key in keys(line):
+            counts[key] = counts.get(key, 0) + 1
     return corpus
 
 
@@ -178,12 +181,19 @@ def ingest_triplet_file(path) -> TripletCorpus:
 
 
 def save_triplet_file(corpus: TripletCorpus, path) -> None:
+    """One json.dumps(sort_keys=True) line per key, in key order. The keys
+    are checked before the file is opened; a bad one raises as its Triplet
+    would."""
+    items = sorted(corpus.counts.items())
+    fields = "".join(s + r + o for (s, r, o), _ in items)
+    if ("\t" in fields or "\n" in fields or "\r" in fields
+            or not all(s and r and o and w >= 1 for (s, r, o), w in items)):
+        for (s, r, o), w in items:
+            Triplet(s, r, o, w)
     with open(path, "w") as fh:
-        for t in corpus.triplets():
-            fh.write(json.dumps(
-                {"subject": t.subject, "predicate": t.predicate,
-                 "object": t.object, "weight": t.weight},
-                sort_keys=True) + "\n")
+        fh.writelines(f'{{"object": {_json_str(o)}, "predicate": {_json_str(r)}, '
+                      f'"subject": {_json_str(s)}, "weight": {w}}}\n'
+                      for (s, r, o), w in items)
 
 
 def filter_vocabulary(corpus: TripletCorpus, min_count: int

@@ -68,7 +68,7 @@ def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
     if k < 1:
         raise NumericError("topk_accuracy requires k >= 1")
     if not gt_labels:
-        return 0.0
+        raise NumericError("top-k accuracy undefined: no edge was scored")
     hits = sum(1 for ranked, gt in zip(ranked_labels, gt_labels)
                if gt in list(ranked)[:k])
     return hits / len(gt_labels)

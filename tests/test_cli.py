@@ -399,6 +399,20 @@ class TestZeroshot:
                    "--labels", str(labels), "--topk", "1") == 3
         assert f"relkit: error: {labels}: {message}" in capsys.readouterr().err
 
+    def test_empty_scenes_file_is_numeric_error(self, workspace, tmp_path,
+                                                capsys):
+        scenes = tmp_path / "s.jsonl"
+        scenes.write_text("")
+        args = model_args(workspace)
+        args[1] = str(scenes)
+        out = tmp_path / "zs.tsv"
+        assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(workspace["data"] / "heldout.txt"),
+                   "--topk", "5", "--out", str(out)) == 4
+        assert "no edge was scored" in capsys.readouterr().err
+        assert not out.exists()
+        assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 4
+
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_bytes(b"relaa\nrel\xe9b\n")

@@ -96,6 +96,10 @@ class TestTopkAccuracy:
     def test_never_in_list(self):
         assert topk_accuracy([[3, 1], [2, 0]], [5, 5], 10) == 0.0
 
+    def test_no_instances_is_numeric_error(self):
+        with pytest.raises(NumericError, match="no edge was scored"):
+            topk_accuracy([], [], 5)
+
     def test_mixed_case_vs_direct_count(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

@@ -76,7 +76,7 @@ def cmd_parse(args) -> int:
         corpus = corpusmod.extract_from_text(text, stoplist, lexicon,
                                              source=str(args.infile))
     if args.min_count and args.min_count > 1:
-        corpus, _, _ = corpusmod.filter_vocabulary(corpus, args.min_count)
+        corpus = corpusmod.filter_vocabulary(corpus, args.min_count)
     corpusmod.save_triplet_file(corpus, args.out)
     print(corpus.total_weight())
     return 0

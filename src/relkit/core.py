@@ -174,12 +174,12 @@ def scene_from_dict(doc: dict) -> SceneInstance:
                if type(v) is not int]
         if bad:  # bool and float are not ids
             raise TypeError(f"id {bad[0]!r} is not an integer")
-        pairs: Dict[Tuple[int, int], List[float]] = {}
+        pairs: Dict[Tuple[int, int], Sequence[float]] = {}
         for key, vec in doc.get("pair_features", {}).items():
             pair = tuple(map(int, key.split(",")))
             if pair in pairs:
                 raise ValueError(f"pair_features key {key!r} repeats {pair}")
-            pairs[pair] = [float(v) for v in vec]
+            pairs[pair] = vec  # make() converts, inside this guard
         return SceneInstance.make(SceneGraph.make(objects, edges),
                                   doc.get("object_features", []), pairs)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:

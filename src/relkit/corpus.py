@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .core import Vocabulary
 from .errors import FormatError, TextFile
 
 # Articles, pronouns, copulas and similar function words dropped before
@@ -196,13 +195,10 @@ def save_triplet_file(corpus: TripletCorpus, path) -> None:
                       for (s, r, o), w in items)
 
 
-def filter_vocabulary(corpus: TripletCorpus, min_count: int
-                      ) -> Tuple[TripletCorpus, Vocabulary, Vocabulary]:
+def filter_vocabulary(corpus: TripletCorpus, min_count: int) -> TripletCorpus:
     """Drop triplets whose subject, object or predicate is rarer than min_count.
 
-    Counts are measured once on the input corpus (single pass, no iteration);
-    the returned vocabularies carry those input-corpus counts for the labels
-    that survive.
+    Counts are measured once on the input corpus (single pass, no iteration).
     """
     if min_count < 1:
         raise FormatError("min_count must be >= 1")
@@ -213,17 +209,11 @@ def filter_vocabulary(corpus: TripletCorpus, min_count: int
         obj_counts[o] += w
         pred_counts[r] += w
     filtered = TripletCorpus(provenance=list(corpus.provenance))
-    kept_objs: Set[str] = set()
-    kept_preds: Set[str] = set()
     for (s, r, o), w in corpus.counts.items():
         if (obj_counts[s] >= min_count and obj_counts[o] >= min_count
                 and pred_counts[r] >= min_count):
             filtered.counts[(s, r, o)] = w
-            kept_objs.update((s, o))
-            kept_preds.add(r)
-    obj_vocab = Vocabulary.make([(l, obj_counts[l]) for l in sorted(kept_objs)])
-    pred_vocab = Vocabulary.make([(l, pred_counts[l]) for l in sorted(kept_preds)])
-    return filtered, obj_vocab, pred_vocab
+    return filtered
 
 
 def load_wordlist(path) -> Set[str]:

@@ -43,23 +43,39 @@ class ScenePrediction:
     object_probs: Optional[np.ndarray] = None
 
 
-def _top_k_matches(predictions: Sequence[TripletPrediction],
-                   gt_edges: set, k: int) -> int:
-    """Ground-truth edges among the K most confident predictions."""
-    top = sorted(predictions,
-                 key=lambda t: (-t.confidence, t.subject, t.object, t.predicate))[:k]
-    return len(gt_edges & {(t.subject, t.object, t.predicate) for t in top})
+# A scored triplet is a row (-confidence, subject, object, predicate): the
+# tuple's natural order is the ranking rule, descending confidence, then
+# ascending subject, object and predicate.
+Row = Tuple[float, int, int, int]
+
+
+def _recalls(per_scene: Sequence[Tuple[List[Row], SceneGraph]],
+             ks: Sequence[int], micro: bool) -> List[float]:
+    """Recall@K for every K, sorting each scene's rows once: micro pools the
+    ground-truth edges, macro averages over the scenes that have edges."""
+    if any(k < 1 for k in ks):
+        raise NumericError("recall_at_k requires K >= 1")
+    table = []  # per scene with edges: (edge count, distinct edges in top K per K)
+    for rows, gt in per_scene:
+        gt_edges = set(gt.edges)
+        if gt_edges:
+            top = [row[1:] for row in sorted(rows)[:max(ks, default=0)]]
+            table.append((len(gt_edges),
+                          [len(gt_edges.intersection(top[:k])) for k in ks]))
+    if ks and not table:
+        raise NumericError("recall undefined for empty ground truth")
+    if micro:
+        total = sum(n for n, _ in table)
+        return [sum(hits[i] for _, hits in table) / total for i in range(len(ks))]
+    return [float(np.mean([hits[i] / n for n, hits in table]))
+            for i in range(len(ks))]
 
 
 def recall_at_k(predictions: Sequence[TripletPrediction],
                 ground_truth: SceneGraph, k: int) -> float:
     """Fraction of ground-truth edges among the top-K confident predictions."""
-    if k < 1:
-        raise NumericError("recall_at_k requires K >= 1")
-    gt_edges = set(ground_truth.edges)
-    if not gt_edges:
-        raise NumericError("recall undefined for empty ground truth")
-    return _top_k_matches(predictions, gt_edges, k) / len(gt_edges)
+    rows = [(-t.confidence, t.subject, t.object, t.predicate) for t in predictions]
+    return _recalls([(rows, ground_truth)], [k], micro=True)[0]
 
 
 def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
@@ -79,34 +95,15 @@ def ranked_predicates(probs: np.ndarray) -> List[int]:
     return np.argsort(-np.asarray(probs), kind="stable").tolist()
 
 
-def _scene_triplets(pred: ScenePrediction, graph_constraint: bool
-                    ) -> List[TripletPrediction]:
-    out: List[TripletPrediction] = []
+def _scene_rows(pred: ScenePrediction, graph_constraint: bool) -> List[Row]:
+    rows: List[Row] = []
     for (s, o), probs in pred.pair_probs.items():
         if graph_constraint:
             best = int(np.argmax(probs))  # ties: the lowest id
-            out.append(TripletPrediction(s, o, best, float(probs[best])))
+            rows.append((-float(probs[best]), s, o, best))
         else:
-            for p, conf in enumerate(probs):
-                out.append(TripletPrediction(s, o, p, float(conf)))
-    return out
-
-
-def _recall_over_scenes(per_scene: List[Tuple[List[TripletPrediction], SceneGraph]],
-                        k: int, micro: bool) -> float:
-    if micro:
-        matched = total = 0
-        for preds, gt in per_scene:
-            gt_edges = set(gt.edges)
-            matched += _top_k_matches(preds, gt_edges, k)
-            total += len(gt_edges)
-        if total == 0:
-            raise NumericError("recall undefined for empty ground truth")
-        return matched / total
-    values = [recall_at_k(preds, gt, k) for preds, gt in per_scene if gt.edges]
-    if not values:
-        raise NumericError("recall undefined for empty ground truth")
-    return float(np.mean(values))
+            rows.extend((-float(conf), s, o, p) for p, conf in enumerate(probs))
+    return rows
 
 
 def predcls_eval(predictions: Sequence[ScenePrediction],
@@ -120,14 +117,13 @@ def predcls_eval(predictions: Sequence[ScenePrediction],
     ranked: List[List[int]] = []
     gts: List[int] = []
     for pred, scene in zip(predictions, scenes):
-        triplets = _scene_triplets(pred, graph_constraint)
-        per_scene.append((triplets, scene.graph))
+        per_scene.append((_scene_rows(pred, graph_constraint), scene.graph))
         for s, o, p in scene.graph.edges:
             probs = pred.pair_probs.get((s, o))
             ranked.append([] if probs is None else ranked_predicates(probs))
             gts.append(p)
-    metrics = {f"R@{k}": _recall_over_scenes(per_scene, k, micro)
-               for k in recall_ks}
+    metrics = dict(zip([f"R@{k}" for k in recall_ks],
+                       _recalls(per_scene, recall_ks, micro)))
     for k in accuracy_ks:
         metrics[f"top{k}"] = topk_accuracy(ranked, gts, k)
     return metrics
@@ -146,21 +142,17 @@ def sgcls_eval(predictions: Sequence[ScenePrediction],
         if pred.object_probs is None:
             raise NumericError("sgcls_eval requires object probability outputs")
         obj_probs = np.asarray(pred.object_probs, dtype=np.float64)
-        pred_labels = obj_probs.argmax(axis=1).tolist()
-        label_probs = obj_probs.max(axis=1).tolist()
-        gt_labels = scene.graph.labels()
-        triplets = []
-        for t in _scene_triplets(pred, graph_constraint):
-            conf = label_probs[t.subject] * label_probs[t.object] * t.confidence
-            labels_ok = (pred_labels[t.subject] == gt_labels[t.subject]
-                         and pred_labels[t.object] == gt_labels[t.object])
-            # a wrong-label triplet still occupies a top-K slot, but can
-            # never match: give it an unmatched predicate id
-            predicate = t.predicate if labels_ok else -1
-            triplets.append(TripletPrediction(t.subject, t.object, predicate, conf))
-        per_scene.append((triplets, scene.graph))
-    return {f"R@{k}": _recall_over_scenes(per_scene, k, micro)
-            for k in recall_ks}
+        label_prob = obj_probs.max(axis=1).tolist()
+        label_ok = [a == b for a, b in
+                    zip(obj_probs.argmax(axis=1).tolist(), scene.graph.labels())]
+        # a wrong-label row still occupies a top-K slot, but can never
+        # match: it gets an unmatched predicate id
+        per_scene.append(([(-(label_prob[s] * label_prob[o] * -neg), s, o,
+                            p if label_ok[s] and label_ok[o] else -1)
+                           for neg, s, o, p in _scene_rows(pred, graph_constraint)],
+                          scene.graph))
+    return dict(zip([f"R@{k}" for k in recall_ks],
+                    _recalls(per_scene, recall_ks, micro)))
 
 
 def longtail_split(vocab: Vocabulary, threshold: int = 1024

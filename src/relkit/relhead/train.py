@@ -76,6 +76,16 @@ def build_example(instance: SceneInstance,
     return _scene_example(instance, instance.graph.edges, pair_feats, targets)
 
 
+def _object_names(object_vocab: Vocabulary, ids: Sequence[int], where: str
+                  ) -> List[str]:
+    """The vocabulary names of object label ids; an id outside it is a ConfigError."""
+    bad = [i for i in ids if not 0 <= i < len(object_vocab)]
+    if bad:
+        raise ConfigError(f"{where}: object label {bad[0]} outside the "
+                          f"{len(object_vocab)}-label object vocabulary")
+    return [object_vocab.labels[i] for i in ids]
+
+
 def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
 
@@ -90,7 +100,8 @@ class CandidateIndex:
         self.orm, self.cfg, self.table = orm, cfg, table
         tops, self.drawn = [], []  # drawn: edge row, scene, edge, subject, object
         for si, ex in enumerate(examples):
-            labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
+            labels = _object_names(object_vocab, ex.object_labels.tolist(),
+                                   f"scene {si}")
             for ei, (i, j, _p) in enumerate(ex.edges):
                 top = lookup(orm, labels[i], labels[j], backoff=cfg.orm_backoff)
                 tops.append([r for r, _ in top.entries[:cfg.m_candidates]])
@@ -206,12 +217,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     objects = forward_objects(params, packed, toggles)
     label_ids = (packed.labels if protocol == "predcls"
                  else objects[1].argmax(axis=1)).tolist()
-    try:  # the ids are >= 0
-        labels = [object_vocab.labels[i] for i in label_ids]
-    except IndexError:
-        bad = next(i for i in label_ids if i >= len(object_vocab))
-        raise ConfigError(f"{protocol}: object label {bad} outside the "
-                          f"{len(object_vocab)}-label object vocabulary") from None
+    labels = _object_names(object_vocab, label_ids, protocol)
     # deterministic at eval time: the K most probable candidates, no draw
     sets = (embed_phrases(table, [r for r, _ in lookup(
         orm, labels[s], labels[o], backoff=orm_backoff).entries[:k_candidates]],

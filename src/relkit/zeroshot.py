@@ -56,5 +56,5 @@ def topk(probabilities: np.ndarray, labels: Sequence[str], k: int) -> List[str]:
     """k highest-probability labels, descending; ties by ascending label."""
     if k < 1:
         raise NumericError("k must be >= 1")
-    order = sorted(range(len(labels)), key=lambda i: (-probabilities[i], labels[i]))
-    return [labels[i] for i in order[:k]]
+    ranked = sorted(zip([-p for p in probabilities.tolist()], labels))
+    return [label for _, label in ranked[:k]]

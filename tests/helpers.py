@@ -73,3 +73,13 @@ def random_instance(rng, n=3, n_edges=2, n_obj_labels=4, n_pred_labels=5,
     feats = rng.normal(size=(n, d))
     pf = {(s, o): rng.normal(size=d) for s, o, _ in edges}
     return SceneInstance.make(SceneGraph.make(objects, edges), feats, pf)
+
+
+def planted_vector(rng, width):
+    """Random probabilities with exact zeros and planted ties."""
+    v = rng.random(width)
+    v[rng.random(width) < 0.25] = 0.0
+    for _ in range(int(rng.integers(0, 4)) if width > 1 else 0):
+        i, j = rng.choice(width, size=2, replace=False)
+        v[j] = v[i]
+    return v if rng.random() > 0.05 else np.zeros(width)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from relkit.core import SceneInstance
+from relkit.core import SceneInstance, Vocabulary
 from relkit.corpus import Triplet, TripletCorpus
 from relkit.embed import embed_phrase, embed_phrases
 from relkit.errors import ConfigError, OutOfVocabularyError
@@ -379,6 +379,16 @@ def test_strict_oov_raises_in_both_paths(world):
     for run in (train, per_edge_train):
         with pytest.raises(OutOfVocabularyError, match="'zorp blick'"):
             run(cfg, *args)
+
+
+def test_train_object_label_outside_vocabulary_is_config_error(world):
+    data, orm, examples, params = world
+    small = Vocabulary.make([(l, 1) for l in data.object_vocab.labels[:2]])
+    si, label = next((si, i) for si, ex in enumerate(examples)
+                     for i in ex.object_labels.tolist() if i >= 2)
+    with pytest.raises(ConfigError, match=f"^scene {si}: object label {label} "
+                       "outside the 2-label object vocabulary$"):
+        train(TrainConfig(epochs=1), examples, orm, small, data.embeddings, params)
 
 
 def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):

@@ -113,24 +113,22 @@ class TestFilterVocabulary:
     def test_min_count_one_is_identity(self):
         rng = np.random.default_rng(4)
         corpus = random_corpus(rng, 200, 10)
-        filtered, _, _ = filter_vocabulary(corpus, 1)
+        filtered = filter_vocabulary(corpus, 1)
         assert filtered.counts == corpus.counts
 
     def test_threshold_boundary(self):
         corpus = TripletCorpus()
         corpus.add(Triplet("a", "rare", "b", weight=99))
         corpus.add(Triplet("a", "common", "b", weight=100))
-        filtered, _, preds = filter_vocabulary(corpus, 100)
-        assert ("a", "rare", "b") not in filtered.counts
-        assert ("a", "common", "b") in filtered.counts
-        assert preds.labels == ("common",)
+        filtered = filter_vocabulary(corpus, 100)
+        assert list(filtered.counts) == [("a", "common", "b")]
 
     def test_matches_brute_force_recount(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             corpus = random_corpus(rng, 300, 8)
             min_count = int(rng.integers(1, 30))
-            filtered, obj_v, pred_v = filter_vocabulary(corpus, min_count)
+            filtered = filter_vocabulary(corpus, min_count)
             # independent recount
             oc, pc = Counter(), Counter()
             for (s, r, o), w in corpus.counts.items():
@@ -141,17 +139,13 @@ class TestFilterVocabulary:
                         if oc[k[0]] >= min_count and pc[k[1]] >= min_count
                         and oc[k[2]] >= min_count}
             assert filtered.counts == expected
-            for label, count in zip(obj_v.labels, obj_v.counts):
-                assert count == oc[label]
-            for label, count in zip(pred_v.labels, pred_v.counts):
-                assert count == pc[label]
 
     def test_monotone_in_min_count(self):
         rng = np.random.default_rng(6)
         corpus = random_corpus(rng, 300, 8)
         previous = None
         for min_count in (1, 2, 4, 8, 16):
-            filtered, _, _ = filter_vocabulary(corpus, min_count)
+            filtered = filter_vocabulary(corpus, min_count)
             keys = set(filtered.counts)
             if previous is not None:
                 assert keys <= previous

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import random_box, random_instance
+from helpers import planted_vector, random_box, random_instance
 from relkit.core import SceneGraph, SceneInstance, Vocabulary
 from relkit.embed import EmbeddingTable, cosine
 from relkit.errors import NumericError
-from relkit.evalkit import (ScenePrediction, TripletPrediction, _scene_triplets,
+from relkit.evalkit import (ScenePrediction, TripletPrediction, _scene_rows,
                             longtail_split, predcls_eval, ranked_predicates,
                             recall_at_k, sgcls_eval, synonym_report,
                             topk_accuracy)
@@ -266,26 +266,15 @@ def sorted_rank(probs):
     return sorted(range(len(probs)), key=lambda i: (-probs[i], i))
 
 
-def planted_vector(rng, width):
-    """Random probabilities with exact zeros and planted ties."""
-    v = rng.random(width)
-    v[rng.random(width) < 0.25] = 0.0
-    for _ in range(int(rng.integers(0, 4)) if width > 1 else 0):
-        i, j = rng.choice(width, size=2, replace=False)
-        v[j] = v[i]
-    return v if rng.random() > 0.05 else np.zeros(width)
-
-
 def test_numpy_ranking_matches_the_sorted_rule():
     rng = np.random.default_rng(41)
     for _ in range(300):
         v = planted_vector(rng, int(rng.integers(1, 21)))
         expected = sorted_rank(v)
         assert ranked_predicates(v) == expected
-        (best,) = _scene_triplets(ScenePrediction({(0, 1): v}),
-                                  graph_constraint=True)
-        assert (best.predicate, best.confidence) == (expected[0],
-                                                     float(v[expected[0]]))
+        ((neg_conf, _, _, predicate),) = _scene_rows(
+            ScenePrediction({(0, 1): v}), graph_constraint=True)
+        assert (predicate, -neg_conf) == (expected[0], float(v[expected[0]]))
 
 
 def reference_sgcls_recall(preds, scenes, k):

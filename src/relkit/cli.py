@@ -92,6 +92,8 @@ def cmd_build_orm(args) -> int:
 
 
 def cmd_query(args) -> int:
+    if args.top < 1:
+        raise ConfigError(f"--top must be >= 1, got {args.top}")
     table = ormmod.load_orm(args.orm)
     if args.draw is not None:
         if args.seed is None:

@@ -7,6 +7,7 @@ fail loudly. Command-line flags always win over file values.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -44,6 +45,12 @@ class RunConfig:
     longtail_threshold: int = 1024
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type in ("float", float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        if self.zeroshot_temperature <= 0:
+            raise ConfigError("zeroshot_temperature must be > 0")
         if min(self.d, self.r, self.e) < 1:
             raise ConfigError("dimensions must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:

@@ -70,6 +70,11 @@ class Triplet:
     weight: int = 1
 
     def __post_init__(self):
+        for name in ("subject", "predicate", "object"):
+            if type(getattr(self, name)) is not str:  # JSON strings: 5 is not "5"
+                raise FormatError(f"{name} {getattr(self, name)!r} is not a string")
+        if type(self.weight) is not int:  # bool and float are not counts
+            raise FormatError(f"weight {self.weight!r} is not an integer")
         if not (self.subject and self.predicate and self.object):
             raise FormatError(f"triplet fields must be non-empty: {self}")
         if self.weight < 1:
@@ -171,11 +176,8 @@ def ingest_triplet_file(path) -> TripletCorpus:
         for line in lines:
             if line.strip():
                 doc = json.loads(line)
-                weight = doc.get("weight", 1)
-                if type(weight) is not int:  # bool and float are not counts
-                    raise FormatError(f"weight {weight!r} is not an integer")
-                corpus.add(Triplet(str(doc["subject"]), str(doc["predicate"]),
-                                   str(doc["object"]), weight))
+                corpus.add(Triplet(doc["subject"], doc["predicate"],
+                                   doc["object"], doc.get("weight", 1)))
     return corpus
 
 
@@ -186,7 +188,8 @@ def save_triplet_file(corpus: TripletCorpus, path) -> None:
     items = sorted(corpus.counts.items())
     fields = "".join(s + r + o for (s, r, o), _ in items)
     if ("\t" in fields or "\n" in fields or "\r" in fields
-            or not all(s and r and o and w >= 1 for (s, r, o), w in items)):
+            or not all(s and r and o and type(w) is int and w >= 1
+                       for (s, r, o), w in items)):
         for (s, r, o), w in items:
             Triplet(s, r, o, w)
     with open(path, "w") as fh:

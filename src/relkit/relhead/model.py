@@ -18,6 +18,7 @@ lambda2/(B m_b) and lambda3/(B m_b): the batch mean of per-scene means.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -296,15 +297,16 @@ def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
 
 def _pack_candidates(examples: Sequence[Example], e: int
                      ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    by_size: Dict[int, Tuple[List[int], List[np.ndarray]]] = {}
+    by_size = defaultdict(lambda: ([], []))  # set size -> edge rows, sets
     row = 0  # of the scene's first edge
     for s, ex in enumerate(examples):
         for k, c in enumerate(ex.candidate_embeddings[:len(ex.edges)]):
             if c is not None and len(c):
-                if np.shape(c) != (len(c), e):
+                # an attribute read per set; a list goes on to _expect_shape
+                if getattr(c, "shape", None) != (len(c), e):
                     _expect_shape(f"scene {s} edge {k}: candidate embeddings",
                                   c, (len(c), e))
-                rows, sets = by_size.setdefault(len(c), ([], []))
+                rows, sets = by_size[len(c)]
                 rows.append(row + k)
                 sets.append(c)
         row += len(ex.edges)

@@ -19,7 +19,7 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, Toggles, _expect_shape, _pack_candidates,
+from .model import (Example, Toggles, _pack_candidates,
                     forward_edges, forward_objects, loss_and_gradients,
                     pack_batch)
 # Unused here: the benchmark's tracer requires this module to name it.
@@ -76,77 +76,54 @@ def build_example(instance: SceneInstance,
     return _scene_example(instance, instance.graph.edges, pair_feats, targets)
 
 
-def _object_names(object_vocab: Vocabulary, ids: Sequence[int], where: str
-                  ) -> List[str]:
-    """The vocabulary names of object label ids; an id outside it is a ConfigError."""
-    bad = [i for i in ids if not 0 <= i < len(object_vocab)]
-    if bad:
-        raise ConfigError(f"{where}: object label {bad[0]} outside the "
-                          f"{len(object_vocab)}-label object vocabulary")
-    return [object_vocab.labels[i] for i in ids]
-
-
 def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
 
 
 class CandidateIndex:
-    """Every edge's candidate set as rows of one pooled phrase matrix. An
-    edge with at most K top-M phrases keeps them all as its set for the
-    whole run; `draw_candidates` draws the sets of the others."""
+    """Every edge's candidate set, as its example's `candidate_embeddings`
+    entry (None if empty). An edge with at most K top-M phrases keeps them
+    all as its set for the whole run, embedded once and read-only;
+    `draw_candidates` draws the sets of the others."""
 
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
-        tops, self.drawn = [], []  # drawn: edge row, scene, edge, subject, object
+        self.drawn = []  # example, scene, edge, subject, object
+        n = len(object_vocab)
+        for si, ex in enumerate(examples):  # every label before any lookup
+            bad = [i for i in ex.object_labels.tolist() if not 0 <= i < n]
+            if bad:
+                raise ConfigError(f"scene {si}: object label {bad[0]} outside "
+                                  f"the {n}-label object vocabulary")
         for si, ex in enumerate(examples):
-            labels = _object_names(object_vocab, ex.object_labels.tolist(),
-                                   f"scene {si}")
+            labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
+            ex.candidate_embeddings = [None] * len(ex.edges)
             for ei, (i, j, _p) in enumerate(ex.edges):
-                top = lookup(orm, labels[i], labels[j], backoff=cfg.orm_backoff)
-                tops.append([r for r, _ in top.entries[:cfg.m_candidates]])
-                if len(tops[-1]) > cfg.k_candidates:
-                    self.drawn.append((len(tops) - 1, si, ei, labels[i], labels[j]))
-        known = [p for p in dict.fromkeys(p for top in tops for p in top)
-                 if embed_phrases(table, [p], strict=False) is not None]
-        self.row_of = {p: r for r, p in enumerate(known)}
-        self.matrix = (embed_phrases(table, known, strict=False) if known  # (P, e)
-                       else np.zeros((0, table.dimension)))
-        self.sizes = np.zeros(len(tops), np.int64)  # (E,) set sizes
-        self.rows = np.zeros((len(tops), max(map(len, tops), default=0)), np.int64)
-        for edge, top in enumerate(tops):
-            if len(top) <= cfg.k_candidates:
-                self.put(edge, top)
-
-    def put(self, edge: int, phrases: Sequence[str]) -> None:
-        """Make the known phrases the edge's set; strict mode raises on others."""
-        rows = [self.row_of[p] for p in phrases if p in self.row_of]
-        if len(rows) < len(phrases) and self.cfg.strict_oov:
-            embed_phrases(self.table, phrases)  # raises on the first unknown
-        self.sizes[edge] = len(rows)
-        self.rows[edge, :len(rows)] = rows  # sets are left-aligned
+                top = [r for r, _ in lookup(orm, labels[i], labels[j],
+                                            backoff=cfg.orm_backoff
+                                            ).entries[:cfg.m_candidates]]
+                if len(top) > cfg.k_candidates:
+                    self.drawn.append((ex, si, ei, labels[i], labels[j]))
+                    continue
+                c = embed_phrases(table, top, cfg.strict_oov)
+                if c is not None:
+                    c.setflags(write=False)  # shared by every epoch
+                ex.candidate_embeddings[ei] = c
 
 
 def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
                     epoch: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Draw the sets of the edges with more than K phrases; return every
-    set, grouped as pack_batch groups them. Each edge's
-    `candidate_embeddings` entry becomes a view of its set (None if empty)."""
+    """Draw the sets of the edges with more than K phrases into their
+    `candidate_embeddings` entries; return every set, grouped as
+    pack_batch groups them."""
     cfg = index.cfg
-    for edge, si, ei, s, o in index.drawn:
-        index.put(edge, sample_candidates(
+    for ex, si, ei, s, o in index.drawn:
+        ex.candidate_embeddings[ei] = embed_phrases(index.table, sample_candidates(
             index.orm, s, o, cfg.m_candidates, cfg.k_candidates,
-            seed=_edge_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff))
-    groups, sets = [], [None] * len(index.sizes)
-    for k in np.unique(index.sizes[index.sizes > 0]).tolist():
-        edges = np.flatnonzero(index.sizes == k)
-        groups.append((edges, index.matrix[index.rows[edges, :k]]))
-        for edge, c in zip(edges.tolist(), groups[-1][1]):
-            sets[edge] = c
-    rest = iter(sets)
-    for ex in examples:
-        ex.candidate_embeddings = [next(rest) for _ in ex.edges]
-    return groups
+            seed=_edge_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff),
+            cfg.strict_oov)
+    return _pack_candidates(examples, index.table.dimension)
 
 
 def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
@@ -155,10 +132,11 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     """Run gradient descent; returns the final params and per-epoch losses."""
     if not examples:
         raise ConfigError("training requires a non-empty dataset")
+    if table.dimension != params.dims.e:
+        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
-    _expect_shape("phrase embeddings", index.matrix, (len(index.matrix), params.dims.e))
     losses: List[float] = []
     for epoch in range(cfg.epochs):
         packed.cand_groups = draw_candidates(examples, index, epoch)
@@ -215,15 +193,16 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
             [np.zeros(params.dims.e)] * len(pairs[-1])))
     packed = pack_batch(examples, params.dims)  # no candidates yet
     objects = forward_objects(params, packed, toggles)
-    label_ids = (packed.labels if protocol == "predcls"
-                 else objects[1].argmax(axis=1)).tolist()
-    labels = _object_names(object_vocab, label_ids, protocol)
-    # deterministic at eval time: the K most probable candidates, no draw
-    sets = (embed_phrases(table, [r for r, _ in lookup(
-        orm, labels[s], labels[o], backoff=orm_backoff).entries[:k_candidates]],
-        strict_oov) for s, o in packed.so_rows[:, :2].tolist())
-    for ex in examples:
-        ex.candidate_embeddings = [next(sets) for _ in ex.edges]
+    if protocol == "sgcls":  # look candidates up under the predicted labels
+        predicted, n0 = objects[1].argmax(axis=1), 0
+        for ex in examples:
+            ex.object_labels = predicted[n0:n0 + len(ex.features)]
+            n0 += len(ex.features)
+    # deterministic at eval time: with M = K every set is the K most
+    # probable candidates, and nothing is drawn
+    CandidateIndex(examples, orm, object_vocab, table, TrainConfig(
+        m_candidates=k_candidates, k_candidates=k_candidates,
+        orm_backoff=orm_backoff, strict_oov=strict_oov))
     packed.cand_groups = _pack_candidates(examples, params.dims.e)
     trace = forward_edges(params, packed, objects, toggles)
     out, n0, e0 = [], 0, 0

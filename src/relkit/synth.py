@@ -38,6 +38,12 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if min(self.n_object_labels, self.n_seen_predicates) < 1:
+            raise ConfigError("need at least one object label and one seen "
+                              "predicate")
+        if min(self.n_heldout_predicates, self.n_train_scenes,
+               self.n_test_scenes) < 0:
+            raise ConfigError("held-out predicate and scene counts must be >= 0")
         if self.objects_per_scene < 2:
             raise ConfigError("scenes need at least two objects")
         max_edges = self.objects_per_scene * (self.objects_per_scene - 1)

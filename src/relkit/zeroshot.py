@@ -43,7 +43,7 @@ def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix,
     norm = float(np.linalg.norm(v_hat))
     if norm == 0.0:
         raise NumericError("cosine undefined for a zero representation")
-    if temperature <= 0.0:
+    if not temperature > 0.0:  # NaN included
         raise NumericError("temperature must be positive")
     sims = labels.matrix @ v_hat / (labels.norms * norm)
     z = sims / temperature

@@ -16,7 +16,7 @@ import pytest
 from helpers import random_instance
 from relkit.core import SceneInstance, Vocabulary
 from relkit.corpus import Triplet, TripletCorpus
-from relkit.embed import embed_phrase, embed_phrases
+from relkit.embed import EmbeddingTable, embed_phrase, embed_phrases
 from relkit.errors import ConfigError, OutOfVocabularyError
 from relkit.orm import build_orm, lookup, sample_candidates
 from relkit.relhead import (CandidateIndex, Dims, Toggles, TrainConfig,
@@ -273,9 +273,18 @@ def test_writing_into_candidates_leaves_the_next_draw_alone(world):
                            cfg)
     draw_candidates(examples, index, 0)
     first = [None if c is None else c.copy() for c in drawn(examples)]
+    static = drawn_fresh = 0
     for c in drawn(examples):
-        if c is not None:
+        if c is None:
+            continue
+        if c.flags.writeable:  # drawn: a fresh array on every draw
             c[...] = 1e9
+            drawn_fresh += 1
+        else:  # static: shared by every epoch, so read-only
+            with pytest.raises(ValueError, match="read-only"):
+                c[...] = 1e9
+            static += 1
+    assert static and drawn_fresh == len(index.drawn)
     draw_candidates(examples, index, 0)
     assert_same_sets(drawn(examples), first)
     rows = embed_phrases(data.embeddings, ["relaa", TWO_TOKENS])
@@ -351,8 +360,6 @@ def test_index_draw_matches_per_edge_draw(backoff, strict):
             assert np.array_equal(rows, want_rows)
             assert sets.dtype == want_sets.dtype
             assert np.array_equal(sets, want_sets)
-            for row in rows.tolist():
-                assert np.shares_memory(drawn(examples)[row], sets)
     if not backoff:  # unseen pairs have no candidates
         assert any(c is None for c in drawn(examples))
 
@@ -389,6 +396,17 @@ def test_train_object_label_outside_vocabulary_is_config_error(world):
     with pytest.raises(ConfigError, match=f"^scene {si}: object label {label} "
                        "outside the 2-label object vocabulary$"):
         train(TrainConfig(epochs=1), examples, orm, small, data.embeddings, params)
+
+
+def test_train_table_width_other_than_e_is_config_error(world):
+    data, orm, examples, params = world
+    wide = EmbeddingTable(data.embeddings.dimension + 1,
+                          {t: np.append(v, 0.0)
+                           for t, v in data.embeddings.vectors.items()})
+    with pytest.raises(ConfigError, match=rf"^embedding table width "
+                       rf"{wide.dimension} != e = {params.dims.e}$"):
+        train(TrainConfig(epochs=1), examples, orm, data.object_vocab, wide,
+              params)
 
 
 def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):

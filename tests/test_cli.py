@@ -80,10 +80,14 @@ class TestParse:
         '{"subject": "a", "predicate": "r", "object": "b", "weight": "2"}',
         r'{"subject": "a\tb", "predicate": "on", "object": "c"}',
         r'{"subject": "a", "predicate": "on\nit", "object": "c"}',
-        r'{"subject": "a", "predicate": "on", "object": "c\r"}'],
+        r'{"subject": "a", "predicate": "on", "object": "c\r"}',
+        '{"subject": null, "predicate": "r", "object": "b"}',
+        '{"subject": "a", "predicate": ["on"], "object": "b"}',
+        '{"subject": "a", "predicate": "r", "object": 5}'],
         ids=["weight-string", "weight-inf", "weight-zero", "empty-field",
              "list", "string", "weight-float", "weight-bool",
-             "weight-numeric-string", "tab", "newline", "carriage-return"])
+             "weight-numeric-string", "tab", "newline", "carriage-return",
+             "null-field", "list-field", "number-field"])
     def test_malformed_triplet_is_located_data_error(self, tmp_path, capsys,
                                                      command, line):
         infile = tmp_path / "triplets.jsonl"
@@ -117,6 +121,16 @@ class TestQuery:
         assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
                    "--subject", "a", "--object", "b", "--draw", "2") == 2
 
+    @pytest.mark.parametrize("draw", [[], ["--draw", "2", "--seed", "7"]],
+                             ids=["lookup", "draw"])
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_config_error(self, workspace, capsys, top, draw):
+        assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
+                   "--subject", "a", "--object", "b", "--top", top, *draw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--top must be >= 1, got {top}" in captured.err
+
     def test_non_utf8_orm_is_data_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "orm.tsv"
         bad.write_bytes((workspace["data"] / "orm.tsv").read_bytes() + b"\xff\n")
@@ -148,6 +162,16 @@ class TestSynthCommand:
             assert (data / name).exists(), name
         heldout = (data / "heldout.txt").read_text().split()
         assert len(heldout) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--objects", "0"), ("--predicates", "0"), ("--heldout", "-1"),
+        ("--train-scenes", "-1"), ("--test-scenes", "-1")])
+    def test_count_out_of_range_is_config_error(self, tmp_path, capsys, flag,
+                                                value):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", str(out), flag, value) == 2
+        assert "relkit: error: " in capsys.readouterr().err
+        assert not (out / "train.jsonl").exists()
 
     def test_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -314,8 +338,8 @@ class TestEval:
             objects.write_text((workspace["data"] / "objects.tsv")
                                .read_text().splitlines()[0] + "\n")
             args[args.index("--objects") + 1] = str(objects)
-            message = (r"sgcls: object label \d+ outside the 1-label object "
-                       r"vocabulary")
+            message = (r": scene 0: object label \d+ outside the 1-label "
+                       r"object vocabulary")
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 2
@@ -519,6 +543,21 @@ class TestReport:
         assert run("report", "--config", str(cfgfile),
                    "--predicates", str(workspace["data"] / "predicates.tsv"),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 2
+
+    @pytest.mark.parametrize("line", [
+        "synonym_threshold = nan", "zeroshot_temperature = nan",
+        "zeroshot_temperature = inf", "zeroshot_temperature = 0",
+        "sigma = -inf"])
+    def test_non_finite_or_zero_temperature_is_config_error(
+            self, workspace, tmp_path, capsys, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        assert run("report", "--config", str(cfgfile),
+                   "--predicates", str(workspace["data"] / "predicates.tsv"),
+                   "--vectors", str(workspace["data"] / "vectors.txt")) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert line.split(" =")[0] in captured.err
 
     def test_non_utf8_predicates_is_data_error(self, workspace, tmp_path,
                                                 capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -25,6 +26,24 @@ class TestRunConfig:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(lambda2=-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)
+                                      if f.type in ("float", float)])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            RunConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -1.0])
+    def test_temperature_at_or_below_zero_rejected(self, value):
+        with pytest.raises(ConfigError, match="zeroshot_temperature must be > 0"):
+            RunConfig(zeroshot_temperature=value)
+
+    def test_nan_from_file_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("synonym_threshold = nan\n")
+        with pytest.raises(ConfigError, match="synonym_threshold must be finite"):
+            load_config(path)
 
 
 class TestConfigFile:

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -107,6 +108,36 @@ class TestIngest:
         path = tmp_path / "c.jsonl"
         save_triplet_file(corpus, path)
         assert ingest_triplet_file(path).counts == corpus.counts
+
+    def test_non_string_fields_are_not_coerced(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"subject": "a", "predicate": "r", "object": "b"}\n'
+                        '{"subject": null, "predicate": ["on"], "object": 5}\n')
+        with pytest.raises(FormatError, match=r":2: subject None is not a string$"):
+            ingest_triplet_file(path)
+
+
+class TestTripletKeyRule:
+    @pytest.mark.parametrize("fields, message", [
+        ((5, "on", "bench"), "subject 5 is not a string"),
+        (("dog", None, "bench"), "predicate None is not a string"),
+        (("dog", "on", b"bench"), "object b'bench' is not a string"),
+        (("dog", "on", "bench", 2.5), "weight 2.5 is not an integer"),
+        (("dog", "on", "bench", True), "weight True is not an integer"),
+        (("dog", "on", "bench", "2"), "weight '2' is not an integer")])
+    def test_wrong_type_is_format_error(self, fields, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            Triplet(*fields)
+
+    @pytest.mark.parametrize("weight", [2.5, True, 2.0])
+    def test_writer_rejects_what_the_reader_would(self, tmp_path, weight):
+        corpus = TripletCorpus(counts={("a", "on", "b"): 1,
+                                       ("dog", "on", "bench"): weight})
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(FormatError, match=f"weight {weight!r} is not an "
+                                              "integer"):
+            save_triplet_file(corpus, path)
+        assert not path.exists()
 
 
 class TestFilterVocabulary:

@@ -11,6 +11,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SynthConfig(objects_per_scene=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_object_labels", 0), ("n_seen_predicates", 0),
+        ("n_object_labels", -2), ("n_heldout_predicates", -1),
+        ("n_train_scenes", -1), ("n_test_scenes", -1)])
+    def test_counts_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            SynthConfig(**{field: value})
+
+    def test_zero_heldout_and_scene_counts_accepted(self):
+        data = generate(SynthConfig(n_object_labels=1, n_seen_predicates=1,
+                                    n_heldout_predicates=0, n_train_scenes=0,
+                                    n_test_scenes=0))
+        assert data.train_scenes == [] and data.test_scenes == []
+
     def test_edges_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(objects_per_scene=2, edges_per_scene=3)

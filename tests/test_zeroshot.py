@@ -45,6 +45,12 @@ class TestPredictUnseen:
         with pytest.raises(NumericError):
             predict_unseen(np.zeros(2), m)
 
+    @pytest.mark.parametrize("temperature", [math.nan, 0.0, -1.0])
+    def test_temperature_not_above_zero_rejected(self, temperature):
+        m = matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="temperature must be positive"):
+            predict_unseen(np.array([1.0, 0.5]), m, temperature=temperature)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         m = matrix_of([f"l{i}" for i in range(5)], rng.normal(size=(5, 3)))

@@ -64,18 +64,20 @@ def _output(args):
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    stoplist = (corpusmod.load_wordlist(args.stoplist)
-                if args.stoplist else None)
-    lexicon = (corpusmod.load_wordlist(args.predicate_lexicon)
-               if args.predicate_lexicon else None)
+    if args.min_count < 1:
+        raise ConfigError(f"--min-count must be >= 1, got {args.min_count}")
+    if args.jsonl and (args.stoplist or args.predicate_lexicon):
+        raise ConfigError("--jsonl takes no --stoplist or --predicate-lexicon")
     if args.jsonl:
         corpus = corpusmod.ingest_triplet_file(args.infile)
     else:
+        stoplist, lexicon = (corpusmod.load_wordlist(path) if path else None
+                             for path in (args.stoplist, args.predicate_lexicon))
         with TextFile(args.infile) as lines:
             text = "".join(lines)
         corpus = corpusmod.extract_from_text(text, stoplist, lexicon,
                                              source=str(args.infile))
-    if args.min_count and args.min_count > 1:
+    if args.min_count > 1:
         corpus = corpusmod.filter_vocabulary(corpus, args.min_count)
     corpusmod.save_triplet_file(corpus, args.out)
     print(corpus.total_weight())
@@ -83,8 +85,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_build_orm(args) -> int:
-    corpus = corpusmod.ingest_triplet_file(args.infile)
-    table = ormmod.build_orm(corpus)
+    table = ormmod.build_orm(corpusmod.ingest_triplet_file(args.infile))
     ormmod.save_orm(table, args.out)
     print(f"pairs\t{len(table)}")
     print(f"total\t{table.total()}")

@@ -14,6 +14,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -50,14 +51,9 @@ def normalize_token(raw: str, stoplist: Optional[Set[str]] = None) -> Optional[s
 
     Returns None when nothing survives normalization.
     """
-    if stoplist is None:
-        stoplist = DEFAULT_STOPLIST
-    lowered = raw.lower()
-    cleaned = _NON_ALPHA.sub(" ", lowered).strip()
-    words = [w for w in cleaned.split() if w]
-    if not words or all(w in stoplist for w in words):
-        return None
-    return " ".join(words)
+    stop = DEFAULT_STOPLIST if stoplist is None else stoplist
+    words = _NON_ALPHA.sub(" ", raw.lower()).split()
+    return None if all(w in stop for w in words) else " ".join(words)
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,6 @@ class Triplet:
             raise FormatError(f"triplet fields must not hold a tab or line "
                               f"break: {self}")
 
-    def key(self) -> Tuple[str, str, str]:
-        return (self.subject, self.predicate, self.object)
-
 
 @dataclass
 class TripletCorpus:
@@ -96,7 +89,8 @@ class TripletCorpus:
     provenance: List[str] = field(default_factory=list)
 
     def add(self, triplet: Triplet) -> None:
-        self.counts[triplet.key()] = self.counts.get(triplet.key(), 0) + triplet.weight
+        key = (triplet.subject, triplet.predicate, triplet.object)
+        self.counts[key] = self.counts.get(key, 0) + triplet.weight
 
     def total_weight(self) -> int:
         return sum(self.counts.values())
@@ -170,14 +164,26 @@ def extract_from_text(text: str,
 
 
 def ingest_triplet_file(path) -> TripletCorpus:
-    """Read a triplet JSONL file; weights accumulate across duplicate lines."""
+    """Read a triplet JSONL file in one streaming pass; a repeated key adds
+    its weight, so memory grows with distinct triplets, not lines. Types and
+    weight are checked on every line, the rest of the Triplet rule once per
+    key; the first bad line raises as its Triplet would, at `path:line`."""
     corpus = TripletCorpus(provenance=[str(path)])
+    counts, loads = corpus.counts, json.loads
     with TextFile(path) as lines:
-        for line in lines:
-            if line.strip():
-                doc = json.loads(line)
-                corpus.add(Triplet(doc["subject"], doc["predicate"],
-                                   doc["object"], doc.get("weight", 1)))
+        for line in filterfalse(str.isspace, lines):  # skip blank lines
+            doc = loads(line)
+            s, r, o, w = (doc["subject"], doc["predicate"], doc["object"],
+                          doc.get("weight", 1))
+            if not (type(s) is type(r) is type(o) is str  # before hashing:
+                    and type(w) is int and w >= 1):  # ["on"] is unhashable
+                Triplet(s, r, o, w)
+            key = (s, r, o)
+            if key not in counts:
+                f = s + r + o
+                if not (s and r and o) or "\t" in f or "\n" in f or "\r" in f:
+                    Triplet(s, r, o, w)
+            counts[key] = counts.get(key, 0) + w
     return corpus
 
 
@@ -211,12 +217,9 @@ def filter_vocabulary(corpus: TripletCorpus, min_count: int) -> TripletCorpus:
         obj_counts[s] += w
         obj_counts[o] += w
         pred_counts[r] += w
-    filtered = TripletCorpus(provenance=list(corpus.provenance))
-    for (s, r, o), w in corpus.counts.items():
-        if (obj_counts[s] >= min_count and obj_counts[o] >= min_count
-                and pred_counts[r] >= min_count):
-            filtered.counts[(s, r, o)] = w
-    return filtered
+    kept = {(s, r, o): w for (s, r, o), w in corpus.counts.items()
+            if min(obj_counts[s], obj_counts[o], pred_counts[r]) >= min_count}
+    return TripletCorpus(kept, list(corpus.provenance))
 
 
 def load_wordlist(path) -> Set[str]:

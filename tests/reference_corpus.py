@@ -1,11 +1,14 @@
-"""Per-token reference implementation of the caption grammar and writer.
+"""Per-token reference implementation of the caption grammar, the triplet
+reader and the writer.
 
-This is the text path the library used before it memoised raw tokens:
-every raw token is normalized on every use, every clause becomes a
-checked Triplet, and the writer serialises each triplet with
+This is the text path the library used before it memoised raw tokens and
+streamed triplet files: every raw token is normalized on every use, every
+clause and every triplet line becomes a checked Triplet added through
+TripletCorpus.add, and the writer serialises each triplet with
 json.dumps(sort_keys=True). It is kept verbatim as an oracle; the library
-must reproduce its keys, their counts and order, and its file bytes. It
-shares only data types and the default word lists with relkit.
+must reproduce its keys, their counts and order, its file bytes, and the
+type and message of every error it raises. It shares only data types, the
+text-file reader and the default word lists with relkit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from typing import List, Optional, Set
 
 from relkit.corpus import (DEFAULT_PREDICATE_LEXICON, DEFAULT_STOPLIST,
                            Triplet, TripletCorpus)
+from relkit.errors import TextFile
 
 _NON_ALPHA = re.compile(r"[^a-z]+")
 _CLAUSE_SPLIT = re.compile(r"[.;,!?:]+")
@@ -92,6 +96,18 @@ def extract_from_text(text: str,
     for line in text.splitlines():
         for triplet in extract_triplets(line, stoplist, predicate_lexicon):
             corpus.add(triplet)
+    return corpus
+
+
+def ingest_triplet_file(path) -> TripletCorpus:
+    """Read a triplet JSONL file; weights accumulate across duplicate lines."""
+    corpus = TripletCorpus(provenance=[str(path)])
+    with TextFile(path) as lines:
+        for line in lines:
+            if line.strip():
+                doc = json.loads(line)
+                corpus.add(Triplet(doc["subject"], doc["predicate"],
+                                   doc["object"], doc.get("weight", 1)))
     return corpus
 
 

@@ -68,6 +68,27 @@ class TestParse:
                    "--out", str(tmp_path / "o.jsonl")) == 3
         assert f"{infile}:2: byte 29: not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_min_count_below_one_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "o.jsonl"
+        # checked before any input is read: the input does not exist
+        assert run("parse", "--in", str(tmp_path / "nope.txt"), "--out",
+                   str(out), "--min-count", value) == 2
+        assert f"--min-count must be >= 1, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--stoplist", "--predicate-lexicon"])
+    def test_grammar_option_with_jsonl_is_config_error(self, tmp_path, capsys,
+                                                       flag):
+        infile, words = tmp_path / "t.jsonl", tmp_path / "words.txt"
+        infile.write_text('{"subject": "a", "predicate": "r", "object": "b"}\n')
+        words.write_text("on\n")
+        out = tmp_path / "o.jsonl"
+        assert run("parse", "--jsonl", "--in", str(infile), "--out", str(out),
+                   flag, str(words)) == 2
+        assert "--jsonl takes no --stoplist" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["parse", "--jsonl"], ["build-orm"]])
     @pytest.mark.parametrize("line", [
         '{"subject": "a", "predicate": "r", "object": "b", "weight": "x"}',

@@ -17,33 +17,20 @@ from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import ConfigError, FormatError, RelkitError, TextFile
-from .relhead import (Dims, Toggles, TrainConfig, build_example, init_params,
-                      load_params, predict_batch, save_params, train)
+from .relhead import (Dims, build_example, init_params, load_params,
+                      predict_batch, save_params, train)
 
 
 def _load_run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    overrides = {}
-    for name in ("seed", "epochs", "learning_rate", "sigma",
-                 "m_candidates", "k_candidates", "micro_recall"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
+    overrides = {name: getattr(args, name, None) for name in (
+        "seed", "epochs", "learning_rate", "sigma", "micro_recall")}
     if getattr(args, "ablation", None) == "all-off":
         overrides.update(object_attention=False,
                          geometric_encoding_objects=False,
                          geometric_encoding_relationships=False,
                          subject_object_attention=False)
     return cfgmod.apply_overrides(cfg, overrides)
-
-
-def _toggles(cfg: cfgmod.RunConfig) -> Toggles:
-    return Toggles(
-        object_attention=cfg.object_attention,
-        geometric_objects=cfg.geometric_encoding_objects,
-        geometric_relationships=cfg.geometric_encoding_relationships,
-        subject_object_attention=cfg.subject_object_attention,
-        attention_mean=cfg.attention_mean,
-    )
 
 
 @contextlib.contextmanager
@@ -176,18 +163,14 @@ def _load_shared(args):
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
-    n_pred = args.n_predicate_labels or len(predicate_vocab)
+    n_pred = (len(predicate_vocab) if args.n_predicate_labels is None
+              else args.n_predicate_labels)
     dims = Dims(cfg.d, cfg.r, cfg.e, len(object_vocab), n_pred)
     examples = [build_example(s, object_vocab, predicate_vocab, table,
                               cfg.strict_oov) for s in scenes]
-    tcfg = TrainConfig(
-        learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-        m_candidates=cfg.m_candidates, k_candidates=cfg.k_candidates,
-        seed=cfg.seed, toggles=_toggles(cfg),
-        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov)
     params = init_params(dims, seed=cfg.seed,
                          lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
-    params, losses = train(tcfg, examples, orm_table, object_vocab, table, params)
+    params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):
         print(f"epoch\t{epoch}\t{loss:.6f}")
@@ -200,7 +183,7 @@ def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     predictions = [pred for pred, _ in predict_batch(
         params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        _toggles(cfg), k_candidates=cfg.k_candidates,
+        cfg.toggles, k_candidates=cfg.k_candidates,
         orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
         protocol=args.protocol)]
     evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
@@ -228,7 +211,7 @@ def cmd_zeroshot(args) -> int:
         matrix = zeroshot.build_label_matrix(labels, table)
     predictions = predict_batch(
         params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        _toggles(cfg), k_candidates=cfg.k_candidates,
+        cfg.toggles, k_candidates=cfg.k_candidates,
         orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
         protocol="predcls")
     lines, ranked_lists, gt_names = [], [], []

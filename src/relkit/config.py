@@ -8,36 +8,26 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .core import Vocabulary
 from .errors import ConfigError, FormatError, TextFile
+from .relhead import TrainConfig
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
+    """The head's settings (`relhead.TrainConfig`) plus every other one."""
+
     d: int = 16
     r: int = 4
     e: int = 8
     lambda1: float = 1.0
     lambda2: float = 1.0
     lambda3: float = 1.0
-    learning_rate: float = 0.5
-    epochs: int = 100
-    m_candidates: int = 10
-    k_candidates: int = 5
-    seed: int = 0
     sigma: float = 0.1
-    # ablation switches (each disabled mechanism becomes a passthrough)
-    object_attention: bool = True
-    geometric_encoding_objects: bool = True
-    geometric_encoding_relationships: bool = True
-    subject_object_attention: bool = True
-    attention_mean: bool = True
-    # modes
-    strict_oov: bool = False
-    orm_backoff: bool = True
     micro_recall: bool = False
     graph_constraint: bool = True
     zeroshot_temperature: float = 1.0
@@ -49,14 +39,17 @@ class RunConfig:
             value = getattr(self, f.name)
             if f.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        if self.zeroshot_temperature <= 0:
-            raise ConfigError("zeroshot_temperature must be > 0")
+        super().__post_init__()
+        # from the smallest normal float up, sims / temperature stays finite
+        if self.zeroshot_temperature < sys.float_info.min:
+            raise ConfigError(f"zeroshot_temperature must be > 0 and at least "
+                              f"{sys.float_info.min}, got {self.zeroshot_temperature}")
         if min(self.d, self.r, self.e) < 1:
             raise ConfigError("dimensions must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:
             raise ConfigError("loss weights must be >= 0")
-        if not 1 <= self.k_candidates <= self.m_candidates:
-            raise ConfigError("K and M must satisfy 1 <= K <= M")
+        if self.longtail_threshold < 1:
+            raise ConfigError(f"longtail_threshold must be >= 1, got {self.longtail_threshold}")
 
 
 _BOOL = {"true": True, "yes": True, "1": True,

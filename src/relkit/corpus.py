@@ -191,6 +191,9 @@ def save_triplet_file(corpus: TripletCorpus, path) -> None:
     """One json.dumps(sort_keys=True) line per key, in key order. The keys
     are checked before the file is opened; a bad one raises as its Triplet
     would."""
+    if not all(type(s) is type(r) is type(o) is str for s, r, o in corpus.counts):
+        for (s, r, o), w in corpus.counts.items():  # unsortable: 5 vs "a"
+            Triplet(s, r, o, w)
     items = sorted(corpus.counts.items())
     fields = "".join(s + r + o for (s, r, o), _ in items)
     if ("\t" in fields or "\n" in fields or "\r" in fields

@@ -9,7 +9,7 @@ with more than K of them are re-drawn each epoch, from a seed derived from
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -31,12 +31,19 @@ log = logging.getLogger("relkit.train")
 
 @dataclass
 class TrainConfig:
+    """The head's settings; `config.RunConfig` extends it with the rest."""
+
     learning_rate: float = 0.5
     epochs: int = 100
     m_candidates: int = 10
     k_candidates: int = 5
     seed: int = 0
-    toggles: Toggles = field(default_factory=Toggles)
+    # ablation switches (each disabled mechanism becomes a passthrough)
+    object_attention: bool = True
+    geometric_encoding_objects: bool = True
+    geometric_encoding_relationships: bool = True
+    subject_object_attention: bool = True
+    attention_mean: bool = True
     orm_backoff: bool = True
     strict_oov: bool = False
 
@@ -45,6 +52,14 @@ class TrainConfig:
             raise ConfigError("K and M must satisfy 1 <= K <= M")
         if self.epochs < 0 or self.learning_rate < 0:
             raise ConfigError("epochs and learning rate must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+    @property
+    def toggles(self) -> Toggles:
+        return Toggles(self.object_attention, self.geometric_encoding_objects,
+                       self.geometric_encoding_relationships,
+                       self.subject_object_attention, self.attention_mean)
 
 
 def _scene_example(instance: SceneInstance, edges, pair_features, targets) -> Example:
@@ -137,12 +152,13 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
+    toggles = cfg.toggles
     losses: List[float] = []
     for epoch in range(cfg.epochs):
         packed.cand_groups = draw_candidates(examples, index, epoch)
         try:
             loss, grads = loss_and_gradients(
-                params, examples, cfg.toggles, packed=packed)
+                params, examples, toggles, packed=packed)
         except NumericError as exc:
             raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
         for name in params.tensors:

@@ -52,6 +52,8 @@ class SynthConfig:
         if self.n_object_labels > 26 * 26 or self.n_seen_predicates \
                 + self.n_heldout_predicates > 26 * 26:
             raise ConfigError("at most 676 labels per vocabulary")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

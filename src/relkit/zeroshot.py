@@ -7,6 +7,7 @@ during training participate exactly like seen ones, which is the point.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -43,8 +44,9 @@ def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix,
     norm = float(np.linalg.norm(v_hat))
     if norm == 0.0:
         raise NumericError("cosine undefined for a zero representation")
-    if not temperature > 0.0:  # NaN included
-        raise NumericError("temperature must be positive")
+    if not temperature >= sys.float_info.min:  # NaN included; keeps z finite
+        raise NumericError(f"temperature must be positive and at least "
+                           f"{sys.float_info.min}, got {temperature}")
     sims = labels.matrix @ v_hat / (labels.norms * norm)
     z = sims / temperature
     z -= z.max()

@@ -433,6 +433,11 @@ def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):
                                    for si, ei in above)
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        TrainConfig(seed=-3)
+
+
 @pytest.mark.parametrize("k, m", [(0, 5), (-1, 5), (0, 0), (1, 0)])
 def test_k_and_m_below_one_rejected(k, m):
     with pytest.raises(ConfigError, match="1 <= K <= M"):

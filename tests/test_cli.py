@@ -68,6 +68,36 @@ class TestParse:
                    "--out", str(tmp_path / "o.jsonl")) == 3
         assert f"{infile}:2: byte 29: not UTF-8" in capsys.readouterr().err
 
+    def test_min_count_above_one_drops_rare_labels(self, tmp_path, capsys):
+        infile = tmp_path / "in.txt"
+        infile.write_text("a man wearing a hat\nthe man wearing a hat\n"
+                          "a dog near a man\n")
+        out = tmp_path / "out.jsonl"
+        assert run("parse", "--in", str(infile), "--out", str(out),
+                   "--min-count", "2") == 0
+        assert capsys.readouterr().out == "2\n"
+        assert out.read_text() == ('{"object": "hat", "predicate": "wearing", '
+                                   '"subject": "man", "weight": 2}\n')
+
+    @pytest.mark.parametrize("flag, words, text, key", [
+        ("--stoplist", "# articles only\nTHE\n\n", "the dog near it\n",
+         '"object": "it", "predicate": "near", "subject": "dog"'),
+        ("--predicate-lexicon", "upon\n", "a cat upon a mat\n",
+         '"object": "mat", "predicate": "upon", "subject": "cat"')],
+        ids=["stoplist", "predicate-lexicon"])
+    def test_word_list_replaces_the_default(self, tmp_path, capsys, flag,
+                                            words, text, key):
+        infile, wordlist = tmp_path / "in.txt", tmp_path / "words.txt"
+        infile.write_text(text)
+        wordlist.write_text(words)  # comments and blanks skipped, lowercased
+        out, plain = tmp_path / "out.jsonl", tmp_path / "plain.jsonl"
+        assert run("parse", "--in", str(infile), "--out", str(plain)) == 0
+        assert run("parse", "--in", str(infile), "--out", str(out),
+                   flag, str(wordlist)) == 0
+        assert capsys.readouterr().out == "0\n1\n"
+        assert plain.read_text() == ""
+        assert out.read_text() == "{" + key + ', "weight": 1}\n'
+
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_min_count_below_one_is_config_error(self, tmp_path, capsys, value):
         out = tmp_path / "o.jsonl"
@@ -152,6 +182,24 @@ class TestQuery:
         assert captured.out == ""
         assert f"--top must be >= 1, got {top}" in captured.err
 
+    def test_draw_prints_k_of_the_top_m(self, tmp_path, capsys):
+        triplets, orm = tmp_path / "t.jsonl", tmp_path / "orm.tsv"
+        triplets.write_text("".join(
+            f'{{"subject": "man", "predicate": "{r}", "object": "horse", '
+            f'"weight": {w}}}\n'
+            for r, w in (("riding", 4), ("on", 3), ("near", 2), ("feeding", 1))))
+        assert run("build-orm", "--in", str(triplets), "--out", str(orm)) == 0
+        capsys.readouterr()
+        draws = []
+        for _ in range(2):
+            assert run("query", "--orm", str(orm), "--subject", "man",
+                       "--object", "horse", "--top", "3", "--draw", "2",
+                       "--seed", "7") == 0
+            draws.append(capsys.readouterr().out)
+        assert draws[0] == draws[1]
+        drawn = draws[0].splitlines()
+        assert len(set(drawn)) == 2 and set(drawn) <= {"riding", "on", "near"}
+
     def test_non_utf8_orm_is_data_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "orm.tsv"
         bad.write_bytes((workspace["data"] / "orm.tsv").read_bytes() + b"\xff\n")
@@ -167,6 +215,14 @@ class TestEmbed:
                    "--phrase", "relaa relab") == 0
         values = capsys.readouterr().out.split()
         assert len(values) == 8
+
+    def test_all_oov_lenient_is_zero_vector_with_note(self, workspace, capsys):
+        assert run("embed", "--vectors",
+                   str(workspace["data"] / "vectors.txt"),
+                   "--phrase", "zzz qqq", "--lenient") == 0
+        captured = capsys.readouterr()
+        assert captured.out == " ".join(["0.0"] * 8) + "\n"
+        assert "all tokens out of vocabulary; zero vector" in captured.err
 
     def test_oov_strict_is_data_error(self, workspace):
         assert run("embed", "--vectors",
@@ -193,6 +249,12 @@ class TestSynthCommand:
         assert run("synth", "--out-dir", str(out), flag, value) == 2
         assert "relkit: error: " in capsys.readouterr().err
         assert not (out / "train.jsonl").exists()
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", str(out), "--seed", "-1") == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_same_seed_byte_identical(self, tmp_path):
         for sub in ("a", "b"):
@@ -228,6 +290,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert re.search(r"scene \d+ edge \d+: predicate id [2-4] outside "
                          r"\[0, 2\)", err), err
+
+    def test_negative_seed_is_config_error(self, workspace, tmp_path, capsys):
+        assert run("train", *model_args(workspace), "--seed", "-5",
+                   "--out", str(tmp_path / "x.ckpt")) == 2
+        assert "seed must be >= 0, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_predicate_labels_below_one_is_config_error(self, workspace,
+                                                         tmp_path, capsys, n):
+        assert run("train", *model_args(workspace), "--epochs", "1",
+                   "--n-predicate-labels", n,
+                   "--out", str(tmp_path / "x.ckpt")) == 2
+        assert "n_predicate_labels must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
 
     def test_workers_flag_is_usage_error(self, workspace, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -588,3 +665,28 @@ class TestReport:
         assert run("report", "--predicates", str(predicates),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 3
         assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "epochs = -1", "learning_rate = -0.5", "seed = -1",
+    "longtail_threshold = 0", "zeroshot_temperature = 1e-320"])
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "zeroshot",
+                                     "report"])
+def test_invalid_config_is_config_error_at_load(workspace, tmp_path, capsys,
+                                                command, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(line + "\n")
+    data, ckpt = workspace["data"], str(workspace["ckpt"])
+    tail = {"synth": ["--out-dir", str(tmp_path / "data")],
+            "train": [*model_args(workspace), "--out", str(tmp_path / "x")],
+            "eval": [*model_args(workspace), "--checkpoint", ckpt],
+            "zeroshot": [*model_args(workspace), "--checkpoint", ckpt,
+                         "--labels", str(data / "heldout.txt")],
+            "report": ["--predicates", str(data / "predicates.tsv"),
+                       "--vectors", str(data / "vectors.txt")]}[command]
+    assert run(command, "--config", str(cfgfile), *tail) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"relkit: error: {line.split(' =')[0]} must be" in captured.err \
+        or "epochs and learning rate must be >= 0" in captured.err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -7,6 +8,7 @@ from relkit.config import (RunConfig, apply_overrides, load_config,
                            load_vocab, save_vocab)
 from relkit.core import Vocabulary
 from relkit.errors import ConfigError, FormatError
+from relkit.relhead import Toggles, TrainConfig
 
 
 class TestRunConfig:
@@ -38,6 +40,29 @@ class TestRunConfig:
     def test_temperature_at_or_below_zero_rejected(self, value):
         with pytest.raises(ConfigError, match="zeroshot_temperature must be > 0"):
             RunConfig(zeroshot_temperature=value)
+
+    def test_subnormal_temperature_rejected(self):
+        with pytest.raises(ConfigError, match="zeroshot_temperature must be > 0"):
+            RunConfig(zeroshot_temperature=1e-320)
+        assert RunConfig(zeroshot_temperature=sys.float_info.min)
+
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_longtail_threshold_below_one_rejected(self, value):
+        with pytest.raises(ConfigError, match=f"longtail_threshold must be >= 1, "
+                                              f"got {value}$"):
+            RunConfig(longtail_threshold=value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", -1), ("epochs", -1), ("learning_rate", -0.5)])
+    def test_negative_head_setting_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="must be >= 0"):
+            RunConfig(**{name: value})
+
+    def test_head_settings_inherited_from_train_config(self):
+        cfg = RunConfig(geometric_encoding_objects=False, attention_mean=False)
+        assert isinstance(cfg, TrainConfig)
+        assert cfg.toggles == Toggles(geometric_objects=False,
+                                      attention_mean=False)
 
     def test_nan_from_file_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

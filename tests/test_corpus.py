@@ -129,6 +129,16 @@ class TestTripletKeyRule:
         with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
             Triplet(*fields)
 
+    @pytest.mark.parametrize("counts", [
+        {(5, "on", "b"): 1},
+        {("a", "on", "b"): 1, (5, "on", "b"): 1, ("c", "on", "d"): 1}],
+        ids=["alone", "among-strings"])
+    def test_writer_names_a_non_string_label(self, tmp_path, counts):
+        path = tmp_path / "c.jsonl"
+        with pytest.raises(FormatError, match="^subject 5 is not a string$"):
+            save_triplet_file(TripletCorpus(counts=counts), path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("weight", [2.5, True, 2.0])
     def test_writer_rejects_what_the_reader_would(self, tmp_path, weight):
         corpus = TripletCorpus(counts={("a", "on", "b"): 1,

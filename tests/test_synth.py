@@ -25,6 +25,10 @@ class TestConfigValidation:
                                     n_test_scenes=0))
         assert data.train_scenes == [] and data.test_scenes == []
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            SynthConfig(seed=-1)
+
     def test_edges_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(objects_per_scene=2, edges_per_scene=3)

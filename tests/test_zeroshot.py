@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -50,6 +51,17 @@ class TestPredictUnseen:
         m = matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(NumericError, match="temperature must be positive"):
             predict_unseen(np.array([1.0, 0.5]), m, temperature=temperature)
+
+    def test_subnormal_temperature_rejected(self):
+        m = matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(NumericError, match="temperature must be positive"):
+            predict_unseen(np.array([1.0, 0.5]), m, temperature=1e-320)
+
+    def test_smallest_normal_temperature_stays_finite(self):
+        m = matrix_of(["a", "b"], [[1.0, 0.0], [-1.0, 0.0]])
+        probs = predict_unseen(np.array([1.0, 0.0]), m,
+                               temperature=sys.float_info.min)
+        assert probs.tolist() == [1.0, 0.0]
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)

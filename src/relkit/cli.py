@@ -166,8 +166,13 @@ def cmd_train(args) -> int:
     n_pred = (len(predicate_vocab) if args.n_predicate_labels is None
               else args.n_predicate_labels)
     dims = Dims(cfg.d, cfg.r, cfg.e, len(object_vocab), n_pred)
-    examples = [build_example(s, object_vocab, predicate_vocab, table,
-                              cfg.strict_oov) for s in scenes]
+    examples = []
+    for si, scene in enumerate(scenes):  # a zero target has no cosine loss
+        try:
+            examples.append(build_example(scene, object_vocab, predicate_vocab,
+                                          table, cfg.strict_oov or cfg.lambda3 > 0))
+        except RelkitError as exc:
+            raise type(exc)(f"{args.scenes}: scene {si}: {exc}") from exc
     params = init_params(dims, seed=cfg.seed,
                          lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
     params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
@@ -205,7 +210,7 @@ def cmd_zeroshot(args) -> int:
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
     with TextFile(args.labels) as lines:
-        labels = [line.strip() for line in lines if line.strip()]
+        labels = [line.strip() for line in lines]
         if not labels:
             raise FormatError("no labels")
         matrix = zeroshot.build_label_matrix(labels, table)

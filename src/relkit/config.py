@@ -104,10 +104,7 @@ def load_vocab(path) -> Vocabulary:
     items, line_of = [], {}
     with TextFile(path) as lines:
         for line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
+            parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise FormatError("expected 'label<TAB>count'")
             if parts[0] in line_of:

@@ -194,5 +194,4 @@ def save_scenes(instances: Sequence[SceneInstance], path) -> None:
 
 def load_scenes(path) -> List[SceneInstance]:
     with TextFile(path) as lines:
-        return [scene_from_dict(json.loads(line)) for line in lines
-                if line.strip()]
+        return [scene_from_dict(json.loads(line)) for line in lines]

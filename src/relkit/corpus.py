@@ -14,7 +14,6 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import filterfalse
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
@@ -171,7 +170,7 @@ def ingest_triplet_file(path) -> TripletCorpus:
     corpus = TripletCorpus(provenance=[str(path)])
     counts, loads = corpus.counts, json.loads
     with TextFile(path) as lines:
-        for line in filterfalse(str.isspace, lines):  # skip blank lines
+        for line in lines:
             doc = loads(line)
             s, r, o, w = (doc["subject"], doc["predicate"], doc["object"],
                           doc.get("weight", 1))
@@ -229,4 +228,4 @@ def load_wordlist(path) -> Set[str]:
     """One token per line; blank lines and '#' comments ignored."""
     with TextFile(path) as lines:
         words = {line.strip().lower() for line in lines}
-    return {w for w in words if w and not w.startswith("#")}
+    return {w for w in words if not w.startswith("#")}

@@ -38,8 +38,6 @@ def load_embeddings(path) -> EmbeddingTable:
     with TextFile(path) as lines:
         for line in lines:
             parts = line.split()
-            if not parts:
-                continue
             vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             if not np.all(np.isfinite(vec)):
                 raise FormatError("non-finite entry")

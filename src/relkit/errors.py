@@ -62,7 +62,8 @@ class TextFile:
     An error raised in the block gets a `path:line: ` prefix (`path: ` before
     the first or after the last line). A RelkitError keeps its type, a parse
     error becomes a FormatError, a byte that is not UTF-8 is named by offset.
-    `lines.lineno` is the number of the current line."""
+    Whitespace-only lines are skipped; `lines.lineno`, the current line's
+    number, counts them."""
 
     def __init__(self, path):
         self.path, self.lineno = path, None
@@ -74,7 +75,8 @@ class TextFile:
 
     def __iter__(self):  # every iterator continues where the last one stopped
         for self.lineno, line in self._numbered:
-            yield line
+            if not line.isspace():
+                yield line
         self.lineno = None
 
     def __exit__(self, kind, exc, tb):

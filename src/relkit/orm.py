@@ -99,6 +99,8 @@ def sample_candidates(table: OrmTable, subject: str, obj: str,
         raise ConfigError("sample_candidates requires M >= 1 and K >= 1")
     if k > m:
         raise ConfigError(f"K ({k}) must not exceed M ({m})")
+    if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     top = [r for r, _ in lookup(table, subject, obj, backoff=backoff).entries[:m]]
     return top if len(top) <= k else random.Random(seed).sample(top, k)
 
@@ -125,10 +127,7 @@ def load_orm(path) -> OrmTable:
             raise FormatError("expected '#total\\t<n>' header")
         declared_total = int(header[1])
         for line in lines:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            s, o, r, count = line.split("\t")
+            s, o, r, count = line.rstrip("\n").split("\t")
             count = int(count)
             if count < 1:
                 raise FormatError("count must be >= 1")

@@ -127,8 +127,6 @@ def load_params(path) -> ModelParams:
             raise FormatError("need three loss weights")
         for line in lines:
             parts = line.split()
-            if not parts:
-                continue
             if (parts[0] != "tensor" or len(parts) < 2
                     or not all(s.isdecimal() for s in parts[2:])):
                 raise FormatError(f"bad tensor header: {line.strip()!r}")

@@ -196,6 +196,8 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
         raise ConfigError(f"unknown protocol: {protocol}")
     if k_candidates < 1:
         raise ConfigError(f"K must satisfy 1 <= K, got {k_candidates}")
+    if table.dimension != params.dims.e:
+        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
     if not scenes:
         return []
     examples, pairs = [], []

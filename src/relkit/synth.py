@@ -131,21 +131,18 @@ def generate(cfg: SynthConfig) -> SynthDataset:
     test_pool = heldout_ids if heldout_ids else seen_ids
     test_scenes = [make_scene(test_pool) for _ in range(cfg.n_test_scenes)]
 
-    # label counts from the training split
+    # label counts and caption triplets from the training split only
     obj_counts = {l: 0 for l in obj_labels}
     pred_counts = {p: 0 for p in predicates}
     corpus = TripletCorpus(provenance=["synth"])
-    for scene in train_scenes + test_scenes:
-        labels = scene.graph.labels()
-        for s, o, p in scene.graph.edges:
-            corpus.add(Triplet(obj_labels[labels[s]], predicates[p],
-                               obj_labels[labels[o]]))
     for scene in train_scenes:
         labels = scene.graph.labels()
         for lid in labels:
             obj_counts[obj_labels[lid]] += 1
-        for _s, _o, p in scene.graph.edges:
+        for s, o, p in scene.graph.edges:
             pred_counts[predicates[p]] += 1
+            corpus.add(Triplet(obj_labels[labels[s]], predicates[p],
+                               obj_labels[labels[o]]))
 
     return SynthDataset(
         train_scenes=train_scenes,

@@ -227,6 +227,27 @@ def test_predict_batch_of_nothing_is_empty(world):
                          data.predicate_vocab, data.embeddings) == []
 
 
+def test_predict_batch_rejects_unknown_protocol(world):
+    data, orm, _, params = world
+    with pytest.raises(ConfigError, match="unknown protocol: detcls"):
+        predict_batch(params, data.test_scenes, orm, data.object_vocab,
+                      data.predicate_vocab, data.embeddings, protocol="detcls")
+
+
+@pytest.mark.parametrize("scenes", ["all", "none"])
+def test_predict_batch_rejects_table_of_another_width(world, scenes):
+    data, _, _, params = world
+    e = params.dims.e
+    wide = EmbeddingTable(e + 1, {t: np.append(v, 0.5) for t, v
+                                  in data.embeddings.vectors.items()})
+    # an empty ORM gives no candidate to catch the width
+    with pytest.raises(ConfigError, match=f"^embedding table width {e + 1} "
+                                          f"!= e = {e}$"):
+        predict_batch(params, data.test_scenes if scenes == "all" else [],
+                      build_orm(TripletCorpus()), data.object_vocab,
+                      data.predicate_vocab, wide)
+
+
 @pytest.mark.parametrize("k", [0, -1])
 def test_predict_scene_rejects_k_below_one(world, k):
     data, orm, _, params = world

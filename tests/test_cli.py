@@ -200,6 +200,28 @@ class TestQuery:
         drawn = draws[0].splitlines()
         assert len(set(drawn)) == 2 and set(drawn) <= {"riding", "on", "near"}
 
+    def test_negative_seed_is_config_error(self, workspace, capsys):
+        # random.Random(-1) would draw what random.Random(1) draws
+        assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
+                   "--subject", "a", "--object", "b", "--draw", "2",
+                   "--seed", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed must be >= 0, got -1" in captured.err
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("#total 0\n", 1, "expected '#total\\t<n>' header"),
+        ("#total\t0\na\tb\ton\t0\n", 2, "count must be >= 1")],
+        ids=["header", "count"])
+    def test_bad_orm_file_is_located_data_error(self, tmp_path, capsys, text,
+                                                where, message):
+        orm = tmp_path / "orm.tsv"
+        orm.write_text(text)
+        assert run("query", "--orm", str(orm),
+                   "--subject", "a", "--object", "b") == 3
+        assert f"relkit: error: {orm}:{where}: {message}" \
+            in capsys.readouterr().err
+
     def test_non_utf8_orm_is_data_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "orm.tsv"
         bad.write_bytes((workspace["data"] / "orm.tsv").read_bytes() + b"\xff\n")
@@ -228,6 +250,20 @@ class TestEmbed:
         assert run("embed", "--vectors",
                    str(workspace["data"] / "vectors.txt"),
                    "--phrase", "zzz") == 3
+
+    @pytest.mark.parametrize("text, where, message", [
+        ("a 1.0 2.0\nb 1.0 nan\n", ":2", "non-finite entry"),
+        ("a\nb 1.0\n", ":1", "empty vector"),
+        ("", "", "empty embedding file"),
+        ("\n \n", "", "empty embedding file")],
+        ids=["non-finite", "empty-vector", "empty-file", "blank-file"])
+    def test_bad_vectors_file_is_located_data_error(self, tmp_path, capsys,
+                                                    text, where, message):
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(text)
+        assert run("embed", "--vectors", str(vectors), "--phrase", "a") == 3
+        assert f"relkit: error: {vectors}{where}: {message}" \
+            in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -330,6 +366,47 @@ class TestTrain:
         assert not (tmp_path / "x.ckpt").exists()
 
 
+    def test_predicate_without_vector_is_data_error(self, workspace, tmp_path,
+                                                    capsys):
+        scene = json.loads((workspace["data"] / "train.jsonl").read_text()
+                           .splitlines()[0])
+        label = (workspace["data"] / "predicates.tsv").read_text() \
+            .splitlines()[scene["edges"][0][2]].split("\t")[0]
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(
+            row for row in (workspace["data"] / "vectors.txt").read_text()
+            .splitlines(keepends=True) if row.split()[0] != label))
+        args = model_args(workspace)
+        args[args.index("--vectors") + 1] = str(vectors)
+        tail = ["--epochs", "1", "--n-predicate-labels", "5"]
+        # a zero target has no cosine loss: refused before training
+        assert run("train", *args, *tail, "--out", str(tmp_path / "x.ckpt")) == 3
+        assert f"relkit: error: {args[1]}: scene 0: no embeddable token in " \
+            f"phrase: {label!r}" in capsys.readouterr().err
+        assert not (tmp_path / "x.ckpt").exists()
+        # without the cosine loss the lenient zero target still trains
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("lambda3 = 0\n")
+        assert run("train", *args, *tail, "--config", str(cfgfile),
+                   "--out", str(tmp_path / "y.ckpt")) == 0
+        assert (tmp_path / "y.ckpt").exists()
+
+    def test_edge_without_pair_feature_names_file_and_scene(
+            self, workspace, tmp_path, capsys):
+        lines = (workspace["data"] / "train.jsonl").read_text().splitlines()
+        second = json.loads(lines[1])
+        s, o, _ = second["edges"][-1]
+        del second["pair_features"][f"{s},{o}"]
+        args = model_args(workspace)
+        args[1] = str(tmp_path / "s.jsonl")
+        (tmp_path / "s.jsonl").write_text(lines[0] + "\n" + json.dumps(second)
+                                          + "\n")
+        assert run("train", *args, "--epochs", "1", "--n-predicate-labels",
+                   "5", "--out", str(tmp_path / "x.ckpt")) == 2
+        assert f"relkit: error: {args[1]}: scene 1: edge ({s},{o}) has no " \
+            f"ingested pair feature" in capsys.readouterr().err
+
+
 class TestEval:
     def test_table_output(self, workspace, capsys):
         assert run("eval", *model_args(workspace),
@@ -404,6 +481,26 @@ class TestEval:
         assert run(*command, *args, "--checkpoint", str(workspace["ckpt"])) == 2
         assert "scene 2: object features have shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("orm", ["empty", "real"])
+    @pytest.mark.parametrize("command", ["eval", "zeroshot"])
+    def test_vectors_wider_than_checkpoint_is_config_error(
+            self, workspace, tmp_path, capsys, command, orm):
+        rows = (workspace["data"] / "vectors.txt").read_text().splitlines()
+        wide = tmp_path / "wide.txt"  # one column more than the checkpoint's e
+        wide.write_text("".join(row + " 0.5\n" for row in rows))
+        args = model_args(workspace, "test.jsonl")
+        args[args.index("--vectors") + 1] = str(wide)
+        if orm == "empty":
+            (tmp_path / "orm.tsv").write_text("#total\t0\n")
+            args[args.index("--orm") + 1] = str(tmp_path / "orm.tsv")
+        extra = ["--labels", str(workspace["data"] / "heldout.txt")] \
+            if command == "zeroshot" else []
+        assert run(command, *args, *extra,
+                   "--checkpoint", str(workspace["ckpt"])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "relkit: error: embedding table width 9 != e = 8" in captured.err
+
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_text("garbage\n")
@@ -455,6 +552,29 @@ class TestEval:
         assert run("eval", *model_args(workspace),
                    "--checkpoint", str(bad)) == 3
         assert f"{bad}:4: bad tensor header" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda lines: lines[:max(i for i, line in enumerate(lines)
+                                  if line.startswith("tensor "))],
+         "", "tensor set mismatch: missing={'b_txt'} extra=set()"),
+        (lambda lines: [("tensor b_o 2 4" if line == "tensor b_o 8" else line)
+                        for line in lines],
+         "", "b_o: shape (2, 4), expected (8,)"),
+        (lambda lines: lines[:2] + ["lambdas 1.0 -1.0 1.0"] + lines[3:],
+         "", "loss weights must be >= 0"),
+        (lambda lines: lines[:2] + ["lambdas 1.0 1.0"] + lines[3:],
+         ":3", "need three loss weights")],
+        ids=["missing-tensor", "wrong-shape", "negative-weight", "two-weights"])
+    def test_bad_checkpoint_is_located_data_error(self, workspace, tmp_path,
+                                                  capsys, edit, where, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(edit(workspace["ckpt"].read_text()
+                                      .splitlines())) + "\n")
+        assert run("eval", *model_args(workspace),
+                   "--checkpoint", str(bad)) == 3
+        assert f"relkit: error: {bad}{where}: {message}" \
+            in capsys.readouterr().err
 
 
 class TestZeroshot:
@@ -633,6 +753,17 @@ class TestReport:
                    "--predicates", str(workspace["data"] / "predicates.tsv"),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 3
         assert f":1: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_dimension_below_one_is_config_error(self, workspace, tmp_path,
+                                                 capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("d = 0\n")
+        assert run("report", "--config", str(cfgfile),
+                   "--predicates", str(workspace["data"] / "predicates.tsv"),
+                   "--vectors", str(workspace["data"] / "vectors.txt")) == 2
+        # checked once the whole file is read, as every setting is
+        assert "relkit: error: dimensions must be >= 1" \
+            in capsys.readouterr().err
 
     def test_invalid_config_combination_is_config_error(self, workspace,
                                                         tmp_path):

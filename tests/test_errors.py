@@ -55,6 +55,15 @@ def test_each_iterator_continues_the_last(path):
         assert next(iter(lines), None) is None and lines.lineno is None
 
 
+def test_whitespace_only_lines_skipped_but_counted(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("\n  \none\n\t\n \t \ntwo\n\n")
+    with TextFile(path) as lines:
+        assert [(line, lines.lineno) for line in lines] == [("one\n", 3),
+                                                             ("two\n", 6)]
+        assert lines.lineno is None
+
+
 def test_non_utf8_byte_named_by_line_and_offset(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"one\nt\xffo\n")

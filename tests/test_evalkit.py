@@ -153,6 +153,13 @@ class TestProtocols:
         assert predcls_eval([pred], [scene])["R@50"] == 1.0
         assert sgcls_eval([pred], [scene])["R@50"] == 0.0
 
+    def test_sgcls_requires_object_probabilities(self):
+        scene = random_instance(np.random.default_rng(9), n=2, n_edges=1)
+        pred = perfect_prediction(scene)
+        pred = ScenePrediction(pair_probs=pred.pair_probs)  # predcls output
+        with pytest.raises(NumericError, match="requires object probability"):
+            sgcls_eval([pred], [scene])
+
     def test_sgcls_never_exceeds_predcls(self):
         rng = np.random.default_rng(8)
         for _ in range(50):

@@ -189,6 +189,12 @@ class TestSampleCandidates:
         with pytest.raises(ConfigError):
             sample_candidates(table, "a", "b", m=2, k=3, seed=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds by absolute value: -5 would draw what 5 draws
+        table = build_orm(corpus_of(("a", "r1", "b", 3), ("a", "r2", "b", 2)))
+        with pytest.raises(ConfigError, match="^seed must be >= 0, got -5$"):
+            sample_candidates(table, "a", "b", m=2, k=1, seed=-5)
+
     def test_forced_subset(self):
         table = build_orm(corpus_of(("a", "r1", "b", 3), ("a", "r2", "b", 2),
                                     ("a", "r3", "b", 1)))

@@ -108,8 +108,8 @@ class TestGenerate:
     def test_corpus_counts_match_scene_edges(self):
         cfg = SynthConfig(n_train_scenes=12, n_test_scenes=5, seed=6)
         ds = generate(cfg)
-        expected = {}
-        for scene in ds.train_scenes + ds.test_scenes:
+        expected = {}  # the test split stays out of the ORM's corpus
+        for scene in ds.train_scenes:
             labels = scene.graph.labels()
             for s, o, p in scene.graph.edges:
                 key = (ds.object_vocab.labels[labels[s]],

@@ -174,7 +174,8 @@ def cmd_train(args) -> int:
         except RelkitError as exc:
             raise type(exc)(f"{args.scenes}: scene {si}: {exc}") from exc
     params = init_params(dims, seed=cfg.seed,
-                         lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3))
+                         lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
+                         toggles=cfg.toggles)
     params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):
@@ -188,7 +189,7 @@ def cmd_eval(args) -> int:
     params = load_params(args.checkpoint)
     predictions = [pred for pred, _ in predict_batch(
         params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        cfg.toggles, k_candidates=cfg.k_candidates,
+        k_candidates=cfg.k_candidates,
         orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
         protocol=args.protocol)]
     evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
@@ -216,7 +217,7 @@ def cmd_zeroshot(args) -> int:
         matrix = zeroshot.build_label_matrix(labels, table)
     predictions = predict_batch(
         params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        cfg.toggles, k_candidates=cfg.k_candidates,
+        k_candidates=cfg.k_candidates,
         orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
         protocol="predcls")
     lines, ranked_lists, gt_names = [], [], []
@@ -268,9 +269,6 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vectors", required=True, help="word embedding text file")
     p.add_argument("--objects", required=True, help="object vocabulary TSV")
     p.add_argument("--predicates", required=True, help="predicate vocabulary TSV")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--ablation", choices=["all-off"],
-                   help="disable every ablation mechanism")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,6 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the relationship head")
     _add_common_model_args(p)
     p.add_argument("--out", required=True, help="checkpoint output path")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--ablation", choices=["all-off"],
+                   help="disable every ablation mechanism")
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--n-predicate-labels", dest="n_predicate_labels", type=int,

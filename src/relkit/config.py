@@ -14,13 +14,19 @@ from typing import Dict, Optional
 
 from .core import Vocabulary
 from .errors import ConfigError, FormatError, TextFile
-from .relhead import TrainConfig
+from .relhead import Toggles, TrainConfig
 
 
 @dataclass
 class RunConfig(TrainConfig):
-    """The head's settings (`relhead.TrainConfig`) plus every other one."""
+    """The training settings (`relhead.TrainConfig`) plus every other one."""
 
+    # ablation switches (each disabled mechanism becomes a passthrough)
+    object_attention: bool = True
+    geometric_encoding_objects: bool = True
+    geometric_encoding_relationships: bool = True
+    subject_object_attention: bool = True
+    attention_mean: bool = True
     d: int = 16
     r: int = 4
     e: int = 8
@@ -51,6 +57,12 @@ class RunConfig(TrainConfig):
         if self.longtail_threshold < 1:
             raise ConfigError(f"longtail_threshold must be >= 1, got {self.longtail_threshold}")
 
+    @property
+    def toggles(self) -> Toggles:
+        return Toggles(self.object_attention, self.geometric_encoding_objects,
+                       self.geometric_encoding_relationships,
+                       self.subject_object_attention, self.attention_mean)
+
 
 _BOOL = {"true": True, "yes": True, "1": True,
          "false": False, "no": False, "0": False}
@@ -64,9 +76,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
         return _BOOL[key]
     if field.type in ("int", int):
         return int(raw)
-    if field.type in ("float", float):
-        return float(raw)
-    return raw
+    return float(raw)
 
 
 def load_config(path) -> RunConfig:
@@ -83,7 +93,7 @@ def load_config(path) -> RunConfig:
             if key not in fields:
                 raise FormatError(f"unknown key {key!r}")
             values[key] = _parse_value(fields[key], raw)
-    return RunConfig(**values)
+        return RunConfig(**values)
 
 
 def apply_overrides(cfg: RunConfig, overrides: Dict[str, Optional[object]]

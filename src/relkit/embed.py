@@ -28,9 +28,6 @@ class EmbeddingTable:
     def __contains__(self, token: str) -> bool:
         return token in self.vectors
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
 
 def load_embeddings(path) -> EmbeddingTable:
     dimension = None

@@ -3,8 +3,9 @@ training loop, and scene inference."""
 
 from .model import (classify_objects, composite_loss, Example, forward_scene,
                     ForwardTrace, geometric_quad, loss_and_gradients,
-                    predict_relationship, scene_loss, softmax, Toggles)
-from .params import Dims, init_params, load_params, ModelParams, save_params
+                    predict_relationship, scene_loss, softmax)
+from .params import (Dims, init_params, load_params, ModelParams, save_params,
+                     Toggles)
 from .train import (build_example, CandidateIndex, draw_candidates,
                     predict_batch, predict_scene, train, TrainConfig)
 

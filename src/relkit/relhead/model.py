@@ -25,20 +25,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ConfigError, EmptySceneError, InvalidBoxError, NumericError
-from .params import Dims, ModelParams
+from .params import Dims, ModelParams, Toggles  # noqa: F401 (re-exported)
 
 CE_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Toggles:
-    """Ablation switches; a disabled mechanism becomes a passthrough."""
-
-    object_attention: bool = True
-    geometric_objects: bool = True
-    geometric_relationships: bool = True
-    subject_object_attention: bool = True
-    attention_mean: bool = True  # keep the 1/k factor on the context sum
 
 
 @dataclass
@@ -332,21 +321,20 @@ class ForwardTrace:
     pred_emb: np.ndarray                   # (E, e)
 
 
-def forward_objects(params: ModelParams, batch: PackedBatch,
-                    toggles: Toggles = Toggles()
+def forward_objects(params: ModelParams, batch: PackedBatch
                     ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
     """The object stage: enriched object rows, their class probabilities
     and the self-attention caches."""
     enriched = np.concatenate([batch.features, spatial_projection(
-        batch.boxes, params, toggles.geometric_objects)], axis=1)
+        batch.boxes, params, params.toggles.geometric_objects)], axis=1)
     _check_finite("F'", enriched)
     # groups hold disjoint rows, so each is read before it is overwritten
     obj_caches = []
-    if toggles.object_attention:
+    if params.toggles.object_attention:
         for rows in batch.obj_groups:
             x = enriched[rows]
             enriched[rows], cache = _attend_fwd(x, x, params.tensors["W_att_obj"],
-                                                toggles.attention_mean,
+                                                params.toggles.attention_mean,
                                                 skip_self=True)
             obj_caches.append(cache)
         _check_finite("enriched objects", enriched)
@@ -354,11 +342,11 @@ def forward_objects(params: ModelParams, batch: PackedBatch,
 
 
 def forward_edges(params: ModelParams, batch: PackedBatch,
-                  objects: Tuple[np.ndarray, np.ndarray, List[tuple]],
-                  toggles: Toggles = Toggles()) -> ForwardTrace:
+                  objects: Tuple[np.ndarray, np.ndarray, List[tuple]]
+                  ) -> ForwardTrace:
     """The edge stage on top of `objects`, the batch's forward_objects
     output; the trace holds both stages."""
-    t = params.tensors
+    t, toggles = params.tensors, params.toggles
     dpr = params.dims.dpr
     enriched, obj_probs, obj_caches = objects
     n_edges = len(batch.so_rows)
@@ -390,16 +378,13 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
                         so_cache, f, rel_probs, pred_emb)
 
 
-def forward_batch(params: ModelParams, batch: PackedBatch,
-                  toggles: Toggles = Toggles()) -> ForwardTrace:
-    return forward_edges(params, batch, forward_objects(params, batch, toggles),
-                         toggles)
+def forward_batch(params: ModelParams, batch: PackedBatch) -> ForwardTrace:
+    return forward_edges(params, batch, forward_objects(params, batch))
 
 
-def forward_scene(params: ModelParams, ex: Example,
-                  toggles: Toggles = Toggles()) -> ForwardTrace:
+def forward_scene(params: ModelParams, ex: Example) -> ForwardTrace:
     """The batched forward pass on a batch of one scene."""
-    return forward_batch(params, pack_batch([ex], params.dims), toggles)
+    return forward_batch(params, pack_batch([ex], params.dims))
 
 
 def scene_loss(trace: ForwardTrace, ex: Example,
@@ -413,7 +398,7 @@ def scene_loss(trace: ForwardTrace, ex: Example,
                           ex.target_embeddings, trace.pred_emb, lambdas)
 
 
-def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
+def backward_scene(params: ModelParams, trace: ForwardTrace,
                    heads: tuple) -> Dict[str, np.ndarray]:
     """Gradients of the batch loss, given its gradients at the heads."""
     t, batch = params.tensors, trace.batch
@@ -460,7 +445,7 @@ def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
         grads["W_att_obj"] += dW
 
     # spatial projection (object features themselves are ingested constants)
-    if toggles.geometric_objects:
+    if params.toggles.geometric_objects:
         dspat = d_f1[:, d:]
         grads["W_spat"] = batch.boxes.T @ dspat
         grads["b_spat"] = dspat.sum(axis=0)
@@ -468,17 +453,16 @@ def backward_scene(params: ModelParams, trace: ForwardTrace, toggles: Toggles,
 
 
 def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
-                       toggles: Toggles = Toggles(),
                        packed: Optional[PackedBatch] = None
                        ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean params.lambdas-weighted batch loss and its exact gradients.
     `packed`, if given, is the complete pack of `batch`; it is used as it is."""
     packed = pack_batch(batch, params.dims) if packed is None else packed
-    trace = forward_batch(params, packed, toggles)
+    trace = forward_batch(params, packed)
     loss, heads = _composite(trace.obj_probs, packed.labels, packed.obj_weight,
                              trace.rel_probs, packed.predicates, packed.targets,
                              trace.pred_emb, packed.edge_weight, params.lambdas,
                              grad=True)
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")
-    return loss, backward_scene(params, trace, toggles, heads)
+    return loss, backward_scene(params, trace, heads)

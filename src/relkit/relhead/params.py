@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import islice
 from typing import Dict, Tuple
 
@@ -48,13 +48,25 @@ def tensor_shapes(dims: Dims) -> Dict[str, Tuple[int, ...]]:
     }
 
 
+@dataclass(frozen=True)
+class Toggles:
+    """Ablation switches; a disabled mechanism becomes a passthrough."""
+
+    object_attention: bool = True
+    geometric_objects: bool = True
+    geometric_relationships: bool = True
+    subject_object_attention: bool = True
+    attention_mean: bool = True  # keep the 1/k factor on the context sum
+
+
 @dataclass
 class ModelParams:
-    """All learned tensors plus the three loss weights."""
+    """All learned tensors, the three loss weights and the ablation switches."""
 
     dims: Dims
     tensors: Dict[str, np.ndarray]
     lambdas: Tuple[float, float, float] = (1.0, 1.0, 1.0)
+    toggles: Toggles = Toggles()
 
     def __post_init__(self):
         expected = tensor_shapes(self.dims)
@@ -74,15 +86,15 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.dims,
                            {k: v.copy() for k, v in self.tensors.items()},
-                           self.lambdas)
+                           self.lambdas, self.toggles)
 
     def zero_like(self) -> Dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.tensors.items()}
 
 
 def init_params(dims: Dims, seed: int, scale: float = 0.1,
-                lambdas: Tuple[float, float, float] = (1.0, 1.0, 1.0)
-                ) -> ModelParams:
+                lambdas: Tuple[float, float, float] = (1.0, 1.0, 1.0),
+                toggles: Toggles = Toggles()) -> ModelParams:
     """Seeded Gaussian weights, zero biases."""
     rng = np.random.default_rng(seed)
     tensors = {}
@@ -91,7 +103,7 @@ def init_params(dims: Dims, seed: int, scale: float = 0.1,
             tensors[name] = np.zeros(shape, dtype=np.float64)
         else:
             tensors[name] = rng.normal(0.0, scale, size=shape)
-    return ModelParams(dims, tensors, lambdas)
+    return ModelParams(dims, tensors, lambdas, toggles)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +112,7 @@ def init_params(dims: Dims, seed: int, scale: float = 0.1,
 # bit-identical and reruns produce byte-identical files.
 # ---------------------------------------------------------------------------
 
-_MAGIC = "RELKIT-CKPT 1"
+_MAGIC = "RELKIT-CKPT 2"
 
 
 def save_params(params: ModelParams, path) -> None:
@@ -109,6 +121,7 @@ def save_params(params: ModelParams, path) -> None:
         fh.write(_MAGIC + "\n")
         fh.write(f"dims {d.d} {d.r} {d.e} {d.n_object_labels} {d.n_predicate_labels}\n")
         fh.write("lambdas " + " ".join(repr(float(l)) for l in params.lambdas) + "\n")
+        fh.write("toggles " + " ".join(str(int(t)) for t in astuple(params.toggles)) + "\n")
         for name in sorted(params.tensors):
             arr = params.tensors[name]
             fh.write(f"tensor {name} " + " ".join(str(s) for s in arr.shape) + "\n")
@@ -120,11 +133,15 @@ def load_params(path) -> ModelParams:
     tensors: Dict[str, np.ndarray] = {}
     with TextFile(path) as lines:
         if next(iter(lines), "").rstrip("\n") != _MAGIC:
-            raise FormatError("not a relkit checkpoint")
+            raise FormatError(f"not a {_MAGIC} checkpoint")
         dims = Dims(*(int(v) for v in next(iter(lines), "").split()[1:]))
         lambdas = tuple(float(v) for v in next(iter(lines), "").split()[1:])
         if len(lambdas) != 3:
             raise FormatError("need three loss weights")
+        switches = next(iter(lines), "").split()[1:]
+        if len(switches) != 5 or not set(switches) <= {"0", "1"}:
+            raise FormatError("need five 0/1 ablation switches")
+        toggles = Toggles(*(v == "1" for v in switches))
         for line in lines:
             parts = line.split()
             if (parts[0] != "tensor" or len(parts) < 2
@@ -137,6 +154,6 @@ def load_params(path) -> ModelParams:
                 raise FormatError(f"truncated tensor {parts[1]}")
             tensors[parts[1]] = values.reshape(shape)
         try:
-            return ModelParams(dims, tensors, lambdas)
+            return ModelParams(dims, tensors, lambdas, toggles)
         except ConfigError as exc:
             raise FormatError(str(exc)) from exc

@@ -19,7 +19,7 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, Toggles, _pack_candidates,
+from .model import (Example, _pack_candidates,
                     forward_edges, forward_objects, loss_and_gradients,
                     pack_batch)
 # Unused here: the benchmark's tracer requires this module to name it.
@@ -31,19 +31,13 @@ log = logging.getLogger("relkit.train")
 
 @dataclass
 class TrainConfig:
-    """The head's settings; `config.RunConfig` extends it with the rest."""
+    """The training settings; `config.RunConfig` extends it with the rest."""
 
     learning_rate: float = 0.5
     epochs: int = 100
     m_candidates: int = 10
     k_candidates: int = 5
     seed: int = 0
-    # ablation switches (each disabled mechanism becomes a passthrough)
-    object_attention: bool = True
-    geometric_encoding_objects: bool = True
-    geometric_encoding_relationships: bool = True
-    subject_object_attention: bool = True
-    attention_mean: bool = True
     orm_backoff: bool = True
     strict_oov: bool = False
 
@@ -54,12 +48,6 @@ class TrainConfig:
             raise ConfigError("epochs and learning rate must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def toggles(self) -> Toggles:
-        return Toggles(self.object_attention, self.geometric_encoding_objects,
-                       self.geometric_encoding_relationships,
-                       self.subject_object_attention, self.attention_mean)
 
 
 def _scene_example(instance: SceneInstance, edges, pair_features, targets) -> Example:
@@ -152,13 +140,11 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
-    toggles = cfg.toggles
     losses: List[float] = []
     for epoch in range(cfg.epochs):
         packed.cand_groups = draw_candidates(examples, index, epoch)
         try:
-            loss, grads = loss_and_gradients(
-                params, examples, toggles, packed=packed)
+            loss, grads = loss_and_gradients(params, examples, packed=packed)
         except NumericError as exc:
             raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
         for name in params.tensors:
@@ -175,14 +161,13 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
 def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
                   orm: OrmTable, object_vocab: Vocabulary,
                   predicate_vocab: Vocabulary, table: EmbeddingTable,
-                  toggles: Toggles = Toggles(),
                   k_candidates: int = 5,
                   orm_backoff: bool = True,
                   strict_oov: bool = False,
                   protocol: str = "predcls"
                   ) -> List[Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]]:
     """Score every ingested pair of every scene with one object pass and
-    one edge pass over the whole batch.
+    one edge pass over the whole batch, under the switches in `params`.
 
     predcls: ORM lookups use the ground-truth object labels; object_probs
     is omitted from the output. sgcls: labels come from the object
@@ -210,7 +195,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
             [pair_map[p] for p in pairs[-1]],
             [np.zeros(params.dims.e)] * len(pairs[-1])))
     packed = pack_batch(examples, params.dims)  # no candidates yet
-    objects = forward_objects(params, packed, toggles)
+    objects = forward_objects(params, packed)
     if protocol == "sgcls":  # look candidates up under the predicted labels
         predicted, n0 = objects[1].argmax(axis=1), 0
         for ex in examples:
@@ -222,7 +207,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
         m_candidates=k_candidates, k_candidates=k_candidates,
         orm_backoff=orm_backoff, strict_oov=strict_oov))
     packed.cand_groups = _pack_candidates(examples, params.dims.e)
-    trace = forward_edges(params, packed, objects, toggles)
+    trace = forward_edges(params, packed, objects)
     out, n0, e0 = [], 0, 0
     for ex, scene_pairs in zip(examples, pairs):
         n1, e1 = n0 + len(ex.features), e0 + len(scene_pairs)

@@ -77,15 +77,15 @@ def test_03_gradients_match_finite_differences():
     rng = np.random.default_rng(103)
     h = 1e-5
     for ci, toggles in enumerate(configs):
-        params = init_params(dims, seed=103 + ci, scale=0.3)
+        params = init_params(dims, seed=103 + ci, scale=0.3, toggles=toggles)
         batch = [random_example(rng, dims) for _ in range(5)]
 
         def batch_loss():
             return float(np.mean([
-                scene_loss(forward_scene(params, ex, toggles), ex,
+                scene_loss(forward_scene(params, ex), ex,
                            params.lambdas) for ex in batch]))
 
-        _, analytic = loss_and_gradients(params, batch, toggles)
+        _, analytic = loss_and_gradients(params, batch)
         for name, arr in params.tensors.items():
             it = np.nditer(arr, flags=["multi_index"])
             for _ in it:

@@ -19,7 +19,7 @@ from relkit.corpus import Triplet, TripletCorpus
 from relkit.embed import EmbeddingTable, embed_phrase, embed_phrases
 from relkit.errors import ConfigError, OutOfVocabularyError
 from relkit.orm import build_orm, lookup, sample_candidates
-from relkit.relhead import (CandidateIndex, Dims, Toggles, TrainConfig,
+from relkit.relhead import (CandidateIndex, Dims, TrainConfig,
                             build_example, draw_candidates, init_params,
                             loss_and_gradients, predict_batch, predict_scene,
                             train)
@@ -170,8 +170,7 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
         if protocol == "predcls":
             ids = scene.graph.labels()
         else:
-            probs = forward_objects(params, pack_batch([ex], params.dims),
-                                    Toggles())[1]
+            probs = forward_objects(params, pack_batch([ex], params.dims))[1]
             ids = [int(np.argmax(row)) for row in probs]
         expected = [reference_rows(data.embeddings, [r for r, _ in lookup(
             orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
@@ -351,7 +350,7 @@ def per_edge_train(cfg, examples, orm, object_vocab, table, params):
                                   epoch))
         for ex in examples:
             ex.candidate_embeddings = [next(sets) for _ in ex.edges]
-        loss, grads = loss_and_gradients(params, examples, cfg.toggles)
+        loss, grads = loss_and_gradients(params, examples)
         for name in params.tensors:
             params.tensors[name] -= cfg.learning_rate * grads[name]
         losses.append(loss)

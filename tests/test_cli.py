@@ -406,6 +406,16 @@ class TestTrain:
         assert f"relkit: error: {args[1]}: scene 1: edge ({s},{o}) has no " \
             f"ingested pair feature" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_numeric_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "x.ckpt"
+        assert run("train", *model_args(workspace), "--epochs", "5",
+                   "--learning-rate", "1e100", "--n-predicate-labels", "5",
+                   "--out", str(out)) == 4
+        assert "relkit: error: training diverged at epoch 1: non-finite " \
+            "values in edge representations" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_table_output(self, workspace, capsys):
@@ -437,11 +447,47 @@ class TestEval:
                    "--protocol", "sgcls") == 0
         assert "R@50" in capsys.readouterr().out
 
-    def test_ablation_all_off_runs(self, workspace, capsys):
-        assert run("eval", *model_args(workspace),
-                   "--checkpoint", str(workspace["ckpt"]),
-                   "--ablation", "all-off") == 0
+    def test_ablation_all_off_runs(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "off.ckpt"
+        assert run("train", *model_args(workspace), "--ablation", "all-off",
+                   "--epochs", "4", "--seed", "3", "--n-predicate-labels", "5",
+                   "--out", str(ckpt)) == 0
+        assert run("eval", *model_args(workspace), "--checkpoint", str(ckpt)) == 0
         assert "R@50" in capsys.readouterr().out
+
+    def test_checkpoint_switches_score_the_trained_network(self, tmp_path,
+                                                          capsys):
+        # the README world: scored under other switches, the all-off head
+        # reads R@50 0.073333
+        data = tmp_path / "data"
+        assert run("synth", "--out-dir", str(data), "--seed", "42",
+                   "--predicates", "10", "--heldout", "3") == 0
+        assert run("build-orm", "--in", str(data / "corpus.jsonl"),
+                   "--out", str(tmp_path / "orm.tsv")) == 0
+        args = ["--scenes", str(data / "train.jsonl"),
+                "--orm", str(tmp_path / "orm.tsv"),
+                "--vectors", str(data / "vectors.txt"),
+                "--objects", str(data / "objects.tsv"),
+                "--predicates", str(data / "predicates.tsv")]
+        ckpt = tmp_path / "off.ckpt"
+        assert run("train", *args, "--n-predicate-labels", "10", "--epochs",
+                   "200", "--ablation", "all-off", "--out", str(ckpt)) == 0
+        assert ckpt.read_text().splitlines()[3] == "toggles 0 0 0 0 1"
+        capsys.readouterr()
+        assert run("eval", *args, "--checkpoint", str(ckpt),
+                   "--format", "tsv") == 0
+        assert "R@50\t1.000000\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--ablation", "all-off"],
+                                      ["--seed", "1"]], ids=["ablation", "seed"])
+    @pytest.mark.parametrize("command", ["eval", "zeroshot"])
+    def test_training_flag_is_usage_error(self, workspace, command, flag):
+        extra = ["--labels", str(workspace["data"] / "heldout.txt")] \
+            if command == "zeroshot" else []
+        with pytest.raises(SystemExit) as exc:
+            run(command, *model_args(workspace), *extra,
+                "--checkpoint", str(workspace["ckpt"]), *flag)
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("setting", ["k_candidates = 0",
                                          "k_candidates = -1",
@@ -545,13 +591,31 @@ class TestEval:
     def test_bad_tensor_header_is_data_error(self, workspace, tmp_path, capsys,
                                              header):
         lines = workspace["ckpt"].read_text().splitlines()
-        assert lines[3].startswith("tensor ")
-        lines[3] = header
+        assert lines[4].startswith("tensor ")
+        lines[4] = header
         bad = tmp_path / "bad.ckpt"
         bad.write_text("\n".join(lines) + "\n")
         assert run("eval", *model_args(workspace),
                    "--checkpoint", str(bad)) == 3
-        assert f"{bad}:4: bad tensor header" in capsys.readouterr().err
+        assert f"{bad}:5: bad tensor header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, where, message", [
+        (lambda lines: ["RELKIT-CKPT 1"] + lines[1:3] + lines[4:],
+         ":1", "not a RELKIT-CKPT 2 checkpoint"),
+        (lambda lines: lines[:3] + ["toggles 1 1 1 1"] + lines[4:],
+         ":4", "need five 0/1 ablation switches"),
+        (lambda lines: lines[:3] + ["toggles 1 1 2 1 1"] + lines[4:],
+         ":4", "need five 0/1 ablation switches")],
+        ids=["version-1", "four-switches", "switch-2"])
+    def test_bad_version_or_switches_is_located_data_error(
+            self, workspace, tmp_path, capsys, edit, where, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("\n".join(edit(workspace["ckpt"].read_text()
+                                      .splitlines())) + "\n")
+        assert run("eval", *model_args(workspace),
+                   "--checkpoint", str(bad)) == 3
+        assert f"relkit: error: {bad}{where}: {message}" \
+            in capsys.readouterr().err
 
 
     @pytest.mark.parametrize("edit, where, message", [
@@ -762,7 +826,7 @@ class TestReport:
                    "--predicates", str(workspace["data"] / "predicates.tsv"),
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 2
         # checked once the whole file is read, as every setting is
-        assert "relkit: error: dimensions must be >= 1" \
+        assert f"relkit: error: {cfgfile}: dimensions must be >= 1" \
             in capsys.readouterr().err
 
     def test_invalid_config_combination_is_config_error(self, workspace,
@@ -818,6 +882,7 @@ def test_invalid_config_is_config_error_at_load(workspace, tmp_path, capsys,
     assert run(command, "--config", str(cfgfile), *tail) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"relkit: error: {line.split(' =')[0]} must be" in captured.err \
-        or "epochs and learning rate must be >= 0" in captured.err
+    assert f"relkit: error: {cfgfile}: {line.split(' =')[0]} must be" \
+        in captured.err or f"relkit: error: {cfgfile}: epochs and learning " \
+        f"rate must be >= 0" in captured.err
     assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()

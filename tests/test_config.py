@@ -58,6 +58,32 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="must be >= 0"):
             RunConfig(**{name: value})
 
+    def test_keys_types_and_defaults(self):
+        assert {f.name: (f.type, f.default)
+                for f in dataclasses.fields(RunConfig)} == {
+            "learning_rate": ("float", 0.5), "epochs": ("int", 100),
+            "m_candidates": ("int", 10), "k_candidates": ("int", 5),
+            "seed": ("int", 0), "orm_backoff": ("bool", True),
+            "strict_oov": ("bool", False), "object_attention": ("bool", True),
+            "geometric_encoding_objects": ("bool", True),
+            "geometric_encoding_relationships": ("bool", True),
+            "subject_object_attention": ("bool", True),
+            "attention_mean": ("bool", True), "d": ("int", 16),
+            "r": ("int", 4), "e": ("int", 8), "lambda1": ("float", 1.0),
+            "lambda2": ("float", 1.0), "lambda3": ("float", 1.0),
+            "sigma": ("float", 0.1), "micro_recall": ("bool", False),
+            "graph_constraint": ("bool", True),
+            "zeroshot_temperature": ("float", 1.0),
+            "synonym_threshold": ("float", 0.6),
+            "longtail_threshold": ("int", 1024)}
+
+    def test_train_config_holds_no_switches(self):
+        # the switches live on the parameters the head is trained with
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "learning_rate", "epochs", "m_candidates", "k_candidates", "seed",
+            "orm_backoff", "strict_oov"]
+        assert not hasattr(TrainConfig(), "toggles")
+
     def test_head_settings_inherited_from_train_config(self):
         cfg = RunConfig(geometric_encoding_objects=False, attention_mean=False)
         assert isinstance(cfg, TrainConfig)

@@ -50,6 +50,11 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             Vocabulary.make([("a", -1)])
 
+    @pytest.mark.parametrize("counts", [(1,), (1, 2, 3)])
+    def test_rejects_labels_and_counts_of_unequal_length(self, counts):
+        with pytest.raises(FormatError, match="labels/counts length mismatch"):
+            Vocabulary(("a", "b"), counts)
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):

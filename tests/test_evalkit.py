@@ -4,7 +4,7 @@ import pytest
 from helpers import planted_vector, random_box, random_instance
 from relkit.core import SceneGraph, SceneInstance, Vocabulary
 from relkit.embed import EmbeddingTable, cosine
-from relkit.errors import NumericError
+from relkit.errors import NumericError, OutOfVocabularyError
 from relkit.evalkit import (ScenePrediction, TripletPrediction, _scene_rows,
                             longtail_split, predcls_eval, ranked_predicates,
                             recall_at_k, sgcls_eval, synonym_report,
@@ -99,6 +99,11 @@ class TestTopkAccuracy:
     def test_no_instances_is_numeric_error(self):
         with pytest.raises(NumericError, match="no edge was scored"):
             topk_accuracy([], [], 5)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_k_below_one_is_numeric_error(self, k):
+        with pytest.raises(NumericError, match="requires k >= 1"):
+            topk_accuracy([[3, 1]], [3], k)
 
     def test_mixed_case_vs_direct_count(self):
         rng = np.random.default_rng(4)
@@ -203,6 +208,11 @@ class TestLongtailSplit:
         rare, frequent = longtail_split(Vocabulary.make([]))
         assert rare == [] and frequent == []
 
+    @pytest.mark.parametrize("threshold", [0, -5])
+    def test_threshold_below_one_is_numeric_error(self, threshold):
+        with pytest.raises(NumericError, match="threshold must be >= 1"):
+            longtail_split(Vocabulary.make([("a", 3)]), threshold)
+
     def test_partition_matches_direct_filter(self):
         rng = np.random.default_rng(10)
         for _ in range(50):
@@ -262,6 +272,27 @@ class TestSynonymReport:
         with pytest.warns(UserWarning):
             report = synonym_report(vocab, table, 0.5)
         assert "mystery" not in report
+
+    def test_oov_label_strict_raises(self):
+        table = EmbeddingTable(2, {"up": np.array([1.0, 0.0])})
+        vocab = Vocabulary.make([("up", 1), ("mystery", 2)])
+        with pytest.raises(OutOfVocabularyError, match="mystery"):
+            synonym_report(vocab, table, 0.5, strict=True)
+
+    def test_zero_embedding_label_skipped_with_warning(self):
+        table = EmbeddingTable(2, {"up": np.array([1.0, 0.0]),
+                                   "void": np.zeros(2)})
+        vocab = Vocabulary.make([("up", 1), ("void", 2)])
+        with pytest.warns(UserWarning, match="zero-embedding label: 'void'"):
+            report = synonym_report(vocab, table, 0.5)
+        assert report == {"up": (0, 0)}
+
+    def test_zero_embedding_label_strict_raises(self):
+        table = EmbeddingTable(2, {"up": np.array([1.0, 0.0]),
+                                   "void": np.zeros(2)})
+        vocab = Vocabulary.make([("up", 1), ("void", 2)])
+        with pytest.raises(NumericError, match="zero embedding for label 'void'"):
+            synonym_report(vocab, table, 0.5, strict=True)
 
 
 def test_ranked_predicates_tie_break():

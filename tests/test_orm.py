@@ -189,6 +189,12 @@ class TestSampleCandidates:
         with pytest.raises(ConfigError):
             sample_candidates(table, "a", "b", m=2, k=3, seed=0)
 
+    @pytest.mark.parametrize("m, k", [(0, 1), (2, 0), (-1, -1)])
+    def test_m_or_k_below_one_rejected(self, m, k):
+        table = build_orm(corpus_of(("a", "r", "b", 1)))
+        with pytest.raises(ConfigError, match="requires M >= 1 and K >= 1"):
+            sample_candidates(table, "a", "b", m=m, k=k, seed=0)
+
     def test_negative_seed_rejected(self):
         # random.Random seeds by absolute value: -5 would draw what 5 draws
         table = build_orm(corpus_of(("a", "r1", "b", 3), ("a", "r2", "b", 2)))

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import itertools
 import math
 
 import numpy as np
@@ -9,8 +12,9 @@ from relkit.errors import (ConfigError, EmptySceneError, FormatError,
 from relkit.relhead import (Dims, Example, Toggles, classify_objects,
                             composite_loss, forward_scene, geometric_quad,
                             init_params, load_params, loss_and_gradients,
-                            predict_relationship, save_params, scene_loss,
-                            train, TrainConfig)
+                            predict_batch, predict_relationship, save_params,
+                            scene_loss, train, TrainConfig)
+from relkit.relhead import model
 
 DIMS = Dims(d=8, r=4, e=6, n_object_labels=4, n_predicate_labels=5)
 
@@ -44,7 +48,9 @@ def edge_output(params, f, fi, fj, candidates=None, **toggles):
     attention off unless `toggles` (Toggles fields) say otherwise. The
     geometric encoding is pinned to f[d:] and the spatial projection to the
     r-parts of fi and fj; all of it is exact in floating point."""
-    params = params.copy()
+    params = dataclasses.replace(params.copy(), toggles=Toggles(**{
+        "object_attention": False, "subject_object_attention": False,
+        **toggles}))
     t, d = params.tensors, DIMS.d
     t["W_geo"][:], t["b_geo"][:] = 0.0, f[d:]
     t["W_spat"][:], t["b_spat"][:] = 0.0, 0.0
@@ -53,9 +59,7 @@ def edge_output(params, f, fi, fj, candidates=None, **toggles):
                  np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]),
                  np.zeros(2, np.int64), [(0, 1, 0)], [f[:d]],
                  [np.ones(DIMS.e)], [candidates])
-    toggles = Toggles(**{"object_attention": False,
-                         "subject_object_attention": False, **toggles})
-    return forward_scene(params, ex, toggles).f3[0]
+    return forward_scene(params, ex).f3[0]
 
 
 def text_contexts(params, candidates):
@@ -193,7 +197,8 @@ class TestGeometricEncoding:
         assert np.allclose(quad, [-1.0, -1.0, 2.0, 2.0], atol=1e-12)
 
     def test_identity_projection_returns_quad(self):
-        params = init_params(DIMS, seed=11)
+        params = init_params(DIMS, seed=11,
+                             toggles=Toggles(subject_object_attention=False))
         params.tensors["W_geo"][:] = np.eye(4)
         params.tensors["b_geo"][:] = 0.0
         bi = np.array([1.0, 2.0, 2.0, 4.0])
@@ -201,7 +206,7 @@ class TestGeometricEncoding:
         ex = Example(np.zeros((2, DIMS.d)), np.stack([bi, bj]),
                      np.zeros(2, np.int64), [(0, 1, 0)], [np.zeros(DIMS.d)],
                      [np.ones(DIMS.e)])
-        f3 = forward_scene(params, ex, Toggles(subject_object_attention=False)).f3
+        f3 = forward_scene(params, ex).f3
         assert np.allclose(f3[0, DIMS.d:], geometric_quad(bi, bj), atol=1e-12)
 
     def test_translation_invariant(self):
@@ -358,7 +363,7 @@ class TestCompositeLoss:
             assert loss >= 0.0
 
 
-def finite_difference_grads(params, batch, toggles, h=1e-5):
+def finite_difference_grads(params, batch, h=1e-5):
     grads = {}
     for name, arr in params.tensors.items():
         num = np.zeros_like(arr)
@@ -367,10 +372,10 @@ def finite_difference_grads(params, batch, toggles, h=1e-5):
             ix = it.multi_index
             orig = arr[ix]
             arr[ix] = orig + h
-            up = np.mean([scene_loss(forward_scene(params, ex, toggles), ex,
+            up = np.mean([scene_loss(forward_scene(params, ex), ex,
                                      params.lambdas) for ex in batch])
             arr[ix] = orig - h
-            down = np.mean([scene_loss(forward_scene(params, ex, toggles), ex,
+            down = np.mean([scene_loss(forward_scene(params, ex), ex,
                                        params.lambdas) for ex in batch])
             arr[ix] = orig
             num[ix] = (up - down) / (2 * h)
@@ -391,9 +396,8 @@ class TestGradients:
         rng = np.random.default_rng(23)
         params = init_params(DIMS, seed=23, scale=0.3)
         batch = [random_example(rng, DIMS) for _ in range(2)]
-        toggles = Toggles()
-        _, analytic = loss_and_gradients(params, batch, toggles)
-        numeric = finite_difference_grads(params, batch, toggles)
+        _, analytic = loss_and_gradients(params, batch)
+        numeric = finite_difference_grads(params, batch)
         for name in analytic:
             denom = np.maximum(np.maximum(np.abs(analytic[name]),
                                           np.abs(numeric[name])), 1e-8)
@@ -405,7 +409,7 @@ class TestGradients:
         rng = np.random.default_rng(24)
         params = init_params(DIMS, seed=24, lambdas=(0.0, 0.0, 1.0))
         ex = random_example(rng, DIMS, n_edges=1)
-        trace = forward_scene(params, ex, Toggles())
+        trace = forward_scene(params, ex)
         v_hat = trace.pred_emb[0]
         _, grads = loss_and_gradients(params, [ex])
         # reconstruct dL/dv from the b_re gradient (b_re feeds v directly)
@@ -415,7 +419,7 @@ class TestGradients:
         rng = np.random.default_rng(26)
         params = init_params(DIMS, seed=26)
         ex = random_example(rng, DIMS)
-        trace = forward_scene(params, ex, Toggles())
+        trace = forward_scene(params, ex)
         assert np.allclose(trace.obj_probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((trace.obj_probs > 0) & (trace.obj_probs < 1))
         for rel_probs in trace.rel_probs:
@@ -425,12 +429,11 @@ class TestGradients:
 class TestAblationPassthrough:
     def test_all_off_pipeline_still_valid(self):
         rng = np.random.default_rng(27)
-        params = init_params(DIMS, seed=27)
-        toggles = Toggles(object_attention=False, geometric_objects=False,
-                          geometric_relationships=False,
-                          subject_object_attention=False)
+        params = init_params(DIMS, seed=27, toggles=Toggles(
+            object_attention=False, geometric_objects=False,
+            geometric_relationships=False, subject_object_attention=False))
         ex = random_example(rng, DIMS, with_candidates=False)
-        trace = forward_scene(params, ex, toggles)
+        trace = forward_scene(params, ex)
         # geometry off: enriched rows are visual features + zero block
         assert np.array_equal(trace.enriched[:, DIMS.d:],
                               np.zeros((ex.features.shape[0], DIMS.r)))
@@ -442,12 +445,11 @@ class TestAblationPassthrough:
 
     def test_disabled_mechanisms_get_zero_gradients(self):
         rng = np.random.default_rng(28)
-        params = init_params(DIMS, seed=28)
-        toggles = Toggles(object_attention=False, geometric_objects=False,
-                          geometric_relationships=False,
-                          subject_object_attention=False)
+        params = init_params(DIMS, seed=28, toggles=Toggles(
+            object_attention=False, geometric_objects=False,
+            geometric_relationships=False, subject_object_attention=False))
         batch = [random_example(rng, DIMS, with_candidates=False)]
-        _, grads = loss_and_gradients(params, batch, toggles)
+        _, grads = loss_and_gradients(params, batch)
         for name in ("W_att_obj", "W_spat", "b_spat", "W_geo", "b_geo",
                      "W_so", "W_att_so", "W_att_txt", "W_txt", "b_txt"):
             assert np.all(grads[name] == 0.0), name
@@ -542,8 +544,26 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=f"{path}:10: could not convert"):
             load_params(path)
 
+    def test_every_switch_combination_round_trips(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        for bits in itertools.product([False, True], repeat=5):
+            params = init_params(DIMS, seed=34, toggles=Toggles(*bits))
+            save_params(params, path)
+            assert path.read_text().splitlines()[3] == \
+                "toggles " + " ".join(str(int(b)) for b in bits)
+            assert load_params(path).toggles == Toggles(*bits)
+            assert load_params(path).copy().toggles == Toggles(*bits)
+
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "ckpt.txt"
         path.write_text("not a checkpoint\n")
         with pytest.raises(FormatError):
             load_params(path)
+
+
+@pytest.mark.parametrize("fn", [
+    model.forward_objects, model.forward_edges, model.forward_batch,
+    model.forward_scene, model.backward_scene, model.loss_and_gradients,
+    predict_batch], ids=lambda fn: fn.__name__)
+def test_switches_are_read_from_params(fn):
+    assert "toggles" not in inspect.signature(fn).parameters

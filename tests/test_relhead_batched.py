@@ -40,9 +40,9 @@ def mixed_batch(seed):
 
 
 def assert_matches_reference(params, batch, toggles, lambdas):
-    params = ModelParams(params.dims, params.tensors, lambdas)
+    params = ModelParams(params.dims, params.tensors, lambdas, toggles)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        loss, grads = loss_and_gradients(params, batch, toggles)
+        loss, grads = loss_and_gradients(params, batch)
     ref_loss, ref_grads = ref.loss_and_gradients(params, batch, toggles)
     assert abs(loss - ref_loss) <= TOL * abs(ref_loss)
     assert set(grads) == set(ref_grads)
@@ -80,7 +80,7 @@ def test_clamped_cross_entropy_matches_reference():
     for ex in batch:
         ex.object_labels[:] = 0
         ex.edges = [(i, j, 1) for i, j, _ in ex.edges]
-    trace = forward_batch(params, pack_batch(batch, DIMS), Toggles())
+    trace = forward_batch(params, pack_batch(batch, DIMS))
     assert np.all(trace.obj_probs[:, 0] <= CE_EPS)
     assert np.all(trace.rel_probs[:, 1] <= CE_EPS)
     assert_matches_reference(params, batch, Toggles(), (1.0, 1.0, 1.0))
@@ -89,8 +89,7 @@ def test_clamped_cross_entropy_matches_reference():
 def test_ragged_batch_stays_finite():
     params = init_params(DIMS, seed=8, scale=0.3)
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        trace = forward_batch(params, pack_batch(mixed_batch(30), DIMS),
-                              Toggles())
+        trace = forward_batch(params, pack_batch(mixed_batch(30), DIMS))
     for name in ("enriched", "obj_probs", "f3", "rel_probs", "pred_emb"):
         assert np.all(np.isfinite(getattr(trace, name))), name
 
@@ -98,10 +97,10 @@ def test_ragged_batch_stays_finite():
 def test_forward_scene_is_the_batch_row():
     params = init_params(DIMS, seed=9, scale=0.3)
     batch = mixed_batch(40)
-    trace = forward_batch(params, pack_batch(batch, DIMS), Toggles())
+    trace = forward_batch(params, pack_batch(batch, DIMS))
     obj_row = edge_row = 0
     for ex in batch:
-        one = forward_scene(params, ex, Toggles())
+        one = forward_scene(params, ex)
         n, m = len(ex.features), len(ex.edges)
         assert np.allclose(one.obj_probs, trace.obj_probs[obj_row:obj_row + n],
                            rtol=0, atol=1e-14)
@@ -169,6 +168,17 @@ def test_non_positive_edge_box():
     # without the geometric edge encoding the box is never divided by
     off = Toggles(geometric_relationships=False)
     assert_matches_reference(params, [good, bad], off, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("field", ["pair_features", "target_embeddings"])
+@pytest.mark.parametrize("change", [-1, 1], ids=["fewer", "more"])
+def test_pack_needs_a_pair_feature_and_target_per_edge(field, change):
+    ex = random_example(np.random.default_rng(4), DIMS, n=3, n_edges=2)
+    values = getattr(ex, field)
+    setattr(ex, field, values[:-1] if change < 0 else values + values[:1])
+    with pytest.raises(ConfigError, match="scene 1: need a pair feature and "
+                                          "a target embedding per edge"):
+        pack_batch([random_example(np.random.default_rng(5), DIMS), ex], DIMS)
 
 
 def test_zero_target_vector_and_non_finite_inputs():

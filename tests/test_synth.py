@@ -29,6 +29,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
             SynthConfig(seed=-1)
 
+    @pytest.mark.parametrize("counts", [
+        {"n_object_labels": 677},
+        {"n_seen_predicates": 600, "n_heldout_predicates": 77}],
+        ids=["objects", "predicates"])
+    def test_more_than_676_labels_rejected(self, counts):
+        with pytest.raises(ConfigError, match="at most 676 labels"):
+            SynthConfig(**counts)
+        SynthConfig(**{k: v - 1 for k, v in counts.items()})
+
     def test_edges_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(objects_per_scene=2, edges_per_scene=3)

@@ -101,6 +101,21 @@ class TestTopk:
         probs = np.array([0.6, 0.4])
         assert topk(probs, ["a", "b"], 10) == ["a", "b"]
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(NumericError, match="k must be >= 1"):
+            topk(np.array([0.6, 0.4]), ["a", "b"], k)
+
+
+class TestLabelEmbeddingMatrix:
+    def test_row_count_must_match_labels(self):
+        with pytest.raises(NumericError, match="row count mismatch"):
+            matrix_of(["a", "b"], [[1.0, 0.0]])
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(NumericError, match="rows must be nonzero"):
+            matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
+
 
 def test_build_label_matrix_pools_phrases():
     table = EmbeddingTable(2, {"standing": np.array([1.0, 0.0]),

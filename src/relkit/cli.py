@@ -117,7 +117,7 @@ def cmd_synth(args) -> int:
         n_object_labels=args.objects,
         n_seen_predicates=args.predicates,
         n_heldout_predicates=args.heldout,
-        d=cfg.d, r=cfg.r, e=cfg.e, sigma=cfg.sigma,
+        d=cfg.d, e=cfg.e, sigma=cfg.sigma,
         n_train_scenes=args.train_scenes,
         n_test_scenes=args.test_scenes,
         objects_per_scene=args.objects_per_scene,
@@ -163,9 +163,10 @@ def _load_shared(args):
 def cmd_train(args) -> int:
     cfg = _load_run_config(args)
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
-    n_pred = (len(predicate_vocab) if args.n_predicate_labels is None
-              else args.n_predicate_labels)
-    dims = Dims(cfg.d, cfg.r, cfg.e, len(object_vocab), n_pred)
+    # the inputs fix d, e and the head's size: the trained predicates only
+    d = next((len(s.object_features[0]) for s in scenes if s.object_features), 1)
+    n_pred = 1 + max((p for s in scenes for _, _, p in s.graph.edges), default=0)
+    dims = Dims(d, cfg.r, table.dimension, len(object_vocab), n_pred)
     examples = []
     for si, scene in enumerate(scenes):  # a zero target has no cosine loss
         try:
@@ -224,8 +225,8 @@ def cmd_zeroshot(args) -> int:
     for si, (scene, (_, pair_embs)) in enumerate(zip(scenes, predictions)):
         for s, o, p in scene.graph.edges:
             if (s, o) not in pair_embs:
-                raise ConfigError(f"scene {si}: edge ({s},{o}) has no "
-                                  f"ingested pair feature")
+                raise ConfigError(f"{args.scenes}: scene {si}: edge ({s},{o}) "
+                                  f"has no ingested pair feature")
             probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix,
                                             cfg.zeroshot_temperature)
             ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
@@ -334,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable every ablation mechanism")
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--n-predicate-labels", dest="n_predicate_labels", type=int,
-                   help="classifier size; defaults to the predicate vocabulary")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="run an evaluation protocol")

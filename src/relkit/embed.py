@@ -25,9 +25,6 @@ class EmbeddingTable:
     _pooled: Dict[str, Optional[np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
 
 def load_embeddings(path) -> EmbeddingTable:
     dimension = None

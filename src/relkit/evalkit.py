@@ -188,15 +188,9 @@ def synonym_report(vocab: Vocabulary, table: EmbeddingTable,
         embedded[label] = vec
     report: Dict[str, Tuple[int, int]] = {}
     for label, vec in embedded.items():
-        n_syn = 0
-        instances = 0
-        for other, ovec in embedded.items():
-            if other == label:
-                continue
-            if cosine(vec, ovec) >= similarity_threshold:
-                n_syn += 1
-                instances += counts[other]
-        report[label] = (n_syn, instances)
+        near = [other for other, ovec in embedded.items()
+                if other != label and cosine(vec, ovec) >= similarity_threshold]
+        report[label] = (len(near), sum(counts[other] for other in near))
     return report
 
 

@@ -132,28 +132,36 @@ def save_params(params: ModelParams, path) -> None:
 def load_params(path) -> ModelParams:
     tensors: Dict[str, np.ndarray] = {}
     with TextFile(path) as lines:
+        def header(keyword: str):  # the next line's values after `keyword`
+            parts = next(iter(lines), "").split()
+            if parts[:1] != [keyword]:
+                raise FormatError(f"expected a {keyword} line")
+            return parts[1:]
+
         if next(iter(lines), "").rstrip("\n") != _MAGIC:
             raise FormatError(f"not a {_MAGIC} checkpoint")
-        dims = Dims(*(int(v) for v in next(iter(lines), "").split()[1:]))
-        lambdas = tuple(float(v) for v in next(iter(lines), "").split()[1:])
-        if len(lambdas) != 3:
-            raise FormatError("need three loss weights")
-        switches = next(iter(lines), "").split()[1:]
-        if len(switches) != 5 or not set(switches) <= {"0", "1"}:
-            raise FormatError("need five 0/1 ablation switches")
-        toggles = Toggles(*(v == "1" for v in switches))
-        for line in lines:
-            parts = line.split()
-            if (parts[0] != "tensor" or len(parts) < 2
-                    or not all(s.isdecimal() for s in parts[2:])):
-                raise FormatError(f"bad tensor header: {line.strip()!r}")
-            shape = tuple(int(s) for s in parts[2:])
-            size = math.prod(shape)
-            values = np.array([float(v) for v in islice(lines, size)])
-            if values.size != size:
-                raise FormatError(f"truncated tensor {parts[1]}")
-            tensors[parts[1]] = values.reshape(shape)
-        try:
+        try:  # a value Dims or ModelParams rejects is a malformed file here
+            dims = Dims(*(int(v) for v in header("dims")))
+            lambdas = tuple(float(v) for v in header("lambdas"))
+            if len(lambdas) != 3:
+                raise FormatError("need three loss weights")
+            switches = header("toggles")
+            if len(switches) != 5 or not set(switches) <= {"0", "1"}:
+                raise FormatError("need five 0/1 ablation switches")
+            toggles = Toggles(*(v == "1" for v in switches))
+            for line in lines:
+                parts = line.split()
+                if (parts[0] != "tensor" or len(parts) < 2
+                        or not all(s.isdecimal() for s in parts[2:])):
+                    raise FormatError(f"bad tensor header: {line.strip()!r}")
+                if parts[1] in tensors:
+                    raise FormatError(f"tensor {parts[1]} appears twice")
+                shape = tuple(int(s) for s in parts[2:])
+                size = math.prod(shape)
+                values = np.array([float(v) for v in islice(lines, size)])
+                if values.size != size:
+                    raise FormatError(f"truncated tensor {parts[1]}")
+                tensors[parts[1]] = values.reshape(shape)
             return ModelParams(dims, tensors, lambdas, toggles)
         except ConfigError as exc:
             raise FormatError(str(exc)) from exc

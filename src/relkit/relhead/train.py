@@ -141,16 +141,17 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
     losses: List[float] = []
-    for epoch in range(cfg.epochs):
-        packed.cand_groups = draw_candidates(examples, index, epoch)
-        try:
-            loss, grads = loss_and_gradients(params, examples, packed=packed)
-        except NumericError as exc:
-            raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
-        for name in params.tensors:
-            params.tensors[name] -= cfg.learning_rate * grads[name]
-        losses.append(loss)
-        log.info("epoch %d: loss %.6f", epoch, loss)
+    with np.errstate(over="ignore", invalid="ignore"):  # NumericError reports it
+        for epoch in range(cfg.epochs):
+            packed.cand_groups = draw_candidates(examples, index, epoch)
+            try:
+                loss, grads = loss_and_gradients(params, examples, packed=packed)
+            except NumericError as exc:
+                raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
+            for name in params.tensors:
+                params.tensors[name] -= cfg.learning_rate * grads[name]
+            losses.append(loss)
+            log.info("epoch %d: loss %.6f", epoch, loss)
     return params, losses
 
 

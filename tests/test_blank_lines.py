@@ -25,7 +25,6 @@ def world(tmp_path_factory):
     assert main(["build-orm", "--in", str(data / "corpus.jsonl"),
                  "--out", str(data / "orm.tsv")]) == 0
     assert main(["train", *model_args(data, "train.jsonl"), "--epochs", "1",
-                 "--n-predicate-labels", "4",
                  "--out", str(data / "model.ckpt")]) == 0
     (data / "run.cfg").write_text("# settings\nepochs = 3\n"
                                   "learning_rate = 0.25  # halved\nseed = 2\n")

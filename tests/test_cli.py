@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -26,8 +27,7 @@ def workspace(tmp_path_factory):
                "--vectors", str(data / "vectors.txt"),
                "--objects", str(data / "objects.tsv"),
                "--predicates", str(data / "predicates.tsv"),
-               "--out", str(ckpt), "--epochs", "4", "--seed", "3",
-               "--n-predicate-labels", "5") == 0
+               "--out", str(ckpt), "--epochs", "4", "--seed", "3") == 0
     return {"root": root, "data": data, "ckpt": ckpt}
 
 
@@ -305,8 +305,7 @@ class TestSynthCommand:
 
 class TestTrain:
     def test_reruns_byte_identical(self, workspace, tmp_path, capsys):
-        args = model_args(workspace) + ["--epochs", "3", "--seed", "5",
-                                        "--n-predicate-labels", "5"]
+        args = model_args(workspace) + ["--epochs", "3", "--seed", "5"]
         outs = []
         for name in ("a.ckpt", "b.ckpt"):
             path = tmp_path / name
@@ -316,30 +315,29 @@ class TestTrain:
         assert (tmp_path / "a.ckpt").read_bytes() \
             == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_predicate_id_out_of_range_is_config_error(self, workspace,
-                                                       tmp_path, capsys):
-        # the synthetic set has 5 predicates; a 2-way classifier cannot
-        # train on it
-        args = model_args(workspace) + ["--epochs", "1",
-                                        "--n-predicate-labels", "2"]
-        assert run("train", *args, "--out", str(tmp_path / "x.ckpt")) == 2
-        err = capsys.readouterr().err
-        assert re.search(r"scene \d+ edge \d+: predicate id [2-4] outside "
-                         r"\[0, 2\)", err), err
+    def test_head_is_sized_from_its_inputs(self, tmp_path, capsys):
+        # d and e are the widths synth wrote, not the config defaults 16 and
+        # 8; the classifier covers the 5 trained predicates, not all 7 labels
+        cfgfile = tmp_path / "synth.cfg"
+        cfgfile.write_text("d = 12\ne = 6\n")
+        data = tmp_path / "data"
+        assert run("synth", "--config", str(cfgfile), "--out-dir", str(data),
+                   "--seed", "3", "--train-scenes", "8", "--test-scenes", "2",
+                   "--predicates", "5", "--heldout", "2") == 0
+        assert run("build-orm", "--in", str(data / "corpus.jsonl"),
+                   "--out", str(data / "orm.tsv")) == 0
+        ws = {"data": data}
+        ckpt = tmp_path / "model.ckpt"
+        assert run("train", *model_args(ws), "--epochs", "2",
+                   "--out", str(ckpt)) == 0
+        assert ckpt.read_text().splitlines()[1] == "dims 12 4 6 8 5"
+        assert run("eval", *model_args(ws), "--checkpoint", str(ckpt)) == 0
+        assert "R@50" in capsys.readouterr().out
 
     def test_negative_seed_is_config_error(self, workspace, tmp_path, capsys):
         assert run("train", *model_args(workspace), "--seed", "-5",
                    "--out", str(tmp_path / "x.ckpt")) == 2
         assert "seed must be >= 0, got -5" in capsys.readouterr().err
-        assert not (tmp_path / "x.ckpt").exists()
-
-    @pytest.mark.parametrize("n", ["0", "-1"])
-    def test_predicate_labels_below_one_is_config_error(self, workspace,
-                                                         tmp_path, capsys, n):
-        assert run("train", *model_args(workspace), "--epochs", "1",
-                   "--n-predicate-labels", n,
-                   "--out", str(tmp_path / "x.ckpt")) == 2
-        assert "n_predicate_labels must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
 
     def test_workers_flag_is_usage_error(self, workspace, tmp_path):
@@ -352,7 +350,7 @@ class TestTrain:
         args = model_args(workspace)
         args[1] = str(tmp_path / "missing.jsonl")
         assert run("train", *args, "--out", str(tmp_path / "x.ckpt"),
-                   "--epochs", "1", "--n-predicate-labels", "5") == 3
+                   "--epochs", "1") == 3
 
     def test_missing_object_features_is_data_error(self, workspace, tmp_path,
                                                    capsys):
@@ -360,7 +358,7 @@ class TestTrain:
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl",
                                 lambda doc: doc.pop("object_features"))
         assert run("train", *args, "--out", str(tmp_path / "x.ckpt"),
-                   "--epochs", "1", "--n-predicate-labels", "5") == 3
+                   "--epochs", "1") == 3
         assert f"{args[1]}:1: scene has 3 objects but no object_features" \
             in capsys.readouterr().err
         assert not (tmp_path / "x.ckpt").exists()
@@ -378,7 +376,7 @@ class TestTrain:
             .splitlines(keepends=True) if row.split()[0] != label))
         args = model_args(workspace)
         args[args.index("--vectors") + 1] = str(vectors)
-        tail = ["--epochs", "1", "--n-predicate-labels", "5"]
+        tail = ["--epochs", "1"]
         # a zero target has no cosine loss: refused before training
         assert run("train", *args, *tail, "--out", str(tmp_path / "x.ckpt")) == 3
         assert f"relkit: error: {args[1]}: scene 0: no embeddable token in " \
@@ -401,19 +399,21 @@ class TestTrain:
         args[1] = str(tmp_path / "s.jsonl")
         (tmp_path / "s.jsonl").write_text(lines[0] + "\n" + json.dumps(second)
                                           + "\n")
-        assert run("train", *args, "--epochs", "1", "--n-predicate-labels",
-                   "5", "--out", str(tmp_path / "x.ckpt")) == 2
+        assert run("train", *args, "--epochs", "1",
+                   "--out", str(tmp_path / "x.ckpt")) == 2
         assert f"relkit: error: {args[1]}: scene 1: edge ({s},{o}) has no " \
             f"ingested pair feature" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numeric_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "x.ckpt"
-        assert run("train", *model_args(workspace), "--epochs", "5",
-                   "--learning-rate", "1e100", "--n-predicate-labels", "5",
-                   "--out", str(out)) == 4
-        assert "relkit: error: training diverged at epoch 1: non-finite " \
-            "values in edge representations" in capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("train", *model_args(workspace), "--epochs", "5",
+                       "--learning-rate", "1e100", "--out", str(out)) == 4
+        # the typed error alone: no numpy overflow warnings before it
+        assert [w for w in caught if w.category is RuntimeWarning] == []
+        assert capsys.readouterr().err == "relkit: error: training diverged " \
+            "at epoch 1: non-finite values in edge representations\n"
         assert not out.exists()
 
 
@@ -450,8 +450,7 @@ class TestEval:
     def test_ablation_all_off_runs(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "off.ckpt"
         assert run("train", *model_args(workspace), "--ablation", "all-off",
-                   "--epochs", "4", "--seed", "3", "--n-predicate-labels", "5",
-                   "--out", str(ckpt)) == 0
+                   "--epochs", "4", "--seed", "3", "--out", str(ckpt)) == 0
         assert run("eval", *model_args(workspace), "--checkpoint", str(ckpt)) == 0
         assert "R@50" in capsys.readouterr().out
 
@@ -470,9 +469,11 @@ class TestEval:
                 "--objects", str(data / "objects.tsv"),
                 "--predicates", str(data / "predicates.tsv")]
         ckpt = tmp_path / "off.ckpt"
-        assert run("train", *args, "--n-predicate-labels", "10", "--epochs",
-                   "200", "--ablation", "all-off", "--out", str(ckpt)) == 0
-        assert ckpt.read_text().splitlines()[3] == "toggles 0 0 0 0 1"
+        assert run("train", *args, "--epochs", "200", "--ablation", "all-off",
+                   "--out", str(ckpt)) == 0
+        # the head is sized for the 10 trained predicates, not the 13 labels
+        assert ckpt.read_text().splitlines()[1:4] == [
+            "dims 16 4 8 8 10", "lambdas 1.0 1.0 1.0", "toggles 0 0 0 0 1"]
         capsys.readouterr()
         assert run("eval", *args, "--checkpoint", str(ckpt),
                    "--format", "tsv") == 0
@@ -628,8 +629,16 @@ class TestEval:
         (lambda lines: lines[:2] + ["lambdas 1.0 -1.0 1.0"] + lines[3:],
          "", "loss weights must be >= 0"),
         (lambda lines: lines[:2] + ["lambdas 1.0 1.0"] + lines[3:],
-         ":3", "need three loss weights")],
-        ids=["missing-tensor", "wrong-shape", "negative-weight", "two-weights"])
+         ":3", "need three loss weights"),
+        (lambda lines: lines[:1] + ["toggles" + lines[1][len("dims"):]]
+         + lines[2:], ":2", "expected a dims line"),
+        (lambda lines: lines[:1] + [lines[1].replace("dims 16 ", "dims 0 ")]
+         + lines[2:], ":2", "dimension d must be >= 1"),
+        # two copies of the 9-line b_o block (header and 8 values) up front
+        (lambda lines: lines[:4] + 2 * lines[lines.index("tensor b_o 8"):][:9]
+         + lines[4:], ":14", "tensor b_o appears twice")],
+        ids=["missing-tensor", "wrong-shape", "negative-weight", "two-weights",
+             "swapped-header", "zero-width", "repeated-tensor"])
     def test_bad_checkpoint_is_located_data_error(self, workspace, tmp_path,
                                                   capsys, edit, where, message):
         bad = tmp_path / "bad.ckpt"
@@ -673,8 +682,9 @@ class TestZeroshot:
         labels.write_text("relaa\nrelab\n")
         assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--labels", str(labels), "--topk", "1") == 2
-        assert re.search(r"scene 0: edge \(\d+,\d+\) has no ingested pair "
-                         r"feature", capsys.readouterr().err)
+        assert re.search(re.escape(f"relkit: error: {args[1]}: scene 0: edge (")
+                         + r"\d+,\d+\) has no ingested pair feature",
+                         capsys.readouterr().err)
 
     def test_late_failure_leaves_no_output_file(self, workspace, tmp_path):
         lines = (workspace["data"] / "test.jsonl").read_text().splitlines()
@@ -777,8 +787,7 @@ def test_scene_defect_is_located_error(workspace, tmp_path, capsys, command,
     args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", edit)
     labels = tmp_path / "labels.txt"
     labels.write_text("relaa\nrelab\n")
-    extra = {"train": ["--out", str(tmp_path / "x.ckpt"), "--epochs", "1",
-                       "--n-predicate-labels", "5"],
+    extra = {"train": ["--out", str(tmp_path / "x.ckpt"), "--epochs", "1"],
              "eval": ["--checkpoint", str(workspace["ckpt"])],
              "zeroshot": ["--checkpoint", str(workspace["ckpt"]),
                           "--labels", str(labels), "--topk", "1"]}[command]
@@ -791,7 +800,7 @@ def test_scene_defect_is_located_error(workspace, tmp_path, capsys, command,
 def test_directory_for_a_file_is_data_error(workspace, tmp_path, capsys,
                                             which):
     args = model_args(workspace) + ["--out", str(tmp_path / "x.ckpt"),
-                                    "--epochs", "1", "--n-predicate-labels", "5"]
+                                    "--epochs", "1"]
     args[args.index(f"--{which}") + 1] = str(tmp_path)
     assert run("train", *args) == 3
     assert "relkit: error: " in capsys.readouterr().err

@@ -139,4 +139,4 @@ class TestGenerate:
         ds = generate(SynthConfig(n_heldout_predicates=2, seed=8,
                                   n_train_scenes=3, n_test_scenes=1))
         for label in ds.object_vocab.labels + ds.predicate_vocab.labels:
-            assert label in ds.embeddings
+            assert label in ds.embeddings.vectors

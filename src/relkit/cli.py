@@ -16,7 +16,8 @@ from pathlib import Path
 from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
-from .errors import ConfigError, FormatError, RelkitError, TextFile
+from .errors import (ConfigError, EmptySceneError, FormatError, RelkitError,
+                     TextFile)
 from .relhead import (Dims, build_example, init_params, load_params,
                       predict_batch, save_params, train)
 
@@ -177,7 +178,10 @@ def cmd_train(args) -> int:
     params = init_params(dims, seed=cfg.seed,
                          lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
                          toggles=cfg.toggles)
-    params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
+    try:
+        params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
+    except (ConfigError, EmptySceneError) as exc:  # packing errors name a scene
+        raise type(exc)(f"{args.scenes}: {exc}") from exc
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):
         print(f"epoch\t{epoch}\t{loss:.6f}")
@@ -212,10 +216,14 @@ def cmd_zeroshot(args) -> int:
     object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
     params = load_params(args.checkpoint)
     with TextFile(args.labels) as lines:
-        labels = [line.strip() for line in lines]
-        if not labels:
+        line_of = {}  # label -> its line, in file order
+        for label in (line.strip() for line in lines):
+            if label in line_of:
+                raise FormatError(f"label {label!r} repeats line {line_of[label]}")
+            line_of[label] = lines.lineno
+        if not line_of:
             raise FormatError("no labels")
-        matrix = zeroshot.build_label_matrix(labels, table)
+        matrix = zeroshot.build_label_matrix(list(line_of), table)
     predictions = predict_batch(
         params, scenes, orm_table, object_vocab, predicate_vocab, table,
         k_candidates=cfg.k_candidates,
@@ -227,8 +235,7 @@ def cmd_zeroshot(args) -> int:
             if (s, o) not in pair_embs:
                 raise ConfigError(f"{args.scenes}: scene {si}: edge ({s},{o}) "
                                   f"has no ingested pair feature")
-            probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix,
-                                            cfg.zeroshot_temperature)
+            probs = zeroshot.predict_unseen(pair_embs[(s, o)], matrix)
             ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
             gt_names.append(predicate_vocab.labels[p])
             lines.append(f"{si}\t{s}\t{o}\t{gt_names[-1]}\t{','.join(ranked_lists[-1])}\n")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -36,7 +35,6 @@ class RunConfig(TrainConfig):
     sigma: float = 0.1
     micro_recall: bool = False
     graph_constraint: bool = True
-    zeroshot_temperature: float = 1.0
     synonym_threshold: float = 0.6
     longtail_threshold: int = 1024
 
@@ -46,10 +44,6 @@ class RunConfig(TrainConfig):
             if f.type in ("float", float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         super().__post_init__()
-        # from the smallest normal float up, sims / temperature stays finite
-        if self.zeroshot_temperature < sys.float_info.min:
-            raise ConfigError(f"zeroshot_temperature must be > 0 and at least "
-                              f"{sys.float_info.min}, got {self.zeroshot_temperature}")
         if min(self.d, self.r, self.e) < 1:
             raise ConfigError("dimensions must be >= 1")
         if min(self.lambda1, self.lambda2, self.lambda3) < 0:

@@ -80,8 +80,8 @@ class ModelParams:
                     f"{name}: shape {self.tensors[name].shape}, expected {shape}")
             if not np.all(np.isfinite(self.tensors[name])):
                 raise ConfigError(f"{name}: non-finite entries")
-        if any(l < 0 for l in self.lambdas):
-            raise ConfigError("loss weights must be >= 0")
+        if not all(0 <= l < math.inf for l in self.lambdas):  # NaN fails too
+            raise ConfigError("loss weights must be >= 0 and finite")
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.dims,

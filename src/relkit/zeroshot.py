@@ -7,7 +7,6 @@ during training participate exactly like seen ones, which is the point.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from .embed import EmbeddingTable, embed_phrase
 from .errors import NumericError
+from .relhead.model import softmax
 
 
 @dataclass(frozen=True)
@@ -37,21 +37,13 @@ def build_label_matrix(labels: Sequence[str],
     return LabelEmbeddingMatrix(tuple(labels), np.stack(rows))
 
 
-def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix,
-                   temperature: float = 1.0) -> np.ndarray:
+def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix) -> np.ndarray:
     """Softmax over per-label cosine similarities; sums to 1."""
     v_hat = np.asarray(v_hat, dtype=np.float64)
     norm = float(np.linalg.norm(v_hat))
     if norm == 0.0:
         raise NumericError("cosine undefined for a zero representation")
-    if not temperature >= sys.float_info.min:  # NaN included; keeps z finite
-        raise NumericError(f"temperature must be positive and at least "
-                           f"{sys.float_info.min}, got {temperature}")
-    sims = labels.matrix @ v_hat / (labels.norms * norm)
-    z = sims / temperature
-    z -= z.max()
-    exp = np.exp(z)
-    return exp / exp.sum()
+    return softmax(labels.matrix @ v_hat / (labels.norms * norm))
 
 
 def topk(probabilities: np.ndarray, labels: Sequence[str], k: int) -> List[str]:

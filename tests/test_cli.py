@@ -404,6 +404,29 @@ class TestTrain:
         assert f"relkit: error: {args[1]}: scene 1: edge ({s},{o}) has no " \
             f"ingested pair feature" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, code, message", [
+        (lambda docs: [{**docs[0], "objects": [], "object_features": [],
+                        "edges": [], "pair_features": {}}] + docs[1:], 3,
+         "scene 0 has no objects"),
+        (lambda docs: docs[:2] + [{**docs[2], "object_features": [
+            row + [0.0] for row in docs[2]["object_features"]]}] + docs[3:], 2,
+         "scene 2: object features have shape (3, 17), expected (3, 16)"),
+        (lambda docs: [], 2, "training requires a non-empty dataset")],
+        ids=["no-objects", "wide-features", "empty-file"])
+    def test_packing_error_names_the_scenes_file(self, workspace, tmp_path,
+                                                 capsys, edit, code, message):
+        docs = [json.loads(line) for line in
+                (workspace["data"] / "train.jsonl").read_text().splitlines()]
+        args = model_args(workspace)
+        args[1] = str(tmp_path / "s.jsonl")
+        (tmp_path / "s.jsonl").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in edit(docs)))
+        assert run("train", *args, "--epochs", "1",
+                   "--out", str(tmp_path / "x.ckpt")) == code
+        assert capsys.readouterr().err == \
+            f"relkit: error: {args[1]}: {message}\n"
+        assert not (tmp_path / "x.ckpt").exists()
+
     def test_divergence_is_numeric_error(self, workspace, tmp_path, capsys):
         out = tmp_path / "x.ckpt"
         with warnings.catch_warnings(record=True) as caught:
@@ -628,6 +651,8 @@ class TestEval:
          "", "b_o: shape (2, 4), expected (8,)"),
         (lambda lines: lines[:2] + ["lambdas 1.0 -1.0 1.0"] + lines[3:],
          "", "loss weights must be >= 0"),
+        (lambda lines: lines[:2] + ["lambdas nan 1.0 1.0"] + lines[3:],
+         "", "loss weights must be >= 0"),
         (lambda lines: lines[:2] + ["lambdas 1.0 1.0"] + lines[3:],
          ":3", "need three loss weights"),
         (lambda lines: lines[:1] + ["toggles" + lines[1][len("dims"):]]
@@ -637,8 +662,8 @@ class TestEval:
         # two copies of the 9-line b_o block (header and 8 values) up front
         (lambda lines: lines[:4] + 2 * lines[lines.index("tensor b_o 8"):][:9]
          + lines[4:], ":14", "tensor b_o appears twice")],
-        ids=["missing-tensor", "wrong-shape", "negative-weight", "two-weights",
-             "swapped-header", "zero-width", "repeated-tensor"])
+        ids=["missing-tensor", "wrong-shape", "negative-weight", "nan-weight",
+             "two-weights", "swapped-header", "zero-width", "repeated-tensor"])
     def test_bad_checkpoint_is_located_data_error(self, workspace, tmp_path,
                                                   capsys, edit, where, message):
         bad = tmp_path / "bad.ckpt"
@@ -729,6 +754,19 @@ class TestZeroshot:
         assert not out.exists()
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 4
 
+    def test_repeated_label_is_located_data_error(self, workspace, tmp_path,
+                                                  capsys):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("unseenrelaa\nunseenrelab\nunseenrelaa\n")
+        out = tmp_path / "zs.tsv"
+        assert run("zeroshot", *model_args(workspace),
+                   "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"relkit: error: {labels}:3: label " \
+            f"'unseenrelaa' repeats line 1\n"
+        assert not out.exists()
+
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"
         labels.write_bytes(b"relaa\nrel\xe9b\n")
@@ -817,7 +855,8 @@ class TestReport:
         assert "#longtail_threshold\t10" in out
         assert "rare" in out
 
-    @pytest.mark.parametrize("key", ["not_a_key", "workers"])
+    @pytest.mark.parametrize("key", ["not_a_key", "workers",
+                                     "zeroshot_temperature"])
     def test_unknown_config_key_is_data_error(self, workspace, tmp_path,
                                               capsys, key):
         cfgfile = tmp_path / "run.cfg"
@@ -847,10 +886,8 @@ class TestReport:
                    "--vectors", str(workspace["data"] / "vectors.txt")) == 2
 
     @pytest.mark.parametrize("line", [
-        "synonym_threshold = nan", "zeroshot_temperature = nan",
-        "zeroshot_temperature = inf", "zeroshot_temperature = 0",
-        "sigma = -inf"])
-    def test_non_finite_or_zero_temperature_is_config_error(
+        "synonym_threshold = nan", "sigma = -inf"])
+    def test_non_finite_value_is_config_error(
             self, workspace, tmp_path, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(line + "\n")
@@ -873,7 +910,7 @@ class TestReport:
 
 @pytest.mark.parametrize("line", [
     "epochs = -1", "learning_rate = -0.5", "seed = -1",
-    "longtail_threshold = 0", "zeroshot_temperature = 1e-320"])
+    "longtail_threshold = 0"])
 @pytest.mark.parametrize("command", ["synth", "train", "eval", "zeroshot",
                                      "report"])
 def test_invalid_config_is_config_error_at_load(workspace, tmp_path, capsys,

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import pytest
 
@@ -36,16 +35,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             RunConfig(**{name: value})
 
-    @pytest.mark.parametrize("value", [0.0, -1.0])
-    def test_temperature_at_or_below_zero_rejected(self, value):
-        with pytest.raises(ConfigError, match="zeroshot_temperature must be > 0"):
-            RunConfig(zeroshot_temperature=value)
-
-    def test_subnormal_temperature_rejected(self):
-        with pytest.raises(ConfigError, match="zeroshot_temperature must be > 0"):
-            RunConfig(zeroshot_temperature=1e-320)
-        assert RunConfig(zeroshot_temperature=sys.float_info.min)
-
     @pytest.mark.parametrize("value", [0, -5])
     def test_longtail_threshold_below_one_rejected(self, value):
         with pytest.raises(ConfigError, match=f"longtail_threshold must be >= 1, "
@@ -73,7 +62,6 @@ class TestRunConfig:
             "lambda2": ("float", 1.0), "lambda3": ("float", 1.0),
             "sigma": ("float", 0.1), "micro_recall": ("bool", False),
             "graph_constraint": ("bool", True),
-            "zeroshot_temperature": ("float", 1.0),
             "synonym_threshold": ("float", 0.6),
             "longtail_threshold": ("int", 1024)}
 

@@ -508,6 +508,13 @@ class TestTraining:
                   init_params(DIMS, seed=0))
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_init_params_rejects_a_non_finite_loss_weight(weight):
+    # nan > 0 is False, so a NaN weight would silently switch its term off
+    with pytest.raises(ConfigError, match="^loss weights must be >= 0"):
+        init_params(DIMS, seed=0, lambdas=(weight, 1.0, 1.0))
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         params = init_params(DIMS, seed=30, lambdas=(0.5, 1.0, 2.0))

@@ -653,6 +653,8 @@ class TestEval:
          "", "loss weights must be >= 0"),
         (lambda lines: lines[:2] + ["lambdas nan 1.0 1.0"] + lines[3:],
          "", "loss weights must be >= 0"),
+        (lambda lines: lines[:2] + ["lambdas 1.0 inf 1.0"] + lines[3:],
+         "", "loss weights must be >= 0"),
         (lambda lines: lines[:2] + ["lambdas 1.0 1.0"] + lines[3:],
          ":3", "need three loss weights"),
         (lambda lines: lines[:1] + ["toggles" + lines[1][len("dims"):]]
@@ -663,7 +665,7 @@ class TestEval:
         (lambda lines: lines[:4] + 2 * lines[lines.index("tensor b_o 8"):][:9]
          + lines[4:], ":14", "tensor b_o appears twice")],
         ids=["missing-tensor", "wrong-shape", "negative-weight", "nan-weight",
-             "two-weights", "swapped-header", "zero-width", "repeated-tensor"])
+             "inf-weight", "two-weights", "swapped-header", "zero-width", "repeated-tensor"])
     def test_bad_checkpoint_is_located_data_error(self, workspace, tmp_path,
                                                   capsys, edit, where, message):
         bad = tmp_path / "bad.ckpt"
@@ -766,6 +768,20 @@ class TestZeroshot:
         assert capsys.readouterr().err == f"relkit: error: {labels}:3: label " \
             f"'unseenrelaa' repeats line 1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("text, where, first", [
+        ("unseenrelaa\n\nunseenrelab\nunseenrelaa\n", 4, 1),
+        ("unseenrelab\nunseenrelaa\n  unseenrelaa \t\n", 3, 2)],
+        ids=["after-blank-line", "padded"])
+    def test_repeat_is_named_at_its_file_line(self, workspace, tmp_path,
+                                              capsys, text, where, first):
+        labels = tmp_path / "labels.txt"
+        labels.write_text(text)
+        assert run("zeroshot", *model_args(workspace),
+                   "--checkpoint", str(workspace["ckpt"]),
+                   "--labels", str(labels), "--topk", "1") == 3
+        assert capsys.readouterr().err == f"relkit: error: {labels}:{where}: " \
+            f"label 'unseenrelaa' repeats line {first}\n"
 
     def test_non_utf8_labels_is_data_error(self, workspace, tmp_path):
         labels = tmp_path / "labels.txt"
@@ -908,6 +924,19 @@ class TestReport:
         assert "not UTF-8" in capsys.readouterr().err
 
 
+def command_args(ws, tmp_path, command):
+    """Everything but --config that `command` needs; synth and train would
+    write tmp_path/data and tmp_path/x."""
+    data, ckpt = ws["data"], str(ws["ckpt"])
+    return {"synth": ["--out-dir", str(tmp_path / "data")],
+            "train": [*model_args(ws), "--out", str(tmp_path / "x")],
+            "eval": [*model_args(ws), "--checkpoint", ckpt],
+            "zeroshot": [*model_args(ws), "--checkpoint", ckpt,
+                         "--labels", str(data / "heldout.txt")],
+            "report": ["--predicates", str(data / "predicates.tsv"),
+                       "--vectors", str(data / "vectors.txt")]}[command]
+
+
 @pytest.mark.parametrize("line", [
     "epochs = -1", "learning_rate = -0.5", "seed = -1",
     "longtail_threshold = 0"])
@@ -917,18 +946,26 @@ def test_invalid_config_is_config_error_at_load(workspace, tmp_path, capsys,
                                                 command, line):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(line + "\n")
-    data, ckpt = workspace["data"], str(workspace["ckpt"])
-    tail = {"synth": ["--out-dir", str(tmp_path / "data")],
-            "train": [*model_args(workspace), "--out", str(tmp_path / "x")],
-            "eval": [*model_args(workspace), "--checkpoint", ckpt],
-            "zeroshot": [*model_args(workspace), "--checkpoint", ckpt,
-                         "--labels", str(data / "heldout.txt")],
-            "report": ["--predicates", str(data / "predicates.tsv"),
-                       "--vectors", str(data / "vectors.txt")]}[command]
+    tail = command_args(workspace, tmp_path, command)
     assert run(command, "--config", str(cfgfile), *tail) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"relkit: error: {cfgfile}: {line.split(' =')[0]} must be" \
         in captured.err or f"relkit: error: {cfgfile}: epochs and learning " \
         f"rate must be >= 0" in captured.err
+    assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "zeroshot",
+                                     "report"])
+def test_removed_temperature_key_is_unknown_at_load(workspace, tmp_path,
+                                                    capsys, command):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("epochs = 3\nzeroshot_temperature = 1\n")
+    tail = command_args(workspace, tmp_path, command)
+    assert run(command, "--config", str(cfgfile), *tail) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"relkit: error: {cfgfile}:2: unknown key 'zeroshot_temperature'\n"
     assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()

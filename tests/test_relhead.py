@@ -508,7 +508,7 @@ class TestTraining:
                   init_params(DIMS, seed=0))
 
 
-@pytest.mark.parametrize("weight", [math.nan, math.inf])
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
 def test_init_params_rejects_a_non_finite_loss_weight(weight):
     # nan > 0 is False, so a NaN weight would silently switch its term off
     with pytest.raises(ConfigError, match="^loss weights must be >= 0"):

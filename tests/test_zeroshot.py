@@ -5,6 +5,7 @@ import pytest
 
 from relkit.embed import EmbeddingTable
 from relkit.errors import NumericError
+from relkit.relhead.model import softmax
 from relkit.zeroshot import (LabelEmbeddingMatrix, build_label_matrix,
                              predict_unseen, topk)
 
@@ -39,6 +40,31 @@ class TestPredictUnseen:
         expected = [x / sum(exps) for x in exps]
         probs = predict_unseen(v, matrix_of(list("abcd"), rows))
         assert np.allclose(probs, expected, atol=1e-12)
+
+    def test_is_the_shared_softmax_of_cosines(self):
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(7, 5))
+        v = rng.normal(size=5)
+        cosines = np.array([float(r @ v) / (np.linalg.norm(r) * np.linalg.norm(v))
+                            for r in rows])
+        probs = predict_unseen(v, matrix_of([f"l{i}" for i in range(7)], rows))
+        assert np.allclose(probs, softmax(cosines), rtol=0.0, atol=1e-15)
+
+    def test_ranking_follows_cosine_order(self):
+        rng = np.random.default_rng(4)
+        labels = [f"l{i}" for i in range(9)]
+        rows = rng.normal(size=(9, 4))
+        m = matrix_of(labels, rows)
+        for _ in range(20):
+            v = rng.normal(size=4)
+            cosines = rows @ v / np.linalg.norm(rows, axis=1)
+            by_cosine = [labels[i] for i in np.argsort(-cosines, kind="stable")]
+            assert topk(predict_unseen(v, m), labels, 9) == by_cosine
+
+    def test_single_label_gets_all_the_mass(self):
+        probs = predict_unseen(np.array([-3.0, 0.5]),
+                               matrix_of(["only"], [[1.0, 2.0]]))
+        assert probs.tolist() == [1.0]
 
     def test_zero_vector_rejected(self):
         m = matrix_of(["a"], [[1.0, 0.0]])

@@ -188,15 +188,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _predict(args, cfg, inputs, protocol):
+    """`predict_batch` over the `_load_shared` inputs with the checkpoint and
+    the config's candidate settings; a scene error gets the --scenes path."""
+    object_vocab, predicate_vocab, table, orm_table, scenes = inputs
+    params = load_params(args.checkpoint)
+    if table.dimension != params.dims.e:  # before the try: it names no scene
+        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+    try:
+        return predict_batch(params, scenes, orm_table, object_vocab,
+                             predicate_vocab, table, k_candidates=cfg.k_candidates,
+                             orm_backoff=cfg.orm_backoff,
+                             strict_oov=cfg.strict_oov, protocol=protocol)
+    except (ConfigError, EmptySceneError) as exc:
+        raise type(exc)(f"{args.scenes}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
-    params = load_params(args.checkpoint)
-    predictions = [pred for pred, _ in predict_batch(
-        params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        k_candidates=cfg.k_candidates,
-        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
-        protocol=args.protocol)]
+    *_, scenes = inputs = _load_shared(args)
+    predictions = [pred for pred, _ in _predict(args, cfg, inputs, args.protocol)]
     evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
                 else evalkit.sgcls_eval)
     metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
@@ -213,22 +224,13 @@ def cmd_zeroshot(args) -> int:
         raise ConfigError(f"--topk takes integers >= 1, got {bad[0]!r}")
     ks = [int(v) for v in ks]
     cfg = _load_run_config(args)
-    object_vocab, predicate_vocab, table, orm_table, scenes = _load_shared(args)
-    params = load_params(args.checkpoint)
+    _, predicate_vocab, table, _, scenes = inputs = _load_shared(args)
     with TextFile(args.labels) as lines:
-        line_of = {}  # label -> its line, in file order
-        for label in (line.strip() for line in lines):
-            if label in line_of:
-                raise FormatError(f"label {label!r} repeats line {line_of[label]}")
-            line_of[label] = lines.lineno
-        if not line_of:
+        labels = [lines.unique("label", line.strip()) for line in lines]
+        if not labels:
             raise FormatError("no labels")
-        matrix = zeroshot.build_label_matrix(list(line_of), table)
-    predictions = predict_batch(
-        params, scenes, orm_table, object_vocab, predicate_vocab, table,
-        k_candidates=cfg.k_candidates,
-        orm_backoff=cfg.orm_backoff, strict_oov=cfg.strict_oov,
-        protocol="predcls")
+        matrix = zeroshot.build_label_matrix(labels, table)
+    predictions = _predict(args, cfg, inputs, "predcls")
     lines, ranked_lists, gt_names = [], [], []
     for si, (scene, (_, pair_embs)) in enumerate(zip(scenes, predictions)):
         for s, o, p in scene.graph.edges:

@@ -86,7 +86,7 @@ def load_config(path) -> RunConfig:
             key, raw = (part.strip() for part in stripped.split("=", 1))
             if key not in fields:
                 raise FormatError(f"unknown key {key!r}")
-            values[key] = _parse_value(fields[key], raw)
+            values[lines.unique("key", key)] = _parse_value(fields[key], raw)
         return RunConfig(**values)
 
 
@@ -105,18 +105,14 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    items, line_of = [], {}
+    items = []
     with TextFile(path) as lines:
         for line in lines:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise FormatError("expected 'label<TAB>count'")
-            if parts[0] in line_of:
-                raise FormatError(f"label {parts[0]!r} repeats "
-                                  f"line {line_of[parts[0]]}")
-            line_of[parts[0]] = lines.lineno
-            count = int(parts[1])
+            label, count = lines.unique("label", parts[0]), int(parts[1])
             if count < 0:
                 raise FormatError(f"count {count} must be >= 0")
-            items.append((parts[0], count))
+            items.append((label, count))
     return Vocabulary.make(items)

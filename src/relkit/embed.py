@@ -41,7 +41,7 @@ def load_embeddings(path) -> EmbeddingTable:
                 dimension = vec.size
             elif vec.size != dimension:
                 raise FormatError(f"dimension {vec.size} != {dimension}")
-            vectors[parts[0]] = vec
+            vectors[lines.unique("token", parts[0])] = vec
         if dimension is None:
             raise FormatError("empty embedding file")
     return EmbeddingTable(dimension=int(dimension), vectors=vectors)

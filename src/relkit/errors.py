@@ -63,10 +63,10 @@ class TextFile:
     the first or after the last line). A RelkitError keeps its type, a parse
     error becomes a FormatError, a byte that is not UTF-8 is named by offset.
     Whitespace-only lines are skipped; `lines.lineno`, the current line's
-    number, counts them."""
+    number, counts them. `lines.unique` refuses a key an earlier line gave."""
 
     def __init__(self, path):
-        self.path, self.lineno = path, None
+        self.path, self.lineno, self._first = path, None, {}
 
     def __enter__(self):
         self._fh = open(self.path, encoding="utf-8")
@@ -78,6 +78,14 @@ class TextFile:
             if not line.isspace():
                 yield line
         self.lineno = None
+
+    def unique(self, what: str, key):
+        """`key`, or a FormatError naming the line that first gave it. A file
+        holds one kind of key, so `what` only names it."""
+        first = self._first.setdefault(key, self.lineno)
+        if first != self.lineno:
+            raise FormatError(f"{what} {key!r} repeats line {first}")
+        return key
 
     def __exit__(self, kind, exc, tb):
         self._fh.close()

@@ -154,14 +154,13 @@ def load_params(path) -> ModelParams:
                 if (parts[0] != "tensor" or len(parts) < 2
                         or not all(s.isdecimal() for s in parts[2:])):
                     raise FormatError(f"bad tensor header: {line.strip()!r}")
-                if parts[1] in tensors:
-                    raise FormatError(f"tensor {parts[1]} appears twice")
+                name = lines.unique("tensor", parts[1])
                 shape = tuple(int(s) for s in parts[2:])
                 size = math.prod(shape)
                 values = np.array([float(v) for v in islice(lines, size)])
                 if values.size != size:
-                    raise FormatError(f"truncated tensor {parts[1]}")
-                tensors[parts[1]] = values.reshape(shape)
+                    raise FormatError(f"truncated tensor {name}")
+                tensors[name] = values.reshape(shape)
             return ModelParams(dims, tensors, lambdas, toggles)
         except ConfigError as exc:
             raise FormatError(str(exc)) from exc

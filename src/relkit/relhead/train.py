@@ -87,7 +87,8 @@ class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
     entry (None if empty). An edge with at most K top-M phrases keeps them
     all as its set for the whole run, embedded once and read-only;
-    `draw_candidates` draws the sets of the others."""
+    `draw_candidates` draws the sets of the others. `groups` holds the
+    static sets grouped as pack_batch groups them."""
 
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
@@ -113,19 +114,22 @@ class CandidateIndex:
                 if c is not None:
                     c.setflags(write=False)  # shared by every epoch
                 ex.candidate_embeddings[ei] = c
+        self.groups = _pack_candidates(examples, table.dimension)
 
 
 def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
                     epoch: int) -> List[Tuple[np.ndarray, np.ndarray]]:
     """Draw the sets of the edges with more than K phrases into their
     `candidate_embeddings` entries; return every set, grouped as
-    pack_batch groups them."""
+    pack_batch groups them (`index.groups` when none is drawn)."""
     cfg = index.cfg
     for ex, si, ei, s, o in index.drawn:
         ex.candidate_embeddings[ei] = embed_phrases(index.table, sample_candidates(
             index.orm, s, o, cfg.m_candidates, cfg.k_candidates,
             seed=_edge_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff),
             cfg.strict_oov)
+    if not index.drawn:
+        return index.groups
     return _pack_candidates(examples, index.table.dimension)
 
 
@@ -204,10 +208,9 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
             n0 += len(ex.features)
     # deterministic at eval time: with M = K every set is the K most
     # probable candidates, and nothing is drawn
-    CandidateIndex(examples, orm, object_vocab, table, TrainConfig(
+    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, TrainConfig(
         m_candidates=k_candidates, k_candidates=k_candidates,
-        orm_backoff=orm_backoff, strict_oov=strict_oov))
-    packed.cand_groups = _pack_candidates(examples, params.dims.e)
+        orm_backoff=orm_backoff, strict_oov=strict_oov)).groups
     trace = forward_edges(params, packed, objects)
     out, n0, e0 = [], 0, 0
     for ex, scene_pairs in zip(examples, pairs):

@@ -23,7 +23,7 @@ from relkit.relhead import (CandidateIndex, Dims, TrainConfig,
                             build_example, draw_candidates, init_params,
                             loss_and_gradients, predict_batch, predict_scene,
                             train)
-from relkit.relhead.model import forward_objects, pack_batch
+from relkit.relhead.model import _pack_candidates, forward_objects, pack_batch
 from relkit.synth import SynthConfig, generate
 
 # the package exports the function `train` under the submodule's name
@@ -357,6 +357,15 @@ def per_edge_train(cfg, examples, orm, object_vocab, table, params):
     return params, losses
 
 
+def assert_same_groups(got, want):
+    assert [len(rows) for rows, _ in got] == [len(rows) for rows, _ in want]
+    for (rows, sets), (want_rows, want_sets) in zip(got, want):
+        assert rows.dtype == want_rows.dtype
+        assert np.array_equal(rows, want_rows)
+        assert sets.dtype == want_sets.dtype
+        assert np.array_equal(sets, want_sets)
+
+
 ORACLE_CASES = [(backoff, strict) for backoff in (True, False)
                 for strict in (False, True)]
 
@@ -373,13 +382,7 @@ def test_index_draw_matches_per_edge_draw(backoff, strict):
         expected = per_edge_draw(examples, *args, epoch)
         groups = draw_candidates(examples, index, epoch)
         assert_same_sets(drawn(examples), expected)
-        want = per_edge_groups(expected)
-        assert [len(rows) for rows, _ in groups] == [len(rows) for rows, _ in want]
-        for (rows, sets), (want_rows, want_sets) in zip(groups, want):
-            assert rows.dtype == want_rows.dtype
-            assert np.array_equal(rows, want_rows)
-            assert sets.dtype == want_sets.dtype
-            assert np.array_equal(sets, want_sets)
+        assert_same_groups(groups, per_edge_groups(expected))
     if not backoff:  # unseen pairs have no candidates
         assert any(c is None for c in drawn(examples))
 
@@ -406,6 +409,26 @@ def test_strict_oov_raises_in_both_paths(world):
     for run in (train, per_edge_train):
         with pytest.raises(OutOfVocabularyError, match="'zorp blick'"):
             run(cfg, *args)
+
+
+def test_static_sets_are_grouped_once_per_index(world):
+    data, orm, examples, _ = world
+    args = (examples, orm, data.object_vocab, data.embeddings)
+    index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=6))
+    assert not index.drawn  # no edge has more than K = M phrases
+    want = _pack_candidates(examples, data.embeddings.dimension)
+    assert want  # some edges have candidates
+    for epoch in range(3):
+        groups = draw_candidates(examples, index, epoch)
+        assert groups is index.groups
+        assert_same_groups(groups, want)
+        assert_same_groups(groups, per_edge_groups(drawn(examples)))
+    index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=3))
+    assert index.drawn
+    for epoch in range(2):  # the drawn sets join the static ones each epoch
+        groups = draw_candidates(examples, index, epoch)
+        assert groups is not index.groups
+        assert_same_groups(groups, per_edge_groups(drawn(examples)))
 
 
 def test_train_object_label_outside_vocabulary_is_config_error(world):

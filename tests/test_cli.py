@@ -39,6 +39,24 @@ def edited_scenes(ws, path, edit):
     return str(path)
 
 
+def edited_train_scenes(ws, path, edit):
+    """Write the training scenes, as the list `edit` returns, to `path`."""
+    docs = [json.loads(line) for line in
+            (ws["data"] / "train.jsonl").read_text().splitlines()]
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in edit(docs)))
+    return str(path)
+
+
+# scene-file edits that no model can pack: code and message
+UNPACKABLE = [
+    (lambda docs: [{**docs[0], "objects": [], "object_features": [],
+                    "edges": [], "pair_features": {}}] + docs[1:], 3,
+     "scene 0 has no objects"),
+    (lambda docs: docs[:2] + [{**docs[2], "object_features": [
+        row + [0.0] for row in docs[2]["object_features"]]}] + docs[3:], 2,
+     "scene 2: object features have shape (3, 17), expected (3, 16)")]
+
+
 def model_args(ws, scenes="train.jsonl"):
     data = ws["data"]
     return ["--scenes", str(data / scenes), "--orm", str(data / "orm.tsv"),
@@ -405,22 +423,12 @@ class TestTrain:
             f"ingested pair feature" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, code, message", [
-        (lambda docs: [{**docs[0], "objects": [], "object_features": [],
-                        "edges": [], "pair_features": {}}] + docs[1:], 3,
-         "scene 0 has no objects"),
-        (lambda docs: docs[:2] + [{**docs[2], "object_features": [
-            row + [0.0] for row in docs[2]["object_features"]]}] + docs[3:], 2,
-         "scene 2: object features have shape (3, 17), expected (3, 16)"),
-        (lambda docs: [], 2, "training requires a non-empty dataset")],
+        *UNPACKABLE, (lambda docs: [], 2, "training requires a non-empty dataset")],
         ids=["no-objects", "wide-features", "empty-file"])
     def test_packing_error_names_the_scenes_file(self, workspace, tmp_path,
                                                  capsys, edit, code, message):
-        docs = [json.loads(line) for line in
-                (workspace["data"] / "train.jsonl").read_text().splitlines()]
         args = model_args(workspace)
-        args[1] = str(tmp_path / "s.jsonl")
-        (tmp_path / "s.jsonl").write_text(
-            "".join(json.dumps(doc) + "\n" for doc in edit(docs)))
+        args[1] = edited_train_scenes(workspace, tmp_path / "s.jsonl", edit)
         assert run("train", *args, "--epochs", "1",
                    "--out", str(tmp_path / "x.ckpt")) == code
         assert capsys.readouterr().err == \
@@ -663,7 +671,7 @@ class TestEval:
          + lines[2:], ":2", "dimension d must be >= 1"),
         # two copies of the 9-line b_o block (header and 8 values) up front
         (lambda lines: lines[:4] + 2 * lines[lines.index("tensor b_o 8"):][:9]
-         + lines[4:], ":14", "tensor b_o appears twice")],
+         + lines[4:], ":14", "tensor 'b_o' repeats line 5")],
         ids=["missing-tensor", "wrong-shape", "negative-weight", "nan-weight",
              "inf-weight", "two-weights", "swapped-header", "zero-width", "repeated-tensor"])
     def test_bad_checkpoint_is_located_data_error(self, workspace, tmp_path,
@@ -969,3 +977,33 @@ def test_removed_temperature_key_is_unknown_at_load(workspace, tmp_path,
     assert captured.err == \
         f"relkit: error: {cfgfile}:2: unknown key 'zeroshot_temperature'\n"
     assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "zeroshot",
+                                     "report"])
+def test_repeated_config_key_is_located_data_error(workspace, tmp_path,
+                                                   capsys, command):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("epochs = 5\n\nepochs = 7\n")
+    tail = command_args(workspace, tmp_path, command)
+    assert run(command, "--config", str(cfgfile), *tail) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"relkit: error: {cfgfile}:3: key 'epochs' repeats line 1\n"
+    assert not (tmp_path / "data").exists() and not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("edit, code, message", UNPACKABLE,
+                         ids=["no-objects", "wide-features"])
+@pytest.mark.parametrize("command", ["eval", "zeroshot"])
+def test_scoring_packing_error_names_the_scenes_file(
+        workspace, tmp_path, capsys, command, edit, code, message):
+    tail = command_args(workspace, tmp_path, command)
+    scenes = edited_train_scenes(workspace, tmp_path / "s.jsonl", edit)
+    tail[tail.index("--scenes") + 1] = scenes
+    assert run(command, *tail, "--out", str(tmp_path / "out")) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"relkit: error: {scenes}: {message}\n"
+    assert not (tmp_path / "out").exists()

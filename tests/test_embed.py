@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,13 @@ class TestLoad:
         path = tmp_path / "v.txt"
         path.write_text("cat 1.0 0.0\ndog 1.0 0.0 2.0\n")
         with pytest.raises(FormatError, match=":2"):
+            load_embeddings(path)
+
+    def test_repeated_token_names_its_first_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\nb 3 4\na 5 6\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:3: token 'a' repeats line 1")):
             load_embeddings(path)
 
     def test_non_numeric_entry(self, tmp_path):

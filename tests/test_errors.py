@@ -69,3 +69,15 @@ def test_non_utf8_byte_named_by_line_and_offset(tmp_path):
     path.write_bytes(b"one\nt\xffo\n")
     with pytest.raises(FormatError, match=f"^{path}:2: byte 5: not UTF-8$"):
         read(path, lambda line: None)
+
+
+def test_unique_returns_the_key_and_names_its_first_line(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("\na\n  \nb\na\n")
+    keys = []
+    with pytest.raises(FormatError, match=f"^{path}:5: token 'a' repeats "
+                                          f"line 2$"):
+        with TextFile(path) as lines:
+            for line in lines:
+                keys.append(lines.unique("token", line.strip()))
+    assert keys == ["a", "b"]

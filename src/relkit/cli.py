@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import datetime
 import sys
+import warnings
 from pathlib import Path
 
 from . import config as cfgmod
@@ -223,6 +224,8 @@ def cmd_zeroshot(args) -> int:
     if bad:
         raise ConfigError(f"--topk takes integers >= 1, got {bad[0]!r}")
     ks = [int(v) for v in ks]
+    if len(set(ks)) < len(ks):
+        raise ConfigError(f"--topk repeats a k: {args.topk!r}")
     cfg = _load_run_config(args)
     _, predicate_vocab, table, _, scenes = inputs = _load_shared(args)
     with TextFile(args.labels) as lines:
@@ -382,14 +385,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except RelkitError as exc:
-        print(f"relkit: error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"relkit: error: {exc}", file=sys.stderr)
-        return 3
+    with warnings.catch_warnings():  # the caller's settings come back after
+        warnings.simplefilter("default")
+        warnings.showwarning = lambda message, *_: print(
+            f"relkit: warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except RelkitError as exc:
+            print(f"relkit: error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        except OSError as exc:
+            print(f"relkit: error: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -106,8 +106,8 @@ class SceneInstance:
         pf = pair_features or {}
         return SceneInstance(
             graph,
-            tuple(tuple(float(v) for v in row) for row in object_features),
-            tuple(sorted(((int(s), int(o)), tuple(float(v) for v in vec))
+            tuple(tuple(map(float, row)) for row in object_features),
+            tuple(sorted(((int(s), int(o)), tuple(map(float, vec)))
                          for (s, o), vec in pf.items())),
         )
 
@@ -167,21 +167,26 @@ def scene_to_dict(instance: SceneInstance) -> dict:
 
 def scene_from_dict(doc: dict) -> SceneInstance:
     try:
-        objects = [(o["label"], BoundingBox(*map(float, o["box"])))
-                   for o in doc["objects"]]
-        edges = doc.get("edges", [])
-        bad = [v for v in chain([l for l, _ in objects], *edges)
-               if type(v) is not int]
-        if bad:  # bool and float are not ids
-            raise TypeError(f"id {bad[0]!r} is not an integer")
+        boxes = [o["box"] for o in doc["objects"]]
+        rows = doc.get("object_features", [])
         pairs: Dict[Tuple[int, int], Sequence[float]] = {}
         for key, vec in doc.get("pair_features", {}).items():
             pair = tuple(map(int, key.split(",")))
             if pair in pairs:
                 raise ValueError(f"pair_features key {key!r} repeats {pair}")
             pairs[pair] = vec  # make() converts, inside this guard
-        return SceneInstance.make(SceneGraph.make(objects, edges),
-                                  doc.get("object_features", []), pairs)
+        numbers = list(chain(*boxes, *rows, *pairs.values()))
+        if not set(map(type, numbers)) <= {int, float}:  # not bool, not str
+            bad = next(v for v in numbers if type(v) not in (int, float))
+            raise TypeError(f"value {bad!r} is not a number")
+        objects = [(o["label"], BoundingBox(*map(float, box)))
+                   for o, box in zip(doc["objects"], boxes)]
+        edges = doc.get("edges", [])
+        bad = [v for v in chain([l for l, _ in objects], *edges)
+               if type(v) is not int]
+        if bad:  # bool and float are not ids
+            raise TypeError(f"id {bad[0]!r} is not an integer")
+        return SceneInstance.make(SceneGraph.make(objects, edges), rows, pairs)
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed scene document: {exc}") from exc
 

@@ -74,6 +74,9 @@ class TestParse:
         assert capsys.readouterr().out.strip() == "2"
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2
+        again = tmp_path / "again.jsonl"  # parse writes what --jsonl reads
+        assert run("parse", "--jsonl", "--in", str(out), "--out", str(again)) == 0
+        assert again.read_bytes() == out.read_bytes()
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run("parse", "--in", str(tmp_path / "nope.txt"),
@@ -273,8 +276,10 @@ class TestEmbed:
         ("a 1.0 2.0\nb 1.0 nan\n", ":2", "non-finite entry"),
         ("a\nb 1.0\n", ":1", "empty vector"),
         ("", "", "empty embedding file"),
-        ("\n \n", "", "empty embedding file")],
-        ids=["non-finite", "empty-vector", "empty-file", "blank-file"])
+        ("\n \n", "", "empty embedding file"),
+        ("a 1.0 2.0\nb 1.0 2.0\na 5.0 6.0\n", ":3", "token 'a' repeats line 1")],
+        ids=["non-finite", "empty-vector", "empty-file", "blank-file",
+             "repeated-token"])
     def test_bad_vectors_file_is_located_data_error(self, tmp_path, capsys,
                                                     text, where, message):
         vectors = tmp_path / "vectors.txt"
@@ -513,13 +518,16 @@ class TestEval:
     @pytest.mark.parametrize("flag", [["--ablation", "all-off"],
                                       ["--seed", "1"]], ids=["ablation", "seed"])
     @pytest.mark.parametrize("command", ["eval", "zeroshot"])
-    def test_training_flag_is_usage_error(self, workspace, command, flag):
+    def test_training_flag_is_usage_error(self, workspace, capsys, command,
+                                          flag):
         extra = ["--labels", str(workspace["data"] / "heldout.txt")] \
             if command == "zeroshot" else []
         with pytest.raises(SystemExit) as exc:
             run(command, *model_args(workspace), *extra,
                 "--checkpoint", str(workspace["ckpt"]), *flag)
         assert exc.value.code == 2
+        assert f"relkit: error: unrecognized arguments: {' '.join(flag)}" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", ["k_candidates = 0",
                                          "k_candidates = -1",
@@ -695,16 +703,20 @@ class TestZeroshot:
         out = capsys.readouterr().out
         assert "top1_accuracy\t" in out and "top3_accuracy\t" in out
 
-    @pytest.mark.parametrize("topk", ["5,x", "0", "3,-1"])
-    def test_bad_topk_is_config_error(self, workspace, tmp_path, capsys, topk):
+    @pytest.mark.parametrize("topk, message", [
+        ("5,x", "--topk takes integers >= 1, got 'x'"),
+        ("0", "--topk takes integers >= 1, got '0'"),
+        ("3,-1", "--topk takes integers >= 1, got '-1'"),
+        ("1,1", "--topk repeats a k: '1,1'")], ids=["5,x", "0", "3,-1", "1,1"])
+    def test_bad_topk_is_config_error(self, workspace, tmp_path, capsys, topk,
+                                      message):
         labels = tmp_path / "labels.txt"
         labels.write_text("relaa\nrelab\n")
-        assert run("zeroshot", *model_args(workspace),
-                   "--checkpoint", str(workspace["ckpt"]),
+        # checked before any file is read: the scenes file does not exist
+        args = model_args(workspace, "missing.jsonl")
+        assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--labels", str(labels), "--topk", topk) == 2
-        bad = topk.split(",")[-1]
-        assert f"--topk takes integers >= 1, got {bad!r}" \
-            in capsys.readouterr().err
+        assert capsys.readouterr().err == f"relkit: error: {message}\n"
 
     def test_edge_without_pair_feature_is_config_error(self, workspace,
                                                        tmp_path, capsys):
@@ -878,6 +890,16 @@ class TestReport:
         out = capsys.readouterr().out
         assert "#longtail_threshold\t10" in out
         assert "rare" in out
+
+    def test_warning_is_one_relkit_line_each_run(self, workspace, tmp_path,
+                                                 capsys):
+        predicates = tmp_path / "predicates.tsv"
+        predicates.write_text("relaa\t3\nzzz qqq\t2\n")
+        for _ in range(2):
+            assert run("report", "--predicates", str(predicates),
+                       "--vectors", str(workspace["data"] / "vectors.txt")) == 0
+            assert capsys.readouterr().err == "relkit: warning: skipping " \
+                "out-of-vocabulary label: 'zzz qqq'\n"
 
     @pytest.mark.parametrize("key", ["not_a_key", "workers",
                                      "zeroshot_temperature"])

@@ -121,12 +121,31 @@ class TestSerialization:
         (scene_line(edges=[[0, True, 2]]), "id True is not an integer"),
         (scene_line(pair_features={"0,1": [1.0], "00,1": [2.0]}),
          "pair_features key '00,1' repeats (0, 1)"),
+        (scene_line(objects=[{"label": 0, "box": [0, 0, True, 1]},
+                             {"label": 1, "box": [2, 2, 1, 1]}]),
+         "value True is not a number"),
+        (scene_line(objects=[{"label": 0, "box": [0, "2.5", 1, 1]},
+                             {"label": 1, "box": [2, 2, 1, 1]}]),
+         "value '2.5' is not a number"),
+        (scene_line(object_features=[[1.0, 2.0], [False, 4.0]]),
+         "value False is not a number"),
+        (scene_line(object_features=[[1.0, "3"], [3.0, 4.0]]),
+         "value '3' is not a number"),
+        (scene_line(pair_features={"0,1": ["1e0", 0.5]}),
+         "value '1e0' is not a number"),
+        (scene_line(pair_features={"0,1": [0.5, None]}),
+         "value None is not a number"),
+        ('{"objects":[{"label":0,"box":[true,"2.5",1,1]},{"label":1,"box":[0,0,1,1]}],'
+         '"edges":[[0,1,0]],"object_features":[[true,"3"],[1,2]],'
+         '"pair_features":{"0,1":["1e0",false]}}', "value True is not a number"),
     ], ids=["json", "no-label", "self-loop", "duplicate-pair", "edge-range",
             "feature-count", "ragged-features", "negative-label",
             "negative-predicate", "pair-key-range", "no-object-features",
             "nan-object-feature", "inf-pair-feature", "float-label",
             "bool-label", "float-edge-entry", "bool-edge-entry",
-            "repeated-pair-key"])
+            "repeated-pair-key", "bool-box", "string-box", "bool-feature",
+            "string-feature", "string-pair-feature", "null-pair-feature",
+            "every-number-field"])
     def test_malformed_line_reports_line_number(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(scene_line() + "\n" + line + "\n")  # line 1 is well-formed

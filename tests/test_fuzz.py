@@ -1,5 +1,6 @@
-"""Seeded fuzz of every file that `train`, `eval` and `zeroshot` read, and of
-the triplet file that `parse --jsonl` and `build-orm` read.
+"""Seeded fuzz of every file that `train`, `eval` and `zeroshot` read, of
+the triplet file that `parse --jsonl` and `build-orm` read, and of the
+`--config` file, which `report` reads too.
 
 Each case mutates one input file (truncation, one flipped bit, a few
 deleted bytes, a duplicated line or a line replaced by a JSON value of
@@ -17,15 +18,31 @@ from relkit.cli import main
 MUTATIONS_PER_FILE = 24
 JSON_VALUES = [b'"x"', b"[0]", b"1e400", b"{}"]
 TARGETS = ["scenes", "orm", "vectors", "objects", "predicates", "checkpoint",
-           "triplets", "labels"]
+           "triplets", "labels", "config"]
 # the commands that read a target; the others are read by train, eval, zeroshot
 READERS = {"checkpoint": ["eval", "zeroshot"], "triplets": ["parse", "build-orm"],
-           "labels": ["zeroshot"]}
+           "labels": ["zeroshot"], "config": ["train", "eval", "zeroshot", "report"]}
+# every setting at its default value, so only a mutation changes a run
+CONFIG = """# run config
+learning_rate = 0.5
+m_candidates = 10
+k_candidates = 5
+seed = 0
+orm_backoff = true
+strict_oov = no
+object_attention = 1
+r = 4
+lambda3 = 1.0
+sigma = 0.1
+synonym_threshold = 0.6
+longtail_threshold = 1024
+"""
 
 
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
-    """A small synthetic world, its ORM, a checkpoint and a label file."""
+    """A small synthetic world, its ORM, a checkpoint, a label file and a
+    config file."""
     root = tmp_path_factory.mktemp("fuzz")
     assert main(["synth", "--out-dir", str(root), "--seed", "5",
                  "--train-scenes", "6", "--test-scenes", "1",
@@ -36,7 +53,8 @@ def world(tmp_path_factory):
              "vectors": root / "vectors.txt", "objects": root / "objects.tsv",
              "predicates": root / "predicates.tsv",
              "checkpoint": root / "model.ckpt", "labels": root / "labels.txt",
-             "triplets": root / "corpus.jsonl"}
+             "triplets": root / "corpus.jsonl", "config": root / "run.cfg"}
+    files["config"].write_text(CONFIG)
     assert main(["train", *model_args(files), "--out", str(files["checkpoint"]),
                  "--epochs", "2"]) == 0
     files["labels"].write_text("relaa\nrelab\nrelac\n")
@@ -44,7 +62,8 @@ def world(tmp_path_factory):
 
 
 def model_args(files):
-    return [arg for name in ("scenes", "orm", "vectors", "objects", "predicates")
+    return [arg for name in ("config", "scenes", "orm", "vectors", "objects",
+                             "predicates")
             for arg in (f"--{name}", str(files[name]))]
 
 
@@ -83,7 +102,9 @@ def test_mutated_input_fails_with_typed_error(world, tmp_path, capsys, target):
                 "eval": [*model_args(files), "--checkpoint", str(files["checkpoint"])],
                 "zeroshot": [*model_args(files),
                              "--checkpoint", str(files["checkpoint"]),
-                             "--labels", str(files["labels"]), "--topk", "1"]}
+                             "--labels", str(files["labels"]), "--topk", "1"],
+                "report": ["--config", str(files["config"]), "--predicates",
+                           str(files["predicates"]), "--vectors", str(files["vectors"])]}
         for command in commands:
             try:
                 code = main([command, *argv[command]])

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import datetime
 import sys
 import warnings
@@ -23,10 +24,15 @@ from .relhead import (Dims, build_example, init_params, load_params,
                       predict_batch, save_params, train)
 
 
+def _given(args, cls) -> dict:
+    """The fields of dataclass `cls` that a flag of this command line set."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
 def _load_run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
-    overrides = {name: getattr(args, name, None) for name in (
-        "seed", "epochs", "learning_rate", "sigma", "micro_recall")}
+    overrides = _given(args, cfgmod.RunConfig)
     if getattr(args, "ablation", None) == "all-off":
         overrides.update(object_attention=False,
                          geometric_encoding_objects=False,
@@ -38,14 +44,10 @@ def _load_run_config(args) -> cfgmod.RunConfig:
 @contextlib.contextmanager
 def _output(args):
     """The --out file, or stdout, after the optional timestamp line."""
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        if getattr(args, "timestamps", False):
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        if args.timestamps:
             out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
         yield out
-    finally:
-        if args.out:
-            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -115,18 +117,9 @@ def cmd_embed(args) -> int:
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    scfg = synth.SynthConfig(
-        n_object_labels=args.objects,
-        n_seen_predicates=args.predicates,
-        n_heldout_predicates=args.heldout,
-        d=cfg.d, e=cfg.e, sigma=cfg.sigma,
-        n_train_scenes=args.train_scenes,
-        n_test_scenes=args.test_scenes,
-        objects_per_scene=args.objects_per_scene,
-        edges_per_scene=args.edges_per_scene,
-        seed=cfg.seed,
-    )
-    data = synth.generate(scfg)
+    given = _given(args, synth.SynthConfig)  # the sizes; cfg has --seed and --sigma
+    data = synth.generate(synth.SynthConfig(
+        **given | dict(d=cfg.d, e=cfg.e, sigma=cfg.sigma, seed=cfg.seed)))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     core.save_scenes(data.train_scenes, out / "train.jsonl")
@@ -284,30 +277,39 @@ def _add_common_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--predicates", required=True, help="predicate vocabulary TSV")
 
 
+def _add_output_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out")
+    p.add_argument("--timestamps", action="store_true")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole CLI. Flags match by full name only: no prefix abbreviations."""
     parser = argparse.ArgumentParser(
-        prog="relkit",
+        prog="relkit", allow_abbrev=False,
         description="Scene-graph relationship toolkit: text-derived predicate "
                     "statistics, a trainable relationship head, zero-shot "
                     "classification, and evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("parse", help="extract or ingest triplets")
+    def command(func, help):  # cmd_build_orm runs the subcommand build-orm
+        p = sub.add_parser(func.__name__[4:].replace("_", "-"), help=help,
+                           allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command(cmd_parse, "extract or ingest triplets")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jsonl", action="store_true",
-                   help="input is pre-parsed triplet JSONL")
+    p.add_argument("--jsonl", action="store_true", help="input is pre-parsed triplet JSONL")
     p.add_argument("--stoplist")
-    p.add_argument("--predicate-lexicon", dest="predicate_lexicon")
-    p.add_argument("--min-count", dest="min_count", type=int, default=1)
-    p.set_defaults(func=cmd_parse)
+    p.add_argument("--predicate-lexicon")
+    p.add_argument("--min-count", type=int, default=1)
 
-    p = sub.add_parser("build-orm", help="build the object-relationship mapping")
+    p = command(cmd_build_orm, "build the object-relationship mapping")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_orm)
 
-    p = sub.add_parser("query", help="look up predicate candidates for a pair")
+    p = command(cmd_query, "look up predicate candidates for a pair")
     p.add_argument("--orm", required=True)
     p.add_argument("--subject", required=True)
     p.add_argument("--object", required=True)
@@ -315,69 +317,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draw", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--no-backoff", action="store_true")
-    p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("embed", help="pool a phrase embedding")
+    p = command(cmd_embed, "pool a phrase embedding")
     p.add_argument("--vectors", required=True)
     p.add_argument("--phrase", required=True)
     p.add_argument("--lenient", action="store_true")
-    p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    # a size flag sets the SynthConfig field it names; SynthConfig has the defaults
+    p = command(cmd_synth, "generate a synthetic dataset")
     p.add_argument("--config")
-    p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--objects", type=int, default=8)
-    p.add_argument("--predicates", type=int, default=10)
-    p.add_argument("--heldout", type=int, default=0)
-    p.add_argument("--train-scenes", dest="train_scenes", type=int, default=75)
-    p.add_argument("--test-scenes", dest="test_scenes", type=int, default=30)
-    p.add_argument("--objects-per-scene", dest="objects_per_scene",
-                   type=int, default=3)
-    p.add_argument("--edges-per-scene", dest="edges_per_scene",
-                   type=int, default=2)
+    p.add_argument("--out-dir", required=True)
+    p.add_argument("--objects", type=int, dest="n_object_labels", metavar="OBJECTS")
+    p.add_argument("--predicates", type=int, dest="n_seen_predicates",
+                   metavar="PREDICATES")
+    p.add_argument("--heldout", type=int, dest="n_heldout_predicates",
+                   metavar="HELDOUT")
+    p.add_argument("--train-scenes", type=int, dest="n_train_scenes",
+                   metavar="TRAIN_SCENES")
+    p.add_argument("--test-scenes", type=int, dest="n_test_scenes",
+                   metavar="TEST_SCENES")
+    p.add_argument("--objects-per-scene", type=int)
+    p.add_argument("--edges-per-scene", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--sigma", type=float)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="train the relationship head")
+    p = command(cmd_train, "train the relationship head")
     _add_common_model_args(p)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--seed", type=int)
     p.add_argument("--ablation", choices=["all-off"],
                    help="disable every ablation mechanism")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--learning-rate", type=float)
 
-    p = sub.add_parser("eval", help="run an evaluation protocol")
+    p = command(cmd_eval, "run an evaluation protocol")
     _add_common_model_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", choices=["predcls", "sgcls"],
-                   default="predcls")
+    p.add_argument("--protocol", choices=["predcls", "sgcls"], default="predcls")
     p.add_argument("--format", choices=["tsv", "table"], default="table")
-    p.add_argument("--micro", dest="micro_recall", action="store_true",
-                   default=None)
-    p.add_argument("--out")
-    p.add_argument("--timestamps", action="store_true")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--micro", dest="micro_recall", action="store_true", default=None)
+    _add_output_args(p)
 
-    p = sub.add_parser("zeroshot", help="zero-shot classification over labels")
+    p = command(cmd_zeroshot, "zero-shot classification over labels")
     _add_common_model_args(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--labels", required=True,
                    help="text file, one candidate label per line")
     p.add_argument("--topk", default="5,10")
-    p.add_argument("--out")
-    p.add_argument("--timestamps", action="store_true")
-    p.set_defaults(func=cmd_zeroshot)
+    _add_output_args(p)
 
-    p = sub.add_parser("report", help="long-tail split and synonym report")
+    p = command(cmd_report, "long-tail split and synonym report")
     p.add_argument("--config")
     p.add_argument("--predicates", required=True)
     p.add_argument("--vectors", required=True)
-    p.add_argument("--out")
-    p.add_argument("--timestamps", action="store_true")
-    p.set_defaults(func=cmd_report)
+    _add_output_args(p)
 
     return parser
 

@@ -132,7 +132,12 @@ def load_orm(path) -> OrmTable:
             if count < 1:
                 raise FormatError("count must be >= 1")
             preds = table.pair_counts.setdefault((s, o), {})
-            preds[r] = preds.get(r, 0) + count
+            if r in preds:  # only a repeat reads the file again, for its first line
+                with TextFile(path) as again:
+                    first = next(again.lineno for earlier in again
+                                 if earlier.split("\t")[:3] == [s, o, r])
+                raise FormatError(f"triplet {(s, o, r)!r} repeats line {first}")
+            preds[r] = count
         if table.total() != declared_total:
             raise FormatError(f"declared total {declared_total} != summed "
                               f"counts {table.total()} (truncated file?)")

@@ -1,10 +1,11 @@
+import argparse
 import json
 import re
 import warnings
 
 import pytest
 
-from relkit.cli import main
+from relkit.cli import build_parser, main
 
 
 def run(*argv):
@@ -232,8 +233,11 @@ class TestQuery:
 
     @pytest.mark.parametrize("text, where, message", [
         ("#total 0\n", 1, "expected '#total\\t<n>' header"),
-        ("#total\t0\na\tb\ton\t0\n", 2, "count must be >= 1")],
-        ids=["header", "count"])
+        ("#total\t0\na\tb\ton\t0\n", 2, "count must be >= 1"),
+        ("#total\t6\nman\thorse\triding\t2\nman\thorse\ton\t1\n\n"
+         "man\thorse\triding\t3\n", 5,
+         "triplet ('man', 'horse', 'riding') repeats line 2")],
+        ids=["header", "count", "repeated-triplet"])
     def test_bad_orm_file_is_located_data_error(self, tmp_path, capsys, text,
                                                 where, message):
         orm = tmp_path / "orm.tsv"
@@ -1029,3 +1033,47 @@ def test_scoring_packing_error_names_the_scenes_file(
     assert captured.out == ""
     assert captured.err == f"relkit: error: {scenes}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+SUBCOMMANDS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# the long options of each subcommand, without --help: 68 in all
+LONG_OPTIONS = {"parse": 6, "build-orm": 2, "query": 7, "embed": 3, "synth": 11,
+                "train": 11, "eval": 12, "zeroshot": 11, "report": 5}
+
+
+def _value(action):
+    """A value the option parses, or None for a flag that takes none."""
+    if action.nargs == 0:
+        return None
+    return action.choices[0] if action.choices else "1"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_flags_match_by_full_name_only(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)  # a prefix that parsed would run the command
+    parser = SUBCOMMANDS[command]
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: relkit {command} ")
+    required = [word for a in parser._actions if a.required
+                for word in (a.option_strings[0], _value(a))]
+    options = {option: _value(action) for option, action
+               in parser._option_string_actions.items()
+               if option.startswith("--") and option != "--help"}
+    assert len(options) == LONG_OPTIONS[command]
+    for option, value in options.items():
+        short = option[:-1]
+        if short in options:
+            continue
+        spellings = [[short]] if value is None else [[short, value],
+                                                     [f"{short}={value}"]]
+        for spelling in spellings:
+            with pytest.raises(SystemExit) as exc:
+                run(command, *required, *spelling)
+            assert exc.value.code == 2, spelling
+            assert f"relkit: error: unrecognized arguments: {' '.join(spelling)}\n" \
+                in capsys.readouterr().err, spelling

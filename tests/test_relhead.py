@@ -493,13 +493,19 @@ class TestTraining:
         for name in params.tensors:
             assert np.array_equal(trained.tensors[name], params.tensors[name])
 
-    def test_same_seed_bit_identical_losses(self):
+    # K = 5 keeps every edge's static set; K = 2 redraws all 8 edges per epoch
+    @pytest.mark.parametrize("k", [5, 2])
+    def test_same_seed_bit_identical_losses(self, k):
+        # both runs share one Example list, as a benchmark's repeated runs do
         examples, orm, obj_vocab, table = self._tiny_setup()
         params = init_params(DIMS, seed=2)
-        cfg = TrainConfig(learning_rate=0.1, epochs=5, seed=7)
-        _, losses1 = train(cfg, examples, orm, obj_vocab, table, params)
-        _, losses2 = train(cfg, examples, orm, obj_vocab, table, params)
+        cfg = TrainConfig(learning_rate=0.1, epochs=5, seed=7, k_candidates=k)
+        trained1, losses1 = train(cfg, examples, orm, obj_vocab, table, params)
+        trained2, losses2 = train(cfg, examples, orm, obj_vocab, table, params)
         assert losses1 == losses2
+        for name in params.tensors:
+            assert trained1.tensors[name].tobytes() \
+                == trained2.tensors[name].tobytes(), name
 
     def test_empty_dataset_rejected(self):
         _, orm, obj_vocab, table = self._tiny_setup()

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidBoxError, TextFile
+from .errors import FormatError, InvalidBoxError, TextFile, json_line
 
 
 @dataclass(frozen=True)
@@ -198,5 +198,6 @@ def save_scenes(instances: Sequence[SceneInstance], path) -> None:
 
 
 def load_scenes(path) -> List[SceneInstance]:
+    """One scene per line, each decoded by `errors.json_line`."""
     with TextFile(path) as lines:
-        return [scene_from_dict(json.loads(line)) for line in lines]
+        return [scene_from_dict(json_line(line)) for line in lines]

@@ -10,14 +10,13 @@ instead, bypassing the grammar entirely.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .errors import FormatError, TextFile
+from .errors import FormatError, TextFile, json_line
 
 # Articles, pronouns, copulas and similar function words dropped before
 # parsing. Fixed and documented; override with --stoplist.
@@ -163,15 +162,16 @@ def extract_from_text(text: str,
 
 
 def ingest_triplet_file(path) -> TripletCorpus:
-    """Read a triplet JSONL file in one streaming pass; a repeated key adds
-    its weight, so memory grows with distinct triplets, not lines. Types and
-    weight are checked on every line, the rest of the Triplet rule once per
-    key; the first bad line raises as its Triplet would, at `path:line`."""
+    """Read a triplet JSONL file in one streaming pass, each line decoded by
+    `errors.json_line`; a repeated key adds its weight, so memory grows with
+    distinct triplets, not lines. Types and weight are checked on every line,
+    the rest of the Triplet rule once per key; the first bad line raises as
+    its Triplet would, at `path:line`."""
     corpus = TripletCorpus(provenance=[str(path)])
-    counts, loads = corpus.counts, json.loads
+    counts = corpus.counts
     with TextFile(path) as lines:
         for line in lines:
-            doc = loads(line)
+            doc = json_line(line)
             s, r, o, w = (doc["subject"], doc["predicate"], doc["object"],
                           doc.get("weight", 1))
             if not (type(s) is type(r) is type(o) is str  # before hashing:

@@ -55,6 +55,20 @@ class EmptySceneError(RelkitError):
 _PARSE_ERRORS = (ValueError, TypeError, KeyError, IndexError, AttributeError,
                  OverflowError)
 _HINTS = {json.JSONDecodeError: "invalid JSON: ", KeyError: "missing field "}
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads ends in
+
+
+def json_line(line: str):
+    """`json.loads(line)`, value and error alike, but by the scanner alone when
+    a value starts the line and JSON whitespace ends it; too deep is invalid."""
+    try:
+        try:
+            value, end = _scan_once(line, 0)
+        except StopIteration:  # no value at 0: json.loads says why
+            return json.loads(line)
+        return json.loads(line) if line[end:].strip(" \t\n\r") else value
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deep", line, 0) from None
 
 
 class TextFile:

@@ -171,6 +171,22 @@ class TestParse:
         assert f"relkit: error: {infile}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["build-orm", "parse", "train"])
+def test_deep_nesting_is_located_data_error(workspace, tmp_path, capsys,
+                                            command):
+    bad, out = tmp_path / "deep.jsonl", tmp_path / "out"
+    source = "train.jsonl" if command == "train" else "corpus.jsonl"
+    first = (workspace["data"] / source).read_text().splitlines()[0]
+    bad.write_text(first + "\n\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+    args = {"build-orm": ["--in", str(bad)],
+            "parse": ["--jsonl", "--in", str(bad)],
+            "train": model_args(workspace, scenes=str(bad))}[command]
+    assert run(command, *args, "--out", str(out)) == 3
+    assert (f"relkit: error: {bad}:3: invalid JSON: nested too deep"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 class TestQuery:
     def test_lookup_output(self, workspace, capsys):
         data = workspace["data"]

@@ -1,6 +1,10 @@
+import json
+
 import pytest
 
-from relkit.errors import ConfigError, FormatError, TextFile
+from json_line_cases import CASES, outcome
+from relkit import cli, core, corpus
+from relkit.errors import ConfigError, FormatError, TextFile, json_line
 
 
 def read(path, handle):
@@ -81,3 +85,34 @@ def test_unique_returns_the_key_and_names_its_first_line(tmp_path):
             for line in lines:
                 keys.append(lines.unique("token", line.strip()))
     assert keys == ["a", "b"]
+
+
+@pytest.mark.parametrize("line", [line for _, line in CASES],
+                         ids=[name for name, _ in CASES])
+def test_json_line_decodes_as_json_loads(line):
+    assert outcome(json_line, line) == outcome(json.loads, line)
+
+
+@pytest.mark.parametrize("head", ["", " "], ids=["scanner", "fallback"])
+def test_json_line_nested_too_deep_is_invalid_json(head):
+    with pytest.raises(json.JSONDecodeError, match="^nested too deep: line 1"):
+        json_line(head + "[" * 100_000 + "]" * 100_000 + "\n")
+
+
+def test_written_files_decode_by_the_scanner_alone(tmp_path, monkeypatch):
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "3",
+                     "--train-scenes", "8", "--test-scenes", "4"]) == 0
+    labels = corpus.TripletCorpus({("man", "on", "horse"): 2,
+                                   ('a "b" \\ c', "caf\u00e9", "\u2028"): 1})
+    corpus.save_triplet_file(labels, tmp_path / "labels.jsonl")
+    fallbacks, loads = [], json.loads
+    monkeypatch.setattr(json, "loads", lambda line: fallbacks.append(line)
+                        or loads(line))
+    corpus.ingest_triplet_file(tmp_path / "corpus.jsonl")  # synth's corpus
+    assert corpus.ingest_triplet_file(tmp_path / "labels.jsonl").counts == \
+        labels.counts
+    for split in ("train", "test"):  # save_scenes outputs
+        assert core.load_scenes(tmp_path / f"{split}.jsonl")
+    assert fallbacks == []
+    json_line(" {}\n")  # the spy sees a fallback
+    assert fallbacks == [" {}\n"]

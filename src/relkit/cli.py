@@ -34,11 +34,8 @@ def _load_run_config(args) -> cfgmod.RunConfig:
     cfg = cfgmod.load_config(args.config) if args.config else cfgmod.RunConfig()
     overrides = _given(args, cfgmod.RunConfig)
     if getattr(args, "ablation", None) == "all-off":
-        overrides.update(object_attention=False,
-                         geometric_encoding_objects=False,
-                         geometric_encoding_relationships=False,
-                         subject_object_attention=False)
-    return cfgmod.apply_overrides(cfg, overrides)
+        overrides.update(dict.fromkeys(cfgmod.MECHANISMS, False))
+    return dataclasses.replace(cfg, **overrides)
 
 
 @contextlib.contextmanager
@@ -161,7 +158,6 @@ def cmd_train(args) -> int:
     # the inputs fix d, e and the head's size: the trained predicates only
     d = next((len(s.object_features[0]) for s in scenes if s.object_features), 1)
     n_pred = 1 + max((p for s in scenes for _, _, p in s.graph.edges), default=0)
-    dims = Dims(d, cfg.r, table.dimension, len(object_vocab), n_pred)
     examples = []
     for si, scene in enumerate(scenes):  # a zero target has no cosine loss
         try:
@@ -169,12 +165,13 @@ def cmd_train(args) -> int:
                                           table, cfg.strict_oov or cfg.lambda3 > 0))
         except RelkitError as exc:
             raise type(exc)(f"{args.scenes}: scene {si}: {exc}") from exc
-    params = init_params(dims, seed=cfg.seed,
-                         lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
-                         toggles=cfg.toggles)
-    try:
+    try:  # packing errors name a scene, and a zero d comes from the scenes
+        dims = Dims(d, cfg.r, table.dimension, len(object_vocab), n_pred)
+        params = init_params(dims, seed=cfg.seed,
+                             lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
+                             toggles=cfg.toggles)
         params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
-    except (ConfigError, EmptySceneError) as exc:  # packing errors name a scene
+    except (ConfigError, EmptySceneError) as exc:
         raise type(exc)(f"{args.scenes}: {exc}") from exc
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):

@@ -9,11 +9,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .core import Vocabulary
 from .errors import ConfigError, FormatError, TextFile
 from .relhead import Toggles, TrainConfig
+
+
+# The mechanism switches, in `Toggles` order, that `--ablation all-off` turns off.
+MECHANISMS = ("object_attention", "geometric_encoding_objects",
+              "geometric_encoding_relationships", "subject_object_attention")
 
 
 @dataclass
@@ -53,9 +58,8 @@ class RunConfig(TrainConfig):
 
     @property
     def toggles(self) -> Toggles:
-        return Toggles(self.object_attention, self.geometric_encoding_objects,
-                       self.geometric_encoding_relationships,
-                       self.subject_object_attention, self.attention_mean)
+        return Toggles(*(getattr(self, key) for key in MECHANISMS),
+                       self.attention_mean)
 
 
 _BOOL = {"true": True, "yes": True, "1": True,
@@ -88,12 +92,6 @@ def load_config(path) -> RunConfig:
                 raise FormatError(f"unknown key {key!r}")
             values[lines.unique("key", key)] = _parse_value(fields[key], raw)
         return RunConfig(**values)
-
-
-def apply_overrides(cfg: RunConfig, overrides: Dict[str, Optional[object]]
-                    ) -> RunConfig:
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(cfg, **changes)
 
 
 # Vocabulary TSV: "label<TAB>count", one line per label.

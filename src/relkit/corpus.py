@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from .errors import FormatError, TextFile, json_line
+from .errors import ConfigError, FormatError, TextFile, json_line
 
 # Articles, pronouns, copulas and similar function words dropped before
 # parsing. Fixed and documented; override with --stoplist.
@@ -139,14 +139,6 @@ class _Grammar:
                        tokens[k - 1][0])
 
 
-def extract_triplets(sentence: str,
-                     stoplist: Optional[Set[str]] = None,
-                     predicate_lexicon: Optional[Set[str]] = None) -> List[Triplet]:
-    """Extract at most one (subject, predicate, object) triplet per clause."""
-    return [Triplet(*k)
-            for k in _Grammar(stoplist, predicate_lexicon).keys(sentence)]
-
-
 def extract_from_text(text: str,
                       stoplist: Optional[Set[str]] = None,
                       predicate_lexicon: Optional[Set[str]] = None,
@@ -212,7 +204,7 @@ def filter_vocabulary(corpus: TripletCorpus, min_count: int) -> TripletCorpus:
     Counts are measured once on the input corpus (single pass, no iteration).
     """
     if min_count < 1:
-        raise FormatError("min_count must be >= 1")
+        raise ConfigError(f"min_count must be >= 1, got {min_count}")
     obj_counts: Counter = Counter()
     pred_counts: Counter = Counter()
     for (s, r, o), w in corpus.counts.items():

@@ -8,7 +8,6 @@ predicate per ordered object pair.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -194,8 +193,7 @@ def synonym_report(vocab: Vocabulary, table: EmbeddingTable,
     return report
 
 
-def format_metrics(metrics: Dict[str, float], fmt: str = "table",
-                   out=sys.stdout) -> None:
+def format_metrics(metrics: Dict[str, float], fmt: str, out) -> None:
     if fmt == "tsv":
         for name in sorted(metrics):
             out.write(f"{name}\t{metrics[name]:.6f}\n")

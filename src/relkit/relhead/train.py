@@ -43,7 +43,8 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 1 <= self.k_candidates <= self.m_candidates:
-            raise ConfigError("K and M must satisfy 1 <= K <= M")
+            raise ConfigError(f"K and M must satisfy 1 <= K <= M, got "
+                              f"K = {self.k_candidates}, M = {self.m_candidates}")
         if self.epochs < 0 or self.learning_rate < 0:
             raise ConfigError("epochs and learning rate must be >= 0")
         if self.seed < 0:
@@ -184,8 +185,10 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     """
     if protocol not in ("predcls", "sgcls"):
         raise ConfigError(f"unknown protocol: {protocol}")
-    if k_candidates < 1:
-        raise ConfigError(f"K must satisfy 1 <= K, got {k_candidates}")
+    # deterministic at eval time: with M = K every set is the K most
+    # probable candidates, and nothing is drawn
+    cand_cfg = TrainConfig(m_candidates=k_candidates, k_candidates=k_candidates,
+                           orm_backoff=orm_backoff, strict_oov=strict_oov)
     if table.dimension != params.dims.e:
         raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
     if not scenes:
@@ -206,11 +209,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
         for ex in examples:
             ex.object_labels = predicted[n0:n0 + len(ex.features)]
             n0 += len(ex.features)
-    # deterministic at eval time: with M = K every set is the K most
-    # probable candidates, and nothing is drawn
-    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, TrainConfig(
-        m_candidates=k_candidates, k_candidates=k_candidates,
-        orm_backoff=orm_backoff, strict_oov=strict_oov)).groups
+    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, cand_cfg).groups
     trace = forward_edges(params, packed, objects)
     out, n0, e0 = [], 0, 0
     for ex, scene_pairs in zip(examples, pairs):

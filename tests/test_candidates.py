@@ -250,7 +250,7 @@ def test_predict_batch_rejects_table_of_another_width(world, scenes):
 @pytest.mark.parametrize("k", [0, -1])
 def test_predict_scene_rejects_k_below_one(world, k):
     data, orm, _, params = world
-    with pytest.raises(ConfigError, match=f"1 <= K, got {k}"):
+    with pytest.raises(ConfigError, match=f"1 <= K <= M, got K = {k}, M = {k}$"):
         predict_scene(params, data.test_scenes[0], orm, data.object_vocab,
                       data.predicate_vocab, data.embeddings, k_candidates=k)
 
@@ -483,5 +483,6 @@ def test_negative_seed_rejected():
 
 @pytest.mark.parametrize("k, m", [(0, 5), (-1, 5), (0, 0), (1, 0)])
 def test_k_and_m_below_one_rejected(k, m):
-    with pytest.raises(ConfigError, match="1 <= K <= M"):
+    with pytest.raises(ConfigError, match=f"^K and M must satisfy 1 <= K <= M, "
+                                          f"got K = {k}, M = {m}$"):
         TrainConfig(m_candidates=m, k_candidates=k)

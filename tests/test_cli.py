@@ -377,6 +377,16 @@ class TestTrain:
         assert run("eval", *model_args(ws), "--checkpoint", str(ckpt)) == 0
         assert "R@50" in capsys.readouterr().out
 
+    def test_config_value_holds_unless_its_flag_is_given(self, workspace,
+                                                        tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("epochs = 3\n")
+        args = [*model_args(workspace), "--config", str(cfgfile),
+                "--out", str(tmp_path / "x.ckpt")]
+        for flags, epochs in [([], 3), (["--epochs", "1"], 1)]:
+            assert run("train", *args, *flags) == 0
+            assert capsys.readouterr().out.count("epoch\t") == epochs
+
     def test_negative_seed_is_config_error(self, workspace, tmp_path, capsys):
         assert run("train", *model_args(workspace), "--seed", "-5",
                    "--out", str(tmp_path / "x.ckpt")) == 2
@@ -448,8 +458,10 @@ class TestTrain:
             f"ingested pair feature" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, code, message", [
-        *UNPACKABLE, (lambda docs: [], 2, "training requires a non-empty dataset")],
-        ids=["no-objects", "wide-features", "empty-file"])
+        *UNPACKABLE, (lambda docs: [], 2, "training requires a non-empty dataset"),
+        (lambda docs: [{**doc, "object_features": [[] for _ in doc["object_features"]]}
+                       for doc in docs], 2, "dimension d must be >= 1")],
+        ids=["no-objects", "wide-features", "empty-file", "zero-width-features"])
     def test_packing_error_names_the_scenes_file(self, workspace, tmp_path,
                                                  capsys, edit, code, message):
         args = model_args(workspace)

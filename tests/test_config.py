@@ -3,8 +3,7 @@ import math
 
 import pytest
 
-from relkit.config import (RunConfig, apply_overrides, load_config,
-                           load_vocab, save_vocab)
+from relkit.config import RunConfig, load_config, load_vocab, save_vocab
 from relkit.core import Vocabulary
 from relkit.errors import ConfigError, FormatError
 from relkit.relhead import Toggles, TrainConfig
@@ -142,25 +141,6 @@ class TestConfigFile:
         path.write_text("epochs 3\n")
         with pytest.raises(FormatError):
             load_config(path)
-
-
-class TestOverrides:
-    def test_none_values_keep_file_settings(self):
-        cfg = RunConfig(epochs=9)
-        out = apply_overrides(cfg, {"epochs": None, "seed": 4})
-        assert out.epochs == 9 and out.seed == 4
-
-    def test_every_field_overridable(self):
-        cfg = RunConfig()
-        for f in dataclasses.fields(RunConfig):
-            if f.name in ("m_candidates", "k_candidates"):
-                continue
-            current = getattr(cfg, f.name)
-            if f.type in ("bool", bool):
-                new = not current
-            else:
-                new = current + 1
-            assert getattr(apply_overrides(cfg, {f.name: new}), f.name) == new
 
 
 class TestVocabFile:

@@ -110,6 +110,10 @@ class TestCosine:
         with pytest.raises(NumericError):
             cosine([0.0, 0.0], [1.0, 0.0])
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(NumericError, match=r"^cosine shape mismatch: \(2,\) vs \(3,\)$"):
+            cosine([1.0, 0.0], [1.0, 0.0, 0.0])
+
     def test_symmetric_and_scale_invariant(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

@@ -8,7 +8,7 @@ import pytest
 
 from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, FormatError,
-                           InvalidBoxError)
+                           InvalidBoxError, NumericError)
 from relkit.relhead import (Dims, Example, Toggles, classify_objects,
                             composite_loss, forward_scene, geometric_quad,
                             init_params, load_params, loss_and_gradients,
@@ -391,6 +391,15 @@ class TestGradients:
         loss, grads = loss_and_gradients(params, batch)
         assert loss == 0.0
         assert all(np.all(g == 0.0) for g in grads.values())
+
+    def test_overflowing_loss_is_numeric_error(self):
+        # finite weights whose product with the loss terms overflows; a
+        # non-zero cosine weight would make numpy warn before the check
+        rng = np.random.default_rng(25)
+        params = init_params(DIMS, seed=0, lambdas=(1e308, 1e308, 0.0))
+        batch = [random_example(rng, DIMS) for _ in range(3)]
+        with pytest.raises(NumericError, match="^non-finite batch loss$"):
+            loss_and_gradients(params, batch)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(23)

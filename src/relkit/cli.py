@@ -20,8 +20,8 @@ from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import (ConfigError, EmptySceneError, FormatError, RelkitError,
                      TextFile)
-from .relhead import (Dims, build_example, init_params, load_params,
-                      predict_batch, save_params, train)
+from .relhead import (check_table_width, Dims, build_example, init_params,
+                      load_params, predict_batch, save_params, train)
 
 
 def _given(args, cls) -> dict:
@@ -184,8 +184,7 @@ def _predict(args, cfg, inputs, protocol):
     the config's candidate settings; a scene error gets the --scenes path."""
     object_vocab, predicate_vocab, table, orm_table, scenes = inputs
     params = load_params(args.checkpoint)
-    if table.dimension != params.dims.e:  # before the try: it names no scene
-        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+    check_table_width(table, params)  # before the try: it names no scene
     try:
         return predict_batch(params, scenes, orm_table, object_vocab,
                              predicate_vocab, table, k_candidates=cfg.k_candidates,
@@ -343,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--seed", type=int)
     p.add_argument("--ablation", choices=["all-off"],
-                   help="disable every ablation mechanism")
+                   help="disable object self-attention, both geometric "
+                        "encodings and subject-object attention")
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", type=float)
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Set, Tuple
 
 from .errors import ConfigError, FormatError, TextFile, json_line
 
@@ -41,7 +43,9 @@ DEFAULT_PREDICATE_LEXICON: Set[str] = {
 }
 
 _NON_ALPHA = re.compile(r"[^a-z]+")
-_CLAUSE_SPLIT = re.compile(r"[.;,!?:]+")
+# Clause punctuation plus every str.splitlines boundary: one split over the
+# whole text, and no clause spans a line.
+_CLAUSE_SPLIT = re.compile(r"[.;,!?:\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]+")
 
 
 def normalize_token(raw: str, stoplist: Optional[Set[str]] = None) -> Optional[str]:
@@ -97,59 +101,42 @@ class TripletCorpus:
         return len(self.counts)
 
 
-def _is_predicate_token(token: str, lexicon: Set[str]) -> bool:
-    return token in lexicon or token.endswith("ing") or token.endswith("s")
-
-
-class _Grammar:
-    """The clause grammar. `words` memoises each raw whitespace token's
-    normalized words, paired with whether each is predicate-like, so the
-    stop-word rule stays per raw token; it lives for one call and grows with
-    the number of distinct raw tokens."""
-
-    def __init__(self, stoplist: Optional[Set[str]], lexicon: Optional[Set[str]]):
-        self.stoplist = DEFAULT_STOPLIST if stoplist is None else stoplist
-        self.lexicon = DEFAULT_PREDICATE_LEXICON if lexicon is None else lexicon
-        self.words: Dict[str, Tuple[Tuple[str, bool], ...]] = {}
-
-    def keys(self, line: str) -> Iterator[Tuple[str, str, str]]:
-        """Yield at most one (subject, predicate, object) key per clause."""
-        memo = self.words
-        for clause in _CLAUSE_SPLIT.split(line):
-            tokens: List[Tuple[str, bool]] = []
-            for raw in clause.split():
-                words = memo.get(raw)
-                if words is None:
-                    norm = normalize_token(raw, self.stoplist)
-                    words = memo[raw] = () if norm is None else tuple(
-                        (w, _is_predicate_token(w, self.lexicon))
-                        for w in norm.split())
-                tokens += words
-            n, i = len(tokens), 0
-            while i < n and not tokens[i][1]:
-                i += 1
-            j = i
-            while j < n and tokens[j][1]:
-                j += 1
-            k = j
-            while k < n and not tokens[k][1]:
-                k += 1
-            if 0 < i < j < k:  # subject, predicate and object runs
-                yield (tokens[i - 1][0], " ".join(w for w, _ in tokens[i:j]),
-                       tokens[k - 1][0])
-
-
 def extract_from_text(text: str,
                       stoplist: Optional[Set[str]] = None,
                       predicate_lexicon: Optional[Set[str]] = None,
                       source: str = "<text>") -> TripletCorpus:
-    # The grammar's keys need no Triplet check: every field is a non-empty
-    # [a-z] word or a space-joined run of them, and each clause weighs 1.
+    """Count at most one (subject, predicate, object) key per clause.
+
+    `memo` maps each distinct raw whitespace token to its normalized words
+    and a kind string, "P" (predicate-like) or "N" per word, so the stop-word
+    rule stays per raw token; a clause's kinds concatenate into one string
+    whose runs `str.find` locates. The keys need no Triplet check: every
+    field is a non-empty [a-z] word or a space-joined run of them."""
+    stop = DEFAULT_STOPLIST if stoplist is None else stoplist
+    lexicon = DEFAULT_PREDICATE_LEXICON if predicate_lexicon is None else predicate_lexicon
     corpus = TripletCorpus(provenance=[source])
-    counts, keys = corpus.counts, _Grammar(stoplist, predicate_lexicon).keys
-    for line in text.splitlines():
-        for key in keys(line):
-            counts[key] = counts.get(key, 0) + 1
+    counts = corpus.counts
+    memo: Dict[str, Tuple[List[str], str]] = {}
+    for clause in _CLAUSE_SPLIT.split(text):
+        words: List[str] = []
+        kind = ""
+        for raw in clause.split():
+            entry = memo.get(raw)
+            if entry is None:
+                norm = normalize_token(raw, stop)
+                ws = norm.split() if norm else []
+                entry = memo[raw] = (ws, "".join(
+                    "P" if w in lexicon or w.endswith("ing") or w.endswith("s")
+                    else "N" for w in ws))
+            words += entry[0]
+            kind += entry[1]
+        i = kind.find("P")  # subject run before i, predicate run from i to j
+        if i > 0:
+            j = kind.find("N", i)
+            if j >= 0:  # the object run ends at the next predicate word or at the end
+                k = kind.find("P", j)
+                key = (words[i - 1], " ".join(words[i:j]), words[k - 1 if k > 0 else -1])
+                counts[key] = counts.get(key, 0) + 1
     return corpus
 
 
@@ -182,14 +169,15 @@ def save_triplet_file(corpus: TripletCorpus, path) -> None:
     """One json.dumps(sort_keys=True) line per key, in key order. The keys
     are checked before the file is opened; a bad one raises as its Triplet
     would."""
-    if not all(type(s) is type(r) is type(o) is str for s, r, o in corpus.counts):
-        for (s, r, o), w in corpus.counts.items():  # unsortable: 5 vs "a"
+    counts = corpus.counts
+    if not all(type(s) is type(r) is type(o) is str for s, r, o in counts):
+        for (s, r, o), w in counts.items():  # unsortable: 5 vs "a"
             Triplet(s, r, o, w)
-    items = sorted(corpus.counts.items())
-    fields = "".join(s + r + o for (s, r, o), _ in items)
+    items = sorted(counts.items(), key=itemgetter(0))  # str-led tuples: fast compare
+    fields = "".join(chain.from_iterable(counts))
     if ("\t" in fields or "\n" in fields or "\r" in fields
-            or not all(s and r and o and type(w) is int and w >= 1
-                       for (s, r, o), w in items)):
+            or not all(map(all, counts))  # an empty field
+            or set(map(type, counts.values())) != {int} or min(counts.values()) < 1):
         for (s, r, o), w in items:
             Triplet(s, r, o, w)
     with open(path, "w") as fh:

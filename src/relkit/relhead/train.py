@@ -134,14 +134,19 @@ def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
     return _pack_candidates(examples, index.table.dimension)
 
 
+def check_table_width(table: EmbeddingTable, params: ModelParams) -> None:
+    """The embedding table's width must be the checkpoint's phrase width e."""
+    if table.dimension != params.dims.e:
+        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+
+
 def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
           object_vocab: Vocabulary, table: EmbeddingTable,
           params: ModelParams) -> Tuple[ModelParams, List[float]]:
     """Run gradient descent; returns the final params and per-epoch losses."""
     if not examples:
         raise ConfigError("training requires a non-empty dataset")
-    if table.dimension != params.dims.e:
-        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+    check_table_width(table, params)
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
@@ -189,8 +194,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     # probable candidates, and nothing is drawn
     cand_cfg = TrainConfig(m_candidates=k_candidates, k_candidates=k_candidates,
                            orm_backoff=orm_backoff, strict_oov=strict_oov)
-    if table.dimension != params.dims.e:
-        raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+    check_table_width(table, params)
     if not scenes:
         return []
     examples, pairs = [], []

@@ -1,12 +1,13 @@
 import re
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from helpers import random_corpus
-from relkit.corpus import (DEFAULT_STOPLIST, Triplet, TripletCorpus,
-                           extract_from_text, filter_vocabulary,
+from relkit.corpus import (_CLAUSE_SPLIT, DEFAULT_STOPLIST, Triplet,
+                           TripletCorpus, extract_from_text, filter_vocabulary,
                            ingest_triplet_file, load_wordlist, normalize_token,
                            save_triplet_file)
 from relkit.errors import ConfigError, FormatError
@@ -204,6 +205,16 @@ def test_extract_from_text_counts_clauses():
     corpus = extract_from_text(text)
     assert corpus.counts == {("man", "wearing", "helmet"): 1,
                              ("player", "dribbling", "ball"): 1}
+
+
+def test_clause_breaks_are_punctuation_and_every_line_boundary():
+    """extract_from_text splits the whole text once, so a clause may not
+    span a line: the break class must be `.;,!?:` plus exactly the code
+    points at which str.splitlines ends a line."""
+    bad = [hex(c) for c in range(sys.maxunicode + 1)
+           if bool(_CLAUSE_SPLIT.fullmatch(chr(c)))
+           != (chr(c) in ".;,!?:" or len(f"a{chr(c)}b".splitlines()) == 2)]
+    assert bad == []
 
 
 def test_default_stoplist_contains_articles():

@@ -20,7 +20,7 @@ from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import (ConfigError, EmptySceneError, FormatError, RelkitError,
                      TextFile)
-from .relhead import (check_table_width, Dims, build_example, init_params,
+from .relhead import (check_inputs, Dims, build_example, init_params,
                       load_params, predict_batch, save_params, train)
 
 
@@ -184,7 +184,7 @@ def _predict(args, cfg, inputs, protocol):
     the config's candidate settings; a scene error gets the --scenes path."""
     object_vocab, predicate_vocab, table, orm_table, scenes = inputs
     params = load_params(args.checkpoint)
-    check_table_width(table, params)  # before the try: it names no scene
+    check_inputs(params, table, object_vocab)  # before the try: it names no scene
     try:
         return predict_batch(params, scenes, orm_table, object_vocab,
                              predicate_vocab, table, k_candidates=cfg.k_candidates,

@@ -6,7 +6,7 @@ from .model import (classify_objects, composite_loss, Example, forward_scene,
                     predict_relationship, scene_loss, softmax)
 from .params import (Dims, init_params, load_params, ModelParams, save_params,
                      Toggles)
-from .train import (build_example, CandidateIndex, check_table_width,
+from .train import (build_example, CandidateIndex, check_inputs,
                     draw_candidates, predict_batch, predict_scene, train,
                     TrainConfig)
 
@@ -15,6 +15,6 @@ __all__ = [
     "ForwardTrace", "geometric_quad", "loss_and_gradients",
     "predict_relationship", "scene_loss", "softmax", "Toggles",
     "Dims", "init_params", "load_params", "ModelParams", "save_params",
-    "build_example", "CandidateIndex", "check_table_width", "draw_candidates",
+    "build_example", "CandidateIndex", "check_inputs", "draw_candidates",
     "predict_batch", "predict_scene", "train", "TrainConfig",
 ]

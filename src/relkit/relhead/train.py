@@ -75,6 +75,8 @@ def build_example(instance: SceneInstance,
     for s, o, p in instance.graph.edges:
         if (s, o) not in pair_map:
             raise ConfigError(f"edge ({s},{o}) has no ingested pair feature")
+        if p >= len(predicate_vocab):
+            raise ConfigError(f"edge ({s},{o}): predicate id {p} outside the vocabulary")
         pair_feats.append(pair_map[(s, o)])
         targets.append(embed_phrase(table, predicate_vocab.labels[p], strict=strict_oov)[0])
     return _scene_example(instance, instance.graph.edges, pair_feats, targets)
@@ -87,20 +89,14 @@ def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
 class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
     entry (None if empty). An edge with at most K top-M phrases keeps them
-    all as its set for the whole run, embedded once and read-only;
-    `draw_candidates` draws the sets of the others. `groups` holds the
-    static sets grouped as pack_batch groups them."""
+    all for the whole run, embedded once and read-only; `draw_candidates`
+    draws the others' sets. `groups` holds the static sets grouped as
+    pack_batch groups them. Object labels must index `object_vocab`."""
 
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
         self.drawn = []  # example, scene, edge, subject, object
-        n = len(object_vocab)
-        for si, ex in enumerate(examples):  # every label before any lookup
-            bad = [i for i in ex.object_labels.tolist() if not 0 <= i < n]
-            if bad:
-                raise ConfigError(f"scene {si}: object label {bad[0]} outside "
-                                  f"the {n}-label object vocabulary")
         for si, ex in enumerate(examples):
             labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
             ex.candidate_embeddings = [None] * len(ex.edges)
@@ -134,10 +130,12 @@ def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
     return _pack_candidates(examples, index.table.dimension)
 
 
-def check_table_width(table: EmbeddingTable, params: ModelParams) -> None:
-    """The embedding table's width must be the checkpoint's phrase width e."""
+def check_inputs(params: ModelParams, table: EmbeddingTable, object_vocab: Vocabulary) -> None:
+    """The head's phrase width e and object classes are its inputs' sizes."""
     if table.dimension != params.dims.e:
         raise ConfigError(f"embedding table width {table.dimension} != e = {params.dims.e}")
+    if len(object_vocab) != (n := params.dims.n_object_labels):
+        raise ConfigError(f"object vocabulary size {len(object_vocab)} != n_object_labels = {n}")
 
 
 def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
@@ -146,7 +144,7 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     """Run gradient descent; returns the final params and per-epoch losses."""
     if not examples:
         raise ConfigError("training requires a non-empty dataset")
-    check_table_width(table, params)
+    check_inputs(params, table, object_vocab)
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
     index = CandidateIndex(examples, orm, object_vocab, table, cfg)
@@ -194,7 +192,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     # probable candidates, and nothing is drawn
     cand_cfg = TrainConfig(m_candidates=k_candidates, k_candidates=k_candidates,
                            orm_backoff=orm_backoff, strict_oov=strict_oov)
-    check_table_width(table, params)
+    check_inputs(params, table, object_vocab)
     if not scenes:
         return []
     examples, pairs = [], []

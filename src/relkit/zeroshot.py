@@ -33,6 +33,8 @@ class LabelEmbeddingMatrix:
 
 def build_label_matrix(labels: Sequence[str],
                        table: EmbeddingTable) -> LabelEmbeddingMatrix:
+    if not labels:
+        raise NumericError("a label matrix needs at least one label")
     rows = [embed_phrase(table, label, strict=True)[0] for label in labels]
     return LabelEmbeddingMatrix(tuple(labels), np.stack(rows))
 

@@ -233,18 +233,34 @@ def test_predict_batch_rejects_unknown_protocol(world):
                       data.predicate_vocab, data.embeddings, protocol="detcls")
 
 
+OTHER_SIZES = ["wider-table", "shorter-vocabulary", "longer-vocabulary"]
+
+
+def resized(data, params, other):
+    """The world's table and object vocabulary, one of them of another size
+    than the head's, and the message that names the mismatch."""
+    table, vocab = data.embeddings, data.object_vocab
+    e, n = params.dims.e, params.dims.n_object_labels
+    if other == "wider-table":
+        table = EmbeddingTable(e + 1, {t: np.append(v, 0.5)
+                                       for t, v in table.vectors.items()})
+        return table, vocab, f"^embedding table width {e + 1} != e = {e}$"
+    labels = (vocab.labels[:2] if other == "shorter-vocabulary"
+              else vocab.labels + ("objzz",))
+    return (table, Vocabulary.make([(label, 1) for label in labels]),
+            f"^object vocabulary size {len(labels)} != n_object_labels = {n}$")
+
+
+@pytest.mark.parametrize("other", OTHER_SIZES)
 @pytest.mark.parametrize("scenes", ["all", "none"])
-def test_predict_batch_rejects_table_of_another_width(world, scenes):
+def test_predict_batch_rejects_table_of_another_width(world, scenes, other):
     data, _, _, params = world
-    e = params.dims.e
-    wide = EmbeddingTable(e + 1, {t: np.append(v, 0.5) for t, v
-                                  in data.embeddings.vectors.items()})
-    # an empty ORM gives no candidate to catch the width
-    with pytest.raises(ConfigError, match=f"^embedding table width {e + 1} "
-                                          f"!= e = {e}$"):
+    table, vocab, message = resized(data, params, other)
+    # an empty ORM gives no candidate to catch the size
+    with pytest.raises(ConfigError, match=message):
         predict_batch(params, data.test_scenes if scenes == "all" else [],
-                      build_orm(TripletCorpus()), data.object_vocab,
-                      data.predicate_vocab, wide)
+                      build_orm(TripletCorpus()), vocab,
+                      data.predicate_vocab, table)
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -431,25 +447,22 @@ def test_static_sets_are_grouped_once_per_index(world):
         assert_same_groups(groups, per_edge_groups(drawn(examples)))
 
 
-def test_train_object_label_outside_vocabulary_is_config_error(world):
+@pytest.mark.parametrize("other", OTHER_SIZES)
+def test_train_table_width_other_than_e_is_config_error(world, other):
     data, orm, examples, params = world
-    small = Vocabulary.make([(l, 1) for l in data.object_vocab.labels[:2]])
-    si, label = next((si, i) for si, ex in enumerate(examples)
-                     for i in ex.object_labels.tolist() if i >= 2)
-    with pytest.raises(ConfigError, match=f"^scene {si}: object label {label} "
-                       "outside the 2-label object vocabulary$"):
-        train(TrainConfig(epochs=1), examples, orm, small, data.embeddings, params)
+    table, vocab, message = resized(data, params, other)
+    with pytest.raises(ConfigError, match=message):
+        train(TrainConfig(epochs=1), examples, orm, vocab, table, params)
 
 
-def test_train_table_width_other_than_e_is_config_error(world):
-    data, orm, examples, params = world
-    wide = EmbeddingTable(data.embeddings.dimension + 1,
-                          {t: np.append(v, 0.0)
-                           for t, v in data.embeddings.vectors.items()})
-    with pytest.raises(ConfigError, match=rf"^embedding table width "
-                       rf"{wide.dimension} != e = {params.dims.e}$"):
-        train(TrainConfig(epochs=1), examples, orm, data.object_vocab, wide,
-              params)
+def test_build_example_predicate_id_outside_vocabulary_is_config_error(world):
+    data, _, _, _ = world
+    small = Vocabulary.make([(label, 1) for label in data.predicate_vocab.labels[:2]])
+    scene, (s, o, p) = next((scene, edge) for scene in data.train_scenes
+                            for edge in scene.graph.edges if edge[2] >= 2)
+    with pytest.raises(ConfigError, match=rf"^edge \({s},{o}\): predicate id "
+                                          rf"{p} outside the vocabulary$"):
+        build_example(scene, data.object_vocab, small, data.embeddings)
 
 
 def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):

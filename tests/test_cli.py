@@ -599,15 +599,23 @@ class TestEval:
         assert run(*command, *args, "--checkpoint", str(workspace["ckpt"])) == 2
         assert "scene 2: object features have shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, name, extend, message", [
+        ("--vectors", "vectors.txt", lambda rows: [row + " 0.5" for row in rows],
+         "embedding table width 9 != e = 8"),
+        ("--objects", "objects.tsv", lambda rows: rows + ["objzz\t1"],
+         "object vocabulary size 9 != n_object_labels = 8")],
+        ids=["vectors", "objects"])
     @pytest.mark.parametrize("orm", ["empty", "real"])
     @pytest.mark.parametrize("command", ["eval", "zeroshot"])
     def test_vectors_wider_than_checkpoint_is_config_error(
-            self, workspace, tmp_path, capsys, command, orm):
-        rows = (workspace["data"] / "vectors.txt").read_text().splitlines()
-        wide = tmp_path / "wide.txt"  # one column more than the checkpoint's e
-        wide.write_text("".join(row + " 0.5\n" for row in rows))
+            self, workspace, tmp_path, capsys, command, orm, flag, name,
+            extend, message):
+        # one column more than the checkpoint's e, or one label more than
+        # its object classes
+        rows = (workspace["data"] / name).read_text().splitlines()
+        (tmp_path / name).write_text("".join(row + "\n" for row in extend(rows)))
         args = model_args(workspace, "test.jsonl")
-        args[args.index("--vectors") + 1] = str(wide)
+        args[args.index(flag) + 1] = str(tmp_path / name)
         if orm == "empty":
             (tmp_path / "orm.tsv").write_text("#total\t0\n")
             args[args.index("--orm") + 1] = str(tmp_path / "orm.tsv")
@@ -617,7 +625,7 @@ class TestEval:
                    "--checkpoint", str(workspace["ckpt"])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "relkit: error: embedding table width 9 != e = 8" in captured.err
+        assert f"relkit: error: {message}" in captured.err
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -643,7 +651,7 @@ class TestEval:
             def relabel(doc):
                 doc["objects"][0]["label"] = 99
             message = r": scene 0 object 0: label 99 outside the 8 labels of "
-        else:  # the classifier's 8 labels predict beyond a 1-label vocabulary
+        else:  # the classifier's 8 labels are not a 1-label vocabulary
             def relabel(doc):
                 for obj in doc["objects"]:
                     obj["label"] = 0
@@ -651,8 +659,7 @@ class TestEval:
             objects.write_text((workspace["data"] / "objects.tsv")
                                .read_text().splitlines()[0] + "\n")
             args[args.index("--objects") + 1] = str(objects)
-            message = (r": scene 0: object label \d+ outside the 1-label "
-                       r"object vocabulary")
+            message = r"relkit: error: object vocabulary size 1 != n_object_labels = 8"
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 2

@@ -132,3 +132,9 @@ def test_build_label_matrix_pools_phrases():
     m = build_label_matrix(["standing by", "on"], table)
     assert np.array_equal(m.matrix[0], [0.5, 0.5])
     assert np.array_equal(m.matrix[1], [1.0, 1.0])
+
+
+def test_build_label_matrix_of_no_label_is_numeric_error():
+    table = EmbeddingTable(2, {"on": np.array([1.0, 1.0])})
+    with pytest.raises(NumericError, match="^a label matrix needs at least one label$"):
+        build_label_matrix([], table)

@@ -2,25 +2,26 @@
 
 Everything is double precision and row-vector convention: a linear layer
 is `x @ W + b`. The attention procedure follows the printed formula
-including the 1/k factor on the weighted context sum; `mean_scale=False`
-drops it (config flag `attention_mean`).
+including the 1/k factor on the weighted context sum; the config flag
+`attention_mean` off drops it.
 
 One kernel runs a whole batch. `pack_batch` stacks the N objects and the E
 edges of all B scenes into flat arrays; edges index their subject and
-object rows. Ragged sites are grouped by size, never padded: object
-self-attention runs once per object count n > 1, on the (scenes, n, n)
-block of those scenes with the diagonal excluded, and text attention once
-per candidate-set size. One-object scenes and edges without candidates
-skip the site. Training packs once and swaps in each epoch's candidate
-groups. Object terms of the loss weigh lambda1/(B n_b), edge terms
+object rows. Object self-attention runs once per object count n > 1, on
+the (scenes, n, n) block of those scenes with the diagonal masked, as its
+cost follows the sum of n^2. Text attention runs once, on a slab of every
+candidate set padded to the largest, K, with the padding masked, as a set
+of k phrases wastes at most K/k of its row. One-object scenes and edges
+without candidates skip the site. Training packs once and swaps in each
+epoch's slab. Object terms of the loss weigh lambda1/(B n_b), edge terms
 lambda2/(B m_b) and lambda3/(B m_b): the batch mean of per-scene means.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,17 +64,15 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 # Generic attention
 # ---------------------------------------------------------------------------
 
-def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray,
-                mean_scale: bool, skip_self: bool = False
-                ) -> Tuple[np.ndarray, tuple]:
-    """Queries q (G, Q, D) attend over contexts C (G, K, D). With skip_self,
-    q and C hold the same rows and no row attends to itself."""
+def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray, scale,
+                mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, tuple]:
+    """Queries q (G, Q, D) attend over contexts C (G, K, D), except where
+    `mask` (broadcast to (G, Q, K)) is true; the weighted context sum is
+    multiplied by `scale`, a number or one per group."""
     a = q @ np.swapaxes(C, 1, 2)
-    if skip_self:
-        diag = np.arange(C.shape[1])
-        a[:, diag, diag] = -np.inf
+    if mask is not None:
+        np.copyto(a, -np.inf, where=mask)
     w = softmax(a)
-    scale = 1.0 / (C.shape[1] - skip_self) if mean_scale else 1.0
     qv = np.concatenate([q, scale * (w @ C)], axis=2)
     out = (qv.reshape(-1, qv.shape[2]) @ W_fuse).reshape(q.shape)
     return out, (q, C, w, scale, qv, W_fuse)
@@ -203,6 +202,40 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
 # Packing
 # ---------------------------------------------------------------------------
 
+class CandidateSlab(NamedTuple):
+    """Text attention's input, one row per edge that attends."""
+
+    rows: np.ndarray   # (G,) the edges' rows, ascending
+    sets: np.ndarray   # (G, K, e) their candidate sets, zero-padded to K
+    mask: np.ndarray   # (G, 1, K) true at the padding
+    inv_k: np.ndarray  # (G, 1, 1) 1/k
+
+    def put(self, i: int, c: np.ndarray) -> None:  # c is (k, e), 1 <= k <= K
+        k = len(c)
+        self.sets[i], self.mask[i], self.inv_k[i] = 0.0, True, 1.0 / k
+        self.sets[i, :k], self.mask[i, 0, :k] = c, False
+
+
+def candidate_slab(slots: Sequence[Tuple[int, np.ndarray]], e: int) -> CandidateSlab:
+    """The slab of (edge row, (k, e) set with k >= 1) `slots`, padded to the
+    longest set."""
+    if not slots:
+        return _NO_CANDIDATES
+    lengths = [len(c) for _, c in slots]
+    sets = np.zeros((len(slots), max(lengths), e))
+    for i, (_, c) in enumerate(slots):
+        sets[i, :len(c)] = c
+    k = np.array(lengths, dtype=np.float64).reshape(-1, 1, 1)
+    return CandidateSlab(np.array([row for row, _ in slots], dtype=np.int64), sets,
+                         np.arange(sets.shape[1]) >= k, 1.0 / k)
+
+
+# No edge attends: shared, as it has no row to write; predict_batch packs
+# every batch before its candidates exist.
+_NO_CANDIDATES = CandidateSlab(np.zeros(0, np.int64), np.zeros((0, 0, 0)),
+                               np.zeros((0, 1, 0), bool), np.zeros((0, 1, 1)))
+
+
 @dataclass
 class PackedBatch:
     """A batch of examples as flat arrays (layout in the module docstring)."""
@@ -217,8 +250,16 @@ class PackedBatch:
     predicates: np.ndarray      # (E,)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
     edge_weight: np.ndarray     # (E,) 1 / (B m_b)
-    # per candidate-set size k > 0: the edges' rows (G,) and sets (G, k, e)
-    cand_groups: List[Tuple[np.ndarray, np.ndarray]]
+    dpr: int                    # d + r, the width of an enriched object row
+    cand_groups: CandidateSlab  # every non-empty candidate set
+
+    @cached_property
+    def quad(self) -> np.ndarray:  # (E, 4); a non-positive box size raises
+        return geometric_quad(*self.boxes[self.so_rows[:, :2]].swapaxes(0, 1))
+
+    @cached_property
+    def so_scatter(self) -> np.ndarray:  # flat index of so_rows in an (N, d + r) array
+        return (self.so_rows[..., None] * self.dpr + np.arange(self.dpr)).ravel()
 
 
 def _expect_shape(what: str, arr, shape: Tuple[int, ...]) -> None:
@@ -280,13 +321,13 @@ def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
         predicates=edges[:, 2],
         so_rows=ends[:, [0, 1, 1, 0]],
         edge_weight=np.repeat(1.0 / (b * np.maximum(m, 1)), m),
+        dpr=dims.dpr,
         cand_groups=_pack_candidates(examples, dims.e),
     )
 
 
-def _pack_candidates(examples: Sequence[Example], e: int
-                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-    by_size = defaultdict(lambda: ([], []))  # set size -> edge rows, sets
+def _pack_candidates(examples: Sequence[Example], e: int) -> CandidateSlab:
+    slots = []
     row = 0  # of the scene's first edge
     for s, ex in enumerate(examples):
         for k, c in enumerate(ex.candidate_embeddings[:len(ex.edges)]):
@@ -295,12 +336,9 @@ def _pack_candidates(examples: Sequence[Example], e: int
                 if getattr(c, "shape", None) != (len(c), e):
                     _expect_shape(f"scene {s} edge {k}: candidate embeddings",
                                   c, (len(c), e))
-                rows, sets = by_size[len(c)]
-                rows.append(row + k)
-                sets.append(c)
+                slots.append((row + k, c))
         row += len(ex.edges)
-    return [(np.array(rows), np.array(sets, dtype=np.float64))
-            for _, (rows, sets) in sorted(by_size.items())]
+    return candidate_slab(slots, e)
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +351,7 @@ class ForwardTrace:
     obj_caches: List[tuple]                # self-attention cache per group
     enriched: np.ndarray                   # (N, d+r)
     obj_probs: np.ndarray                  # (N, |O|)
-    quad: Optional[np.ndarray]             # (E, 4) geometric quadruplets
-    txt_caches: List[tuple]                # text attention cache per group
+    txt_cache: Optional[tuple]             # text attention cache or None
     so_cache: Optional[tuple]              # subject-object cache or None
     f3: np.ndarray                         # (E, d+r)
     rel_probs: np.ndarray                  # (E, |P|)
@@ -332,10 +369,10 @@ def forward_objects(params: ModelParams, batch: PackedBatch
     obj_caches = []
     if params.toggles.object_attention:
         for rows in batch.obj_groups:
-            x = enriched[rows]
+            x, n = enriched[rows], rows.shape[1]
+            scale = 1.0 / (n - 1) if params.toggles.attention_mean else 1.0
             enriched[rows], cache = _attend_fwd(x, x, params.tensors["W_att_obj"],
-                                                params.toggles.attention_mean,
-                                                skip_self=True)
+                                                scale, np.eye(n, dtype=bool))
             obj_caches.append(cache)
         _check_finite("enriched objects", enriched)
     return enriched, classify_objects(enriched, params), obj_caches
@@ -350,31 +387,26 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
     dpr = params.dims.dpr
     enriched, obj_probs, obj_caches = objects
     n_edges = len(batch.so_rows)
-    quad = None
-    if toggles.geometric_relationships:
-        ends = batch.boxes[batch.so_rows[:, :2]]
-        quad = geometric_quad(ends[:, 0], ends[:, 1])
-        g = quad @ t["W_geo"] + t["b_geo"]
-    else:
-        g = np.zeros((n_edges, params.dims.r))
+    g = (batch.quad @ t["W_geo"] + t["b_geo"] if toggles.geometric_relationships
+         else np.zeros((n_edges, params.dims.r)))
     f = np.concatenate([batch.pair_features, g], axis=1)
-    txt_caches = []
-    for rows, cand in batch.cand_groups:
-        V = cand.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
-        out, cache = _attend_fwd(f[rows][:, None], V.reshape(len(rows), -1, dpr),
-                                 t["W_att_txt"], toggles.attention_mean)
-        f[rows] = out[:, 0]
-        txt_caches.append(cache)
+    slab, txt_cache = batch.cand_groups, None
+    if len(slab.rows):
+        V = slab.sets.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
+        out, txt_cache = _attend_fwd(
+            f[slab.rows][:, None], V.reshape(len(slab.rows), -1, dpr),
+            t["W_att_txt"], slab.inv_k if toggles.attention_mean else 1.0, slab.mask)
+        f[slab.rows] = out[:, 0]
     so_cache = None
     if toggles.subject_object_attention:
         cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)  # [s o], [o s]
         contexts = (cats.reshape(-1, 2 * dpr) @ t["W_so"]).reshape(-1, 2, dpr)
         out, so_cache = _attend_fwd(f[:, None], contexts, t["W_att_so"],
-                                    toggles.attention_mean)
+                                    0.5 if toggles.attention_mean else 1.0)
         f = out[:, 0]
     _check_finite("edge representations", f)
     rel_probs, pred_emb = predict_relationship(f, params)
-    return ForwardTrace(batch, obj_caches, enriched, obj_probs, quad, txt_caches,
+    return ForwardTrace(batch, obj_caches, enriched, obj_probs, txt_cache,
                         so_cache, f, rel_probs, pred_emb)
 
 
@@ -404,7 +436,7 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
     t, batch = params.tensors, trace.batch
     d, dpr = params.dims.d, params.dims.dpr
     d_obj, d_rel, d_emb = heads
-    grads = params.zero_like()
+    grads = {"W_att_obj": np.zeros_like(t["W_att_obj"])}  # summed over groups
     d_enriched = np.zeros_like(trace.enriched)
     df3 = np.zeros_like(trace.f3)
     for dlog, W, b, x, dx in ((d_obj, "W_o", "b_o", trace.enriched, d_enriched),
@@ -422,22 +454,21 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
         cats = trace.enriched[batch.so_rows].reshape(-1, 2 * dpr)
         grads["W_so"] = cats.T @ dC
         # a flat scatter-add is ~4x faster; same additions, same order, same bits
-        np.add.at(d_enriched.reshape(-1),
-                  (batch.so_rows[..., None] * dpr + np.arange(dpr)).ravel(),
-                  (dC @ t["W_so"].T).ravel())
+        np.add.at(d_enriched.reshape(-1), batch.so_scatter, (dC @ t["W_so"].T).ravel())
 
-    for (rows, cand), cache in zip(batch.cand_groups, trace.txt_caches):
-        dq, dV, dW = _attend_bwd(cache, df[rows][:, None])
-        df[rows] = dq[:, 0]
+    if trace.txt_cache is not None:
+        slab = batch.cand_groups
+        dq, dV, grads["W_att_txt"] = _attend_bwd(trace.txt_cache,
+                                                 df[slab.rows][:, None])
+        df[slab.rows] = dq[:, 0]
         dV = dV.reshape(-1, dpr)
-        grads["W_att_txt"] += dW
-        grads["W_txt"] += cand.reshape(-1, params.dims.e).T @ dV
-        grads["b_txt"] += dV.sum(axis=0)
+        grads["W_txt"] = slab.sets.reshape(-1, params.dims.e).T @ dV
+        grads["b_txt"] = dV.sum(axis=0)
 
     # geometric encoding (pair visual feature is an ingested constant)
-    if trace.quad is not None:
+    if params.toggles.geometric_relationships:
         dg = df[:, d:]
-        grads["W_geo"] = trace.quad.T @ dg
+        grads["W_geo"] = batch.quad.T @ dg
         grads["b_geo"] = dg.sum(axis=0)
 
     d_f1 = d_enriched  # disjoint groups again: rows are read, then replaced
@@ -451,7 +482,8 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
         dspat = d_f1[:, d:]
         grads["W_spat"] = batch.boxes.T @ dspat
         grads["b_spat"] = dspat.sum(axis=0)
-    return grads
+    # a head or mechanism that is off, or a site no row reached, has none
+    return {k: grads[k] if k in grads else np.zeros_like(v) for k, v in t.items()}
 
 
 def loss_and_gradients(params: ModelParams, batch: Sequence[Example],

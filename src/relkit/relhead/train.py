@@ -1,9 +1,10 @@
 """Batch preparation, the gradient-descent training loop, and inference.
 
 Training is plain full-batch gradient descent with a fixed learning rate.
-Each edge's top-M ORM phrases are looked up once per run. Only the edges
-with more than K of them are re-drawn each epoch, from a seed derived from
-(run seed, epoch, scene, edge), so runs are bit-reproducible.
+Each edge's top-M ORM phrases are looked up, and the candidate slab built,
+once per run. Only the edges with more than K of them are re-drawn each
+epoch, into their slab rows, from a seed derived from (run seed, epoch,
+scene, edge), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (Example, _pack_candidates,
-                    forward_edges, forward_objects, loss_and_gradients,
-                    pack_batch)
+from .model import (CandidateSlab, Example, candidate_slab, forward_edges,
+                    forward_objects, loss_and_gradients, pack_batch)
 # Unused here: the benchmark's tracer requires this module to name it.
 from .model import forward_scene  # noqa: F401
 from .params import ModelParams
@@ -45,8 +45,8 @@ class TrainConfig:
         if not 1 <= self.k_candidates <= self.m_candidates:
             raise ConfigError(f"K and M must satisfy 1 <= K <= M, got "
                               f"K = {self.k_candidates}, M = {self.m_candidates}")
-        if self.epochs < 0 or self.learning_rate < 0:
-            raise ConfigError("epochs and learning rate must be >= 0")
+        if self.epochs < 0 or not 0 <= self.learning_rate < np.inf:  # NaN fails too
+            raise ConfigError("epochs and learning rate must be >= 0 and finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -90,13 +90,16 @@ class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
     entry (None if empty). An edge with at most K top-M phrases keeps them
     all for the whole run, embedded once and read-only; `draw_candidates`
-    draws the others' sets. `groups` holds the static sets grouped as
-    pack_batch groups them. Object labels must index `object_vocab`."""
+    draws the others' sets. `slab` holds the non-empty static sets and a
+    row, padded to K, for each drawn edge. Object labels must index
+    `object_vocab`."""
 
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
-        self.drawn = []  # example, scene, edge, subject, object
+        self.drawn = []  # slab row, example, scene, edge, subject, object
+        slots, row = [], 0
+        pending = np.zeros((cfg.k_candidates, table.dimension))  # a drawn row until drawn
         for si, ex in enumerate(examples):
             labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
             ex.candidate_embeddings = [None] * len(ex.edges)
@@ -105,29 +108,36 @@ class CandidateIndex:
                                             backoff=cfg.orm_backoff
                                             ).entries[:cfg.m_candidates]]
                 if len(top) > cfg.k_candidates:
-                    self.drawn.append((ex, si, ei, labels[i], labels[j]))
+                    self.drawn.append((len(slots), ex, si, ei, labels[i], labels[j]))
+                    slots.append((row + ei, pending))
                     continue
                 c = embed_phrases(table, top, cfg.strict_oov)
                 if c is not None:
                     c.setflags(write=False)  # shared by every epoch
+                    slots.append((row + ei, c))
                 ex.candidate_embeddings[ei] = c
-        self.groups = _pack_candidates(examples, table.dimension)
+            row += len(ex.edges)
+        self.slab = candidate_slab(slots, table.dimension)
 
 
 def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
-                    epoch: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+                    epoch: int) -> CandidateSlab:
     """Draw the sets of the edges with more than K phrases into their
-    `candidate_embeddings` entries; return every set, grouped as
-    pack_batch groups them (`index.groups` when none is drawn)."""
-    cfg = index.cfg
-    for ex, si, ei, s, o in index.drawn:
-        ex.candidate_embeddings[ei] = embed_phrases(index.table, sample_candidates(
+    `candidate_embeddings` entries and their rows of `index.slab`; return
+    the slab, without the rows of drawn sets that came out empty."""
+    cfg, empty = index.cfg, []
+    for at, ex, si, ei, s, o in index.drawn:
+        c = ex.candidate_embeddings[ei] = embed_phrases(index.table, sample_candidates(
             index.orm, s, o, cfg.m_candidates, cfg.k_candidates,
             seed=_edge_seed(cfg.seed, epoch, si, ei), backoff=cfg.orm_backoff),
             cfg.strict_oov)
-    if not index.drawn:
-        return index.groups
-    return _pack_candidates(examples, index.table.dimension)
+        if c is None:
+            empty.append(at)
+        else:
+            index.slab.put(at, c)
+    if not empty:
+        return index.slab
+    return CandidateSlab(*(np.delete(a, empty, axis=0) for a in index.slab))
 
 
 def check_inputs(params: ModelParams, table: EmbeddingTable, object_vocab: Vocabulary) -> None:
@@ -211,7 +221,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
         for ex in examples:
             ex.object_labels = predicted[n0:n0 + len(ex.features)]
             n0 += len(ex.features)
-    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, cand_cfg).groups
+    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, cand_cfg).slab
     trace = forward_edges(params, packed, objects)
     out, n0, e0 = [], 0, 0
     for ex, scene_pairs in zip(examples, pairs):

@@ -5,7 +5,8 @@ through `embed_phrases`, which pools each phrase once per table. The first
 reference is one `embed_phrase` call per candidate phrase, the known rows
 stacked with `np.stack`. The second is the per-edge draw that training ran
 before the index: `sample_candidates` for every edge in every epoch, then
-`embed_phrases` per edge, then the sets grouped by size.
+`embed_phrases` per edge, then the non-empty sets at ascending edge rows,
+zero-padded to a common width.
 """
 
 import importlib
@@ -154,13 +155,13 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
                                                     monkeypatch):
     data, orm, _, params = world
     seen = []
-    original = train_mod._pack_candidates
 
-    def recording(examples, e):
-        seen.extend(examples)
-        return original(examples, e)
+    class Recording(train_mod.CandidateIndex):
+        def __init__(self, examples, *args):
+            seen.extend(examples)
+            super().__init__(examples, *args)
 
-    monkeypatch.setattr(train_mod, "_pack_candidates", recording)
+    monkeypatch.setattr(train_mod, "CandidateIndex", Recording)
     labels = data.object_vocab.labels
     for scene in data.test_scenes + data.train_scenes[:5]:
         predict_scene(params, scene, orm, data.object_vocab,
@@ -345,16 +346,14 @@ def per_edge_draw(examples, orm, object_vocab, table, cfg, epoch):
         for si, ex in enumerate(examples) for ei, (i, j, _p) in enumerate(ex.edges)]
 
 
-def per_edge_groups(sets):
-    """The sets grouped by size: ascending sizes, ascending edge rows."""
-    by_size = {}
-    for row, c in enumerate(sets):
-        if c is not None:
-            rows, arrays = by_size.setdefault(len(c), ([], []))
-            rows.append(row)
-            arrays.append(c)
-    return [(np.array(rows), np.array(arrays, dtype=np.float64))
-            for _, (rows, arrays) in sorted(by_size.items())]
+def per_edge_slab(sets, width, e):
+    """The non-empty sets' ascending edge rows, the sets zero-padded to
+    `width`, and their lengths."""
+    rows = [row for row, c in enumerate(sets) if c is not None]
+    padded = np.zeros((len(rows), width, e))
+    for i, row in enumerate(rows):
+        padded[i, :len(sets[row])] = sets[row]
+    return np.array(rows, dtype=np.int64), padded, [len(sets[row]) for row in rows]
 
 
 def per_edge_train(cfg, examples, orm, object_vocab, table, params):
@@ -373,13 +372,13 @@ def per_edge_train(cfg, examples, orm, object_vocab, table, params):
     return params, losses
 
 
-def assert_same_groups(got, want):
-    assert [len(rows) for rows, _ in got] == [len(rows) for rows, _ in want]
-    for (rows, sets), (want_rows, want_sets) in zip(got, want):
-        assert rows.dtype == want_rows.dtype
-        assert np.array_equal(rows, want_rows)
-        assert sets.dtype == want_sets.dtype
-        assert np.array_equal(sets, want_sets)
+def assert_same_slab(got, want):
+    rows, sets, lengths = want
+    assert got.rows.dtype == rows.dtype and np.array_equal(got.rows, rows)
+    assert got.sets.dtype == sets.dtype and np.array_equal(got.sets, sets)
+    k = np.array(lengths, dtype=np.int64).reshape(-1, 1)
+    assert np.array_equal(got.mask[:, 0], np.arange(sets.shape[1]) >= k)
+    assert np.array_equal(got.inv_k[:, :, 0], 1.0 / k)
 
 
 ORACLE_CASES = [(backoff, strict) for backoff in (True, False)
@@ -396,9 +395,10 @@ def test_index_draw_matches_per_edge_draw(backoff, strict):
     index = CandidateIndex(examples, *args)
     for epoch in range(4):
         expected = per_edge_draw(examples, *args, epoch)
-        groups = draw_candidates(examples, index, epoch)
+        slab = draw_candidates(examples, index, epoch)
         assert_same_sets(drawn(examples), expected)
-        assert_same_groups(groups, per_edge_groups(expected))
+        assert_same_slab(slab, per_edge_slab(expected, cfg.k_candidates,
+                                             data.embeddings.dimension))
     if not backoff:  # unseen pairs have no candidates
         assert any(c is None for c in drawn(examples))
 
@@ -429,22 +429,76 @@ def test_strict_oov_raises_in_both_paths(world):
 
 def test_static_sets_are_grouped_once_per_index(world):
     data, orm, examples, _ = world
+    e = data.embeddings.dimension
     args = (examples, orm, data.object_vocab, data.embeddings)
     index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=6))
     assert not index.drawn  # no edge has more than K = M phrases
-    want = _pack_candidates(examples, data.embeddings.dimension)
-    assert want  # some edges have candidates
+    fresh = _pack_candidates(examples, e)
+    assert len(fresh.rows)  # some edges have candidates
+    width = max(len(c) for c in drawn(examples) if c is not None)
+    want = per_edge_slab(drawn(examples), width, e)
+    assert_same_slab(fresh, want)
     for epoch in range(3):
-        groups = draw_candidates(examples, index, epoch)
-        assert groups is index.groups
-        assert_same_groups(groups, want)
-        assert_same_groups(groups, per_edge_groups(drawn(examples)))
+        slab = draw_candidates(examples, index, epoch)
+        assert slab is index.slab
+        assert_same_slab(slab, want)
     index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=3))
     assert index.drawn
-    for epoch in range(2):  # the drawn sets join the static ones each epoch
-        groups = draw_candidates(examples, index, epoch)
-        assert groups is not index.groups
-        assert_same_groups(groups, per_edge_groups(drawn(examples)))
+    for epoch in range(2):  # the drawn sets are written into the index's slab
+        slab = draw_candidates(examples, index, epoch)
+        assert slab is index.slab
+        assert_same_slab(slab, per_edge_slab(drawn(examples), 3, e))
+
+
+def test_slab_draw_writes_only_the_drawn_rows(world):
+    data, orm, examples, _ = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4)
+    args = (orm, data.object_vocab, data.embeddings, cfg)
+    index = CandidateIndex(examples, *args)
+    slab = index.slab
+    at = [a for a, *_ in index.drawn]
+    static = np.setdiff1d(np.arange(len(slab.rows)), at)
+    assert len(at) and len(static)
+    fields = ("rows", "sets", "mask", "inv_k")
+    before = {name: getattr(slab, name)[static].copy() for name in fields}
+    rows = slab.rows.copy()
+    for epoch in range(4):
+        expected = per_edge_draw(examples, *args, epoch)
+        assert draw_candidates(examples, index, epoch) is slab
+        assert_same_sets(drawn(examples), expected)
+        for a in at:
+            want = expected[rows[a]]
+            assert np.array_equal(slab.sets[a], np.pad(want, ((0, 3 - len(want)), (0, 0))))
+            assert np.array_equal(slab.mask[a, 0], np.arange(3) >= len(want))
+            assert slab.inv_k[a, 0, 0] == 1.0 / len(want)
+        for name in fields:
+            assert np.array_equal(getattr(slab, name)[static], before[name])
+        assert np.array_equal(slab.rows, rows)
+
+
+def test_drawn_set_of_oov_phrases_skips_the_text_site(world):
+    data, _, examples, params = world
+    labels = data.object_vocab.labels
+    pairs = sorted({(labels[int(ex.object_labels[i])], labels[int(ex.object_labels[j])])
+                    for ex in examples for i, j, _ in ex.edges})
+    corpus = TripletCorpus()
+    for n, (s, o) in enumerate(pairs):  # the first pair has no known phrase
+        for phrase in (OOV, "blick zorp") if n == 0 else ("relaa", TWO_TOKENS):
+            corpus.add(Triplet(s, phrase, o))
+    cfg = TrainConfig(m_candidates=2, k_candidates=1, seed=4)
+    index = CandidateIndex(examples, build_orm(corpus), data.object_vocab,
+                           data.embeddings, cfg)
+    assert len(index.drawn) == sum(len(ex.edges) for ex in examples)
+    slab = draw_candidates(examples, index, 0)
+    empty = [row for row, c in enumerate(drawn(examples)) if c is None]
+    assert empty and not set(empty) & set(slab.rows.tolist())
+    assert len(slab.rows) + len(empty) == len(index.drawn)
+    packed = pack_batch(examples, params.dims)
+    packed.cand_groups = slab
+    loss, grads = loss_and_gradients(params, examples, packed=packed)
+    fresh_loss, fresh = loss_and_gradients(params, examples)  # entries None
+    assert loss == fresh_loss
+    assert all(np.array_equal(grads[k], fresh[k]) for k in grads)
 
 
 @pytest.mark.parametrize("other", OTHER_SIZES)
@@ -487,6 +541,12 @@ def test_sample_candidates_only_for_edges_above_k(world, monkeypatch):
     assert sorted(seeds) == sorted(reference_seed(cfg.seed, epoch, si, ei)
                                    for epoch in range(cfg.epochs)
                                    for si, ei in above)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_learning_rate_rejected(rate):
+    with pytest.raises(ConfigError, match="^epochs and learning rate must be >= 0"):
+        TrainConfig(learning_rate=rate)
 
 
 def test_negative_seed_rejected():

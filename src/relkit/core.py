@@ -76,8 +76,8 @@ class SceneGraph:
 @dataclass(frozen=True)
 class SceneInstance:
     """One training/evaluation example: graph plus ingested feature vectors.
-    One feature row per object, all of one width; pair features name two
-    distinct objects; every value is finite. Else a FormatError."""
+    One feature row per object, all of one width; pair feature keys are two
+    distinct objects, ascending, none repeated; values finite. Else a FormatError."""
 
     graph: SceneGraph
     object_features: Tuple[Tuple[float, ...], ...] = ()
@@ -90,10 +90,12 @@ class SceneInstance:
                               f"object_features rows")
         if len(set(map(len, rows))) > 1:
             raise FormatError("object_features rows differ in length")
-        for (s, o), _ in self.pair_features:
+        for i, ((s, o), _) in enumerate(self.pair_features):
             if s == o or not (0 <= s < n and 0 <= o < n):
                 raise FormatError(f"pair_features key {s},{o}: not two distinct "
                                   f"objects in [0, {n})")
+            if i and self.pair_features[i - 1][0] >= (s, o):
+                raise FormatError(f"pair_features key {s},{o}: repeated or out of order")
         values = chain(*rows, *(vec for _, vec in self.pair_features))
         if not all(map(math.isfinite, values)):
             raise FormatError("non-finite feature value")

@@ -89,20 +89,21 @@ def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
     return hits / len(gt_labels)
 
 
-def ranked_predicates(probs: np.ndarray) -> List[int]:
-    """Predicate ids by descending probability, ties ascending id."""
-    return np.argsort(-np.asarray(probs), kind="stable").tolist()
+def ranked_predicates(probs: np.ndarray) -> list:
+    """Predicate ids by descending probability, ties ascending id, per row."""
+    return np.argsort(-np.asarray(probs), axis=-1, kind="stable").tolist()
 
 
-def _scene_rows(pred: ScenePrediction, graph_constraint: bool) -> List[Row]:
-    rows: List[Row] = []
-    for (s, o), probs in pred.pair_probs.items():
-        if graph_constraint:
-            best = int(np.argmax(probs))  # ties: the lowest id
-            rows.append((-float(probs[best]), s, o, best))
-        else:
-            rows.extend((-float(conf), s, o, p) for p, conf in enumerate(probs))
-    return rows
+def _scene_rows(pred: ScenePrediction, graph_constraint: bool
+                ) -> Tuple[List[Row], np.ndarray]:
+    """The scene's rows, and its pairs' probability vectors as one array."""
+    probs = np.array(list(pred.pair_probs.values()), np.float64)
+    if not (graph_constraint and len(probs)):
+        return [(-c, s, o, p) for (s, o), row in zip(pred.pair_probs, probs.tolist())
+                for p, c in enumerate(row)], probs
+    best = probs.argmax(axis=1)  # ties: the lowest id
+    conf = probs[np.arange(len(best)), best].tolist()
+    return [(-c, s, o, p) for (s, o), c, p in zip(pred.pair_probs, conf, best.tolist())], probs
 
 
 def predcls_eval(predictions: Sequence[ScenePrediction],
@@ -116,10 +117,11 @@ def predcls_eval(predictions: Sequence[ScenePrediction],
     ranked: List[List[int]] = []
     gts: List[int] = []
     for pred, scene in zip(predictions, scenes):
-        per_scene.append((_scene_rows(pred, graph_constraint), scene.graph))
+        rows, probs = _scene_rows(pred, graph_constraint)
+        per_scene.append((rows, scene.graph))
+        order = dict(zip(pred.pair_probs, ranked_predicates(probs)))
         for s, o, p in scene.graph.edges:
-            probs = pred.pair_probs.get((s, o))
-            ranked.append([] if probs is None else ranked_predicates(probs))
+            ranked.append(order.get((s, o), []))
             gts.append(p)
     metrics = dict(zip([f"R@{k}" for k in recall_ks],
                        _recalls(per_scene, recall_ks, micro)))
@@ -148,7 +150,7 @@ def sgcls_eval(predictions: Sequence[ScenePrediction],
         # match: it gets an unmatched predicate id
         per_scene.append(([(-(label_prob[s] * label_prob[o] * -neg), s, o,
                             p if label_ok[s] and label_ok[o] else -1)
-                           for neg, s, o, p in _scene_rows(pred, graph_constraint)],
+                           for neg, s, o, p in _scene_rows(pred, graph_constraint)[0]],
                           scene.graph))
     return dict(zip([f"R@{k}" for k in recall_ks],
                     _recalls(per_scene, recall_ks, micro)))

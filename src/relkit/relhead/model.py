@@ -5,16 +5,19 @@ is `x @ W + b`. The attention procedure follows the printed formula
 including the 1/k factor on the weighted context sum; the config flag
 `attention_mean` off drops it.
 
-One kernel runs a whole batch. `pack_batch` stacks the N objects and the E
-edges of all B scenes into flat arrays; edges index their subject and
-object rows. Object self-attention runs once per object count n > 1, on
-the (scenes, n, n) block of those scenes with the diagonal masked, as its
-cost follows the sum of n^2. Text attention runs once, on a slab of every
+One kernel runs a whole batch. `pack_inputs` stacks the N objects and the
+E edges of all B scenes into the flat arrays the forward pass reads (and
+the labels); edges index their subject and object rows. `pack_batch` adds
+what only the loss reads: weights, predicate ids and target embeddings.
+Object self-attention runs once per object count n > 1, on the
+(scenes, n, n) block of those scenes with the diagonal masked, as its cost
+follows the sum of n^2. Text attention runs once, on a slab of every
 candidate set padded to the largest, K, with the padding masked, as a set
 of k phrases wastes at most K/k of its row. One-object scenes and edges
 without candidates skip the site. Training packs once and swaps in each
-epoch's slab. Object terms of the loss weigh lambda1/(B n_b), edge terms
-lambda2/(B m_b) and lambda3/(B m_b): the batch mean of per-scene means.
+epoch's slab; inference computes object probabilities only for SG-Cls.
+Object terms of the loss weigh lambda1/(B n_b), edge terms lambda2/(B m_b)
+and lambda3/(B m_b): the batch mean of per-scene means.
 """
 
 from __future__ import annotations
@@ -230,28 +233,27 @@ def candidate_slab(slots: Sequence[Tuple[int, np.ndarray]], e: int) -> Candidate
                          np.arange(sets.shape[1]) >= k, 1.0 / k)
 
 
-# No edge attends: shared, as it has no row to write; predict_batch packs
-# every batch before its candidates exist.
+# No edge attends: shared, as it has no row to write.
 _NO_CANDIDATES = CandidateSlab(np.zeros(0, np.int64), np.zeros((0, 0, 0)),
                                np.zeros((0, 1, 0), bool), np.zeros((0, 1, 1)))
 
 
 @dataclass
 class PackedBatch:
-    """A batch of examples as flat arrays (layout in the module docstring)."""
+    """A batch as flat arrays (module docstring); loss columns None at inference."""
 
     features: np.ndarray        # (N, d)
     boxes: np.ndarray           # (N, 4)
     labels: np.ndarray          # (N,)
-    obj_weight: np.ndarray      # (N,) 1 / (B n_b)
     obj_groups: List[np.ndarray]  # per object count n > 1: (scenes, n) rows
     pair_features: np.ndarray   # (E, d)
-    targets: np.ndarray         # (E, e)
-    predicates: np.ndarray      # (E,)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
-    edge_weight: np.ndarray     # (E,) 1 / (B m_b)
     dpr: int                    # d + r, the width of an enriched object row
-    cand_groups: CandidateSlab  # every non-empty candidate set
+    cand_groups: CandidateSlab = _NO_CANDIDATES  # every non-empty candidate set
+    obj_weight: Optional[np.ndarray] = None   # (N,) 1 / (B n_b)
+    targets: Optional[np.ndarray] = None      # (E, e)
+    predicates: Optional[np.ndarray] = None   # (E,)
+    edge_weight: Optional[np.ndarray] = None  # (E,) 1 / (B m_b)
 
     @cached_property
     def quad(self) -> np.ndarray:  # (E, 4); a non-positive box size raises
@@ -267,75 +269,73 @@ def _expect_shape(what: str, arr, shape: Tuple[int, ...]) -> None:
         raise ConfigError(f"{what} have shape {np.shape(arr)}, expected {shape}")
 
 
-def _validate(s: int, ex: Example, dims: Dims) -> None:
-    n, m = len(ex.features), len(ex.edges)
-    if n == 0:
+def check_scene(s: int, dims: Dims, features, boxes, labels, pairs, pair_features) -> None:
+    """Raise the first fault in scene s's model inputs, pack_inputs' columns."""
+    if (n := len(features)) == 0:
         raise EmptySceneError(f"scene {s} has no objects")
-    _expect_shape(f"scene {s}: object features", ex.features, (n, dims.d))
-    _expect_shape(f"scene {s}: boxes", ex.boxes, (n, 4))
-    _expect_shape(f"scene {s}: object labels", ex.object_labels, (n,))
-    if len(ex.pair_features) != m or len(ex.target_embeddings) != m:
-        raise ConfigError(f"scene {s}: need a pair feature and a target "
-                          f"embedding per edge")
-    for i, y in enumerate(ex.object_labels):
+    _expect_shape(f"scene {s}: object features", features, (n, dims.d))
+    _expect_shape(f"scene {s}: boxes", boxes, (n, 4))
+    _expect_shape(f"scene {s}: object labels", labels, (n,))
+    for i, y in enumerate(labels):
         if not 0 <= y < dims.n_object_labels:
             raise ConfigError(f"scene {s} object {i}: label {y} outside "
                               f"[0, {dims.n_object_labels})")
-    for k, (i, j, p) in enumerate(ex.edges):
+    for k, (i, j) in enumerate(pairs):
         if not (0 <= i < n and 0 <= j < n):
             raise ConfigError(f"scene {s} edge {k}: endpoint outside [0, {n})")
-        if not 0 <= p < dims.n_predicate_labels:
-            raise ConfigError(f"scene {s} edge {k}: predicate id {p} outside "
-                              f"[0, {dims.n_predicate_labels})")
-        for what, v, width in (("pair features", ex.pair_features[k], dims.d),
-                               ("target embeddings", ex.target_embeddings[k],
-                                dims.e)):
-            if np.shape(v) != (width,):
-                _expect_shape(f"scene {s} edge {k}: {what}", v, (width,))
+        _expect_shape(f"scene {s} edge {k}: pair features", pair_features[k], (dims.d,))
+
+
+def pack_inputs(dims: Dims, scenes: Sequence[tuple]) -> PackedBatch:
+    """The model inputs of checked scenes, each given as check_scene's
+    arguments after `dims`: one array per column over all scenes' rows."""
+    features, boxes, labels, pairs, pair_features = zip(*scenes)
+    n, m = np.array([len(f) for f in features]), np.array([len(p) for p in pairs])
+    offsets = np.cumsum(n) - n
+    ends = np.array([p for ps in pairs for p in ps], np.int64).reshape(-1, 2) \
+        + np.repeat(offsets, m)[:, None]
+    return PackedBatch(
+        np.array([row for f in features for row in f], np.float64),
+        np.array([box for bs in boxes for box in bs], np.float64),
+        np.array([y for ys in labels for y in ys], np.int64),
+        [offsets[n == k][:, None] + np.arange(k) for k in sorted(set(n.tolist())) if k > 1],
+        np.array([v for vs in pair_features for v in vs], np.float64).reshape(-1, dims.d),
+        ends.take([0, 1, 1, 0], axis=1), dims.dpr)
 
 
 def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
-    """Pack examples for the batched kernel, checking widths and ids."""
+    """Pack and check examples: model inputs, loss columns, candidate slab."""
     if not examples:
         raise EmptySceneError("empty batch")
+    inputs = [(ex.features, ex.boxes, ex.object_labels, [e[:2] for e in ex.edges],
+               ex.pair_features) for ex in examples]
     for s, ex in enumerate(examples):
-        _validate(s, ex, dims)
-    counts = [len(ex.features) for ex in examples]
-    b, n = len(counts), np.array(counts)
-    m = np.array([len(ex.edges) for ex in examples])
-    offsets = np.cumsum(n) - n
-    edges = np.array([e for ex in examples for e in ex.edges],
-                     dtype=np.int64).reshape(-1, 3)
-    ends = edges[:, :2] + np.repeat(offsets, m)[:, None]
-    return PackedBatch(
-        features=np.concatenate([ex.features for ex in examples], dtype=np.float64),
-        boxes=np.concatenate([ex.boxes for ex in examples], dtype=np.float64),
-        labels=np.concatenate([ex.object_labels for ex in examples], dtype=np.int64),
-        obj_weight=np.repeat(1.0 / (b * n), n),
-        obj_groups=[offsets[n == k][:, None] + np.arange(k)
-                    for k in sorted(set(counts)) if k > 1],
-        pair_features=np.array([v for ex in examples for v in ex.pair_features],
-                               dtype=np.float64).reshape(-1, dims.d),
-        targets=np.array([v for ex in examples for v in ex.target_embeddings],
-                         dtype=np.float64).reshape(-1, dims.e),
-        predicates=edges[:, 2],
-        so_rows=ends[:, [0, 1, 1, 0]],
-        edge_weight=np.repeat(1.0 / (b * np.maximum(m, 1)), m),
-        dpr=dims.dpr,
-        cand_groups=_pack_candidates(examples, dims.e),
-    )
+        if not len(ex.pair_features) == len(ex.target_embeddings) == len(ex.edges):
+            raise ConfigError(f"scene {s}: need a pair feature and a target embedding per edge")
+        check_scene(s, dims, *inputs[s])
+        for k, (_, _, p) in enumerate(ex.edges):
+            if not 0 <= p < dims.n_predicate_labels:
+                raise ConfigError(f"scene {s} edge {k}: predicate id {p} outside "
+                                  f"[0, {dims.n_predicate_labels})")
+            _expect_shape(f"scene {s} edge {k}: target embeddings",
+                          ex.target_embeddings[k], (dims.e,))
+    packed, b = pack_inputs(dims, inputs), len(examples)
+    n, m = np.array([(len(ex.features), len(ex.edges)) for ex in examples]).T
+    packed.obj_weight = np.repeat(1.0 / (b * n), n)
+    packed.targets = np.array([v for ex in examples for v in ex.target_embeddings],
+                              dtype=np.float64).reshape(-1, dims.e)
+    packed.predicates = np.array([p for ex in examples for *_, p in ex.edges], np.int64)
+    packed.edge_weight = np.repeat(1.0 / (b * np.maximum(m, 1)), m)
+    packed.cand_groups = _pack_candidates(examples, dims.e)
+    return packed
 
 
 def _pack_candidates(examples: Sequence[Example], e: int) -> CandidateSlab:
-    slots = []
-    row = 0  # of the scene's first edge
+    slots, row = [], 0  # row: the scene's first edge
     for s, ex in enumerate(examples):
         for k, c in enumerate(ex.candidate_embeddings[:len(ex.edges)]):
             if c is not None and len(c):
-                # an attribute read per set; a list goes on to _expect_shape
-                if getattr(c, "shape", None) != (len(c), e):
-                    _expect_shape(f"scene {s} edge {k}: candidate embeddings",
-                                  c, (len(c), e))
+                _expect_shape(f"scene {s} edge {k}: candidate embeddings", c, (len(c), e))
                 slots.append((row + k, c))
         row += len(ex.edges)
     return candidate_slab(slots, e)
@@ -350,7 +350,7 @@ class ForwardTrace:
     batch: PackedBatch
     obj_caches: List[tuple]                # self-attention cache per group
     enriched: np.ndarray                   # (N, d+r)
-    obj_probs: np.ndarray                  # (N, |O|)
+    obj_probs: Optional[np.ndarray]        # (N, |O|), None if not computed
     txt_cache: Optional[tuple]             # text attention cache or None
     so_cache: Optional[tuple]              # subject-object cache or None
     f3: np.ndarray                         # (E, d+r)
@@ -358,10 +358,8 @@ class ForwardTrace:
     pred_emb: np.ndarray                   # (E, e)
 
 
-def forward_objects(params: ModelParams, batch: PackedBatch
-                    ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
-    """The object stage: enriched object rows, their class probabilities
-    and the self-attention caches."""
+def enrich_objects(params: ModelParams, batch: PackedBatch) -> Tuple[np.ndarray, list]:
+    """Enriched object rows and the self-attention caches."""
     enriched = np.concatenate([batch.features, spatial_projection(
         batch.boxes, params, params.toggles.geometric_objects)], axis=1)
     _check_finite("F'", enriched)
@@ -375,6 +373,13 @@ def forward_objects(params: ModelParams, batch: PackedBatch
                                                 scale, np.eye(n, dtype=bool))
             obj_caches.append(cache)
         _check_finite("enriched objects", enriched)
+    return enriched, obj_caches
+
+
+def forward_objects(params: ModelParams, batch: PackedBatch
+                    ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
+    """The object stage: enrich_objects plus the object class probabilities."""
+    enriched, obj_caches = enrich_objects(params, batch)
     return enriched, classify_objects(enriched, params), obj_caches
 
 
@@ -382,7 +387,7 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
                   objects: Tuple[np.ndarray, np.ndarray, List[tuple]]
                   ) -> ForwardTrace:
     """The edge stage on top of `objects`, the batch's forward_objects
-    output; the trace holds both stages."""
+    output (its probabilities may be None); the trace holds both stages."""
     t, toggles = params.tensors, params.toggles
     dpr = params.dims.dpr
     enriched, obj_probs, obj_caches = objects

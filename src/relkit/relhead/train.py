@@ -20,8 +20,9 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (CandidateSlab, Example, candidate_slab, forward_edges,
-                    forward_objects, loss_and_gradients, pack_batch)
+from .model import (CandidateSlab, Example, candidate_slab, check_scene,
+                    classify_objects, enrich_objects, forward_edges,
+                    loss_and_gradients, pack_batch, pack_inputs)
 # Unused here: the benchmark's tracer requires this module to name it.
 from .model import forward_scene  # noqa: F401
 from .params import ModelParams
@@ -42,22 +43,16 @@ class TrainConfig:
     strict_oov: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.k_candidates <= self.m_candidates:
-            raise ConfigError(f"K and M must satisfy 1 <= K <= M, got "
-                              f"K = {self.k_candidates}, M = {self.m_candidates}")
+        check_k(self.k_candidates, self.m_candidates)
         if self.epochs < 0 or not 0 <= self.learning_rate < np.inf:  # NaN fails too
             raise ConfigError("epochs and learning rate must be >= 0 and finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _scene_example(instance: SceneInstance, edges, pair_features, targets) -> Example:
-    """The scene's objects plus the given per-edge inputs."""
-    g = instance.graph
-    return Example(instance.object_feature_matrix(),
-                   np.array([[b.x, b.y, b.w, b.h] for b in g.boxes()], np.float64),
-                   np.array(g.labels(), dtype=np.int64), list(edges),
-                   pair_features, targets, [None] * len(edges))
+def check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise ConfigError(f"K and M must satisfy 1 <= K <= M, got K = {k}, M = {m}")
 
 
 def build_example(instance: SceneInstance,
@@ -79,11 +74,27 @@ def build_example(instance: SceneInstance,
             raise ConfigError(f"edge ({s},{o}): predicate id {p} outside the vocabulary")
         pair_feats.append(pair_map[(s, o)])
         targets.append(embed_phrase(table, predicate_vocab.labels[p], strict=strict_oov)[0])
-    return _scene_example(instance, instance.graph.edges, pair_feats, targets)
+    g = instance.graph
+    return Example(instance.object_feature_matrix(),
+                   np.array([[b.x, b.y, b.w, b.h] for b in g.boxes()], np.float64),
+                   np.array(g.labels(), dtype=np.int64), list(g.edges),
+                   pair_feats, targets, [None] * len(g.edges))
 
 
 def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
+
+
+def candidate_sets(label_ids: np.ndarray, pairs, orm: OrmTable,
+                   object_vocab: Vocabulary, table: EmbeddingTable, m: int, k: int,
+                   backoff: bool, strict_oov: bool) -> list:
+    """Per (subject, object) row pair, under the object label ids: its top-M
+    ORM phrases, embedded (None if none embeds), or, if over K, its label pair."""
+    names = object_vocab.labels
+    pairs = [(names[a], names[b]) for a, b in label_ids[pairs].tolist()]
+    tops = [[r for r, _ in lookup(orm, *pair, backoff=backoff).entries[:m]] for pair in pairs]
+    return [pair if len(top) > k else embed_phrases(table, top, strict_oov)
+            for pair, top in zip(pairs, tops)]
 
 
 class CandidateIndex:
@@ -101,21 +112,17 @@ class CandidateIndex:
         slots, row = [], 0
         pending = np.zeros((cfg.k_candidates, table.dimension))  # a drawn row until drawn
         for si, ex in enumerate(examples):
-            labels = [object_vocab.labels[i] for i in ex.object_labels.tolist()]
-            ex.candidate_embeddings = [None] * len(ex.edges)
-            for ei, (i, j, _p) in enumerate(ex.edges):
-                top = [r for r, _ in lookup(orm, labels[i], labels[j],
-                                            backoff=cfg.orm_backoff
-                                            ).entries[:cfg.m_candidates]]
-                if len(top) > cfg.k_candidates:
-                    self.drawn.append((len(slots), ex, si, ei, labels[i], labels[j]))
+            ex.candidate_embeddings = candidate_sets(
+                ex.object_labels, [e[:2] for e in ex.edges], orm, object_vocab, table,
+                cfg.m_candidates, cfg.k_candidates, cfg.orm_backoff, cfg.strict_oov)
+            for ei, c in enumerate(ex.candidate_embeddings):
+                if isinstance(c, tuple):  # a label pair: drawn each epoch
+                    self.drawn.append((len(slots), ex, si, ei, *c))
                     slots.append((row + ei, pending))
-                    continue
-                c = embed_phrases(table, top, cfg.strict_oov)
-                if c is not None:
+                    ex.candidate_embeddings[ei] = None
+                elif c is not None:
                     c.setflags(write=False)  # shared by every epoch
                     slots.append((row + ei, c))
-                ex.candidate_embeddings[ei] = c
             row += len(ex.edges)
         self.slab = candidate_slab(slots, table.dimension)
 
@@ -187,51 +194,43 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
                   ) -> List[Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]]:
     """Score every ingested pair of every scene with one object pass and
     one edge pass over the whole batch, under the switches in `params`.
+    No targets; each pair's candidates are its labels' top K ORM phrases.
 
     predcls: ORM lookups use the ground-truth object labels; object_probs
-    is omitted from the output. sgcls: labels come from the object
+    is neither computed nor returned. sgcls: labels come from the object
     classifier's argmax and object_probs is included.
 
     Returns, per scene, the prediction plus each pair's predicted
-    relationship embedding (for zero-shot classification). An error names
-    the scene by its index in `scenes`.
+    relationship embedding (for zero-shot classification), keyed by the
+    pairs in order. An error names the scene by its index in `scenes`.
     """
     if protocol not in ("predcls", "sgcls"):
         raise ConfigError(f"unknown protocol: {protocol}")
-    # deterministic at eval time: with M = K every set is the K most
-    # probable candidates, and nothing is drawn
-    cand_cfg = TrainConfig(m_candidates=k_candidates, k_candidates=k_candidates,
-                           orm_backoff=orm_backoff, strict_oov=strict_oov)
+    check_k(k_candidates, k_candidates)
     check_inputs(params, table, object_vocab)
     if not scenes:
         return []
-    examples, pairs = [], []
-    for instance in scenes:
-        pair_map = instance.pair_feature_map()
-        pairs.append(sorted(pair_map))
-        # predicate ids and targets are unused at inference
-        examples.append(_scene_example(
-            instance, [(s, o, 0) for s, o in pairs[-1]],
-            [pair_map[p] for p in pairs[-1]],
-            [np.zeros(params.dims.e)] * len(pairs[-1])))
-    packed = pack_batch(examples, params.dims)  # no candidates yet
-    objects = forward_objects(params, packed)
-    if protocol == "sgcls":  # look candidates up under the predicted labels
-        predicted, n0 = objects[1].argmax(axis=1), 0
-        for ex in examples:
-            ex.object_labels = predicted[n0:n0 + len(ex.features)]
-            n0 += len(ex.features)
-    packed.cand_groups = CandidateIndex(examples, orm, object_vocab, table, cand_cfg).slab
-    trace = forward_edges(params, packed, objects)
-    out, n0, e0 = [], 0, 0
-    for ex, scene_pairs in zip(examples, pairs):
-        n1, e1 = n0 + len(ex.features), e0 + len(scene_pairs)
-        obj_probs = trace.obj_probs[n0:n1] if protocol == "sgcls" else None
-        probs, embs = trace.rel_probs[e0:e1], trace.pred_emb[e0:e1]
-        out.append((ScenePrediction(dict(zip(scene_pairs, probs)), obj_probs),
-                    dict(zip(scene_pairs, embs))))
-        n0, e0 = n1, e1
-    return out
+    inputs = [(sc.object_features, [(b.x, b.y, b.w, b.h) for _, b in sc.graph.objects],
+               sc.graph.labels(), [p for p, _ in sc.pair_features],
+               [v for _, v in sc.pair_features]) for sc in scenes]
+    for s, (rows, _, labels, _, vecs) in enumerate(inputs):  # SceneInstance checks the rest
+        if not rows or {len(rows[0]), *map(len, vecs)} != {params.dims.d} \
+                or max(labels) >= params.dims.n_object_labels:
+            check_scene(s, params.dims, *inputs[s])
+    packed = pack_inputs(params.dims, inputs)
+    enriched, obj_caches = enrich_objects(params, packed)
+    obj_probs = classify_objects(enriched, params) if protocol == "sgcls" else None
+    sets = candidate_sets(packed.labels if obj_probs is None else obj_probs.argmax(axis=1),
+                          packed.so_rows[:, :2], orm, object_vocab, table,
+                          k_candidates, k_candidates, orm_backoff, strict_oov)
+    packed.cand_groups = candidate_slab(
+        [(row, c) for row, c in enumerate(sets) if c is not None], params.dims.e)
+    trace = forward_edges(params, packed, (enriched, obj_probs, obj_caches))
+    rel_probs, pred_emb = iter(trace.rel_probs), iter(trace.pred_emb)  # zip reads m_b rows
+    n0 = 0  # the scene's first object row, advanced scene by scene under sgcls
+    return [(ScenePrediction(dict(zip(pairs, rel_probs)), obj_probs if obj_probs is None
+                             else obj_probs[n0:(n0 := n0 + len(rows))]),
+             dict(zip(pairs, pred_emb))) for rows, _, _, pairs, _ in inputs]
 
 
 def predict_scene(params: ModelParams, instance: SceneInstance, *args, **kwargs

@@ -155,28 +155,32 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
                                                     monkeypatch):
     data, orm, _, params = world
     seen = []
+    original = train_mod.candidate_sets
 
-    class Recording(train_mod.CandidateIndex):
-        def __init__(self, examples, *args):
-            seen.extend(examples)
-            super().__init__(examples, *args)
+    def recording(label_ids, pairs, *args):
+        sets = original(label_ids, pairs, *args)
+        seen.append((label_ids.tolist(), [tuple(p) for p in pairs], sets))
+        return sets
 
-    monkeypatch.setattr(train_mod, "CandidateIndex", Recording)
+    monkeypatch.setattr(train_mod, "candidate_sets", recording)
     labels = data.object_vocab.labels
     for scene in data.test_scenes + data.train_scenes[:5]:
         predict_scene(params, scene, orm, data.object_vocab,
                       data.predicate_vocab, data.embeddings, k_candidates=4,
                       protocol=protocol)
-        ex = seen[-1]
-        if protocol == "predcls":
-            ids = scene.graph.labels()
-        else:
+        ids, pairs, sets = seen[-1]
+        if protocol == "sgcls":
+            ex = build_example(scene, data.object_vocab, data.predicate_vocab,
+                               data.embeddings)
             probs = forward_objects(params, pack_batch([ex], params.dims))[1]
-            ids = [int(np.argmax(row)) for row in probs]
+            assert ids == [int(np.argmax(row)) for row in probs]
+        else:
+            assert ids == scene.graph.labels()
+        assert pairs == sorted(scene.pair_feature_map())
         expected = [reference_rows(data.embeddings, [r for r, _ in lookup(
             orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
-            for s, o, _ in ex.edges]
-        assert_same_sets(ex.candidate_embeddings, expected)
+            for s, o in pairs]
+        assert_same_sets(sets, expected)
 
 
 @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from relkit.core import (BoundingBox, Vocabulary, load_scenes, save_scenes,
-                         scene_from_dict, scene_to_dict)
+from relkit.core import (BoundingBox, SceneGraph, SceneInstance, Vocabulary,
+                         load_scenes, save_scenes, scene_from_dict, scene_to_dict)
 from relkit.errors import FormatError, InvalidBoxError
 
 
@@ -152,6 +152,20 @@ class TestSerialization:
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: ") + ".*"
                            + re.escape(message)):
             load_scenes(path)
+
+    @pytest.mark.parametrize("keys", [[(0, 1), (0, 1)], [(0, 1), (1, 2), (0, 1)],
+                                      [(1, 2), (0, 1)]],
+                             ids=["repeated", "repeated-apart", "descending"])
+    def test_instance_pair_keys_ascend_each_once(self, keys):
+        graph = SceneGraph.make([(0, BoundingBox(0, 0, 1, 1))] * 3, [])
+        pairs = tuple((key, (float(i),)) for i, key in enumerate(keys))
+        s, o = keys[-1]
+        with pytest.raises(FormatError, match=f"^pair_features key {s},{o}: "
+                                              f"repeated or out of order$"):
+            SceneInstance(graph, ((1.0,),) * 3, pairs)
+        # make() sorts a mapping's keys, and a mapping holds each key once
+        assert [k for k, _ in SceneInstance.make(graph, [[1.0]] * 3, dict(pairs)
+                                                 ).pair_features] == sorted(set(keys))
 
     @pytest.mark.parametrize("edge", [[0, 1], [0, 1, 2, 3], 5])
     def test_edge_without_three_entries_is_format_error(self, edge):

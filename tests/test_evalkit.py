@@ -311,7 +311,7 @@ def test_numpy_ranking_matches_the_sorted_rule():
         expected = sorted_rank(v)
         assert ranked_predicates(v) == expected
         ((neg_conf, _, _, predicate),) = _scene_rows(
-            ScenePrediction({(0, 1): v}), graph_constraint=True)
+            ScenePrediction({(0, 1): v}), graph_constraint=True)[0]
         assert (predicate, -neg_conf) == (expected[0], float(v[expected[0]]))
 
 

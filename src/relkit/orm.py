@@ -36,6 +36,8 @@ class OrmTable:
         default_factory=dict, init=False, repr=False, compare=False)
     _backoff: Optional[LookupResult] = field(
         default=None, init=False, repr=False, compare=False)
+    _candidates: Dict[tuple, object] = field(  # relhead.train.PairCandidates by key
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def marginal(self) -> Dict[str, int]:
         out: Dict[str, int] = {}

@@ -118,7 +118,7 @@ def geometric_quad(box_i: np.ndarray, box_j: np.ndarray) -> np.ndarray:
     bi = np.asarray(box_i, dtype=np.float64)
     bj = np.asarray(box_j, dtype=np.float64)
     wh = bi[..., 2:]
-    if (wh <= 0).any() or (bj[..., 2:] <= 0).any():
+    if (np.fmin(wh, bj[..., 2:]) <= 0).any():  # fmin: a NaN size is not <= 0
         raise InvalidBoxError("geometric encoding requires positive box sizes")
     return np.concatenate([(bi[..., :2] - bj[..., :2]) / wh, bj[..., 2:] / wh],
                           axis=-1)
@@ -257,7 +257,8 @@ class PackedBatch:
 
     @cached_property
     def quad(self) -> np.ndarray:  # (E, 4); a non-positive box size raises
-        return geometric_quad(*self.boxes[self.so_rows[:, :2]].swapaxes(0, 1))
+        return geometric_quad(self.boxes.take(self.so_rows[:, 0], axis=0),
+                              self.boxes.take(self.so_rows[:, 1], axis=0))
 
     @cached_property
     def so_scatter(self) -> np.ndarray:  # flat index of so_rows in an (N, d + r) array
@@ -290,17 +291,18 @@ def pack_inputs(dims: Dims, scenes: Sequence[tuple]) -> PackedBatch:
     """The model inputs of checked scenes, each given as check_scene's
     arguments after `dims`: one array per column over all scenes' rows."""
     features, boxes, labels, pairs, pair_features = zip(*scenes)
-    n, m = np.array([len(f) for f in features]), np.array([len(p) for p in pairs])
-    offsets = np.cumsum(n) - n
-    ends = np.array([p for ps in pairs for p in ps], np.int64).reshape(-1, 2) \
-        + np.repeat(offsets, m)[:, None]
+    offset, ends, starts = 0, [], {}  # starts: per object count, its scenes' first rows
+    for f, ps in zip(features, pairs):
+        ends += [(offset + s, offset + o) for s, o in ps]
+        starts.setdefault(len(f), []).append(offset)
+        offset += len(f)
     return PackedBatch(
         np.array([row for f in features for row in f], np.float64),
         np.array([box for bs in boxes for box in bs], np.float64),
         np.array([y for ys in labels for y in ys], np.int64),
-        [offsets[n == k][:, None] + np.arange(k) for k in sorted(set(n.tolist())) if k > 1],
+        [np.array(starts[k])[:, None] + np.arange(k) for k in sorted(starts) if k > 1],
         np.array([v for vs in pair_features for v in vs], np.float64).reshape(-1, dims.d),
-        ends.take([0, 1, 1, 0], axis=1), dims.dpr)
+        np.array(ends, np.int64).reshape(-1, 2).take([0, 1, 1, 0], axis=1), dims.dpr)
 
 
 def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:

@@ -97,6 +97,40 @@ def candidate_sets(label_ids: np.ndarray, pairs, orm: OrmTable,
             for pair, top in zip(pairs, tops)]
 
 
+class PairCandidates:
+    """Each object-label pair's top K ORM phrases, embedded by `candidate_sets`
+    when a call first meets the pair, for one object vocabulary, embedding
+    table, K, backoff and OOV rule. Pairs with equal sets (so all with the
+    same top K phrases) share a row of `padded`, zero-padded to K, whose
+    `rows` are unused; a pair with an empty set has none."""
+
+    def __init__(self, object_vocab: Vocabulary, table: EmbeddingTable,
+                 k: int, backoff: bool, strict_oov: bool):
+        self.inputs = (object_vocab, table, k, k, backoff, strict_oov)
+        self.row_of: Dict[Tuple[int, int], int] = {}  # label-id pair -> row, -1 if none
+        self.row_of_set: Dict[bytes, int] = {}
+        self.padded = candidate_slab([(0, np.zeros((k, table.dimension)))], table.dimension)
+
+    def slab(self, orm: OrmTable, label_ids: np.ndarray, pairs: np.ndarray) -> CandidateSlab:
+        """The (subject, object) row pairs' slab, padded as `candidate_slab` pads."""
+        keys = list(map(tuple, label_ids[pairs].tolist()))
+        new = {key: i for i, key in enumerate(keys) if key not in self.row_of}
+        # under strict OOV a phrase without a vector raises here, before caching
+        for key, c in zip(new, candidate_sets(label_ids, pairs[list(new.values())], orm,
+                                              *self.inputs) if new else ()):
+            if c is not None and (b := c.tobytes()) not in self.row_of_set:
+                row = self.row_of_set[b] = len(self.row_of_set)
+                if row == len(self.padded.rows):  # full: double
+                    self.padded = CandidateSlab(*(np.concatenate([x, x]) for x in self.padded))
+                self.padded.put(row, c)
+            self.row_of[key] = -1 if c is None else self.row_of_set[b]
+        at = np.array([self.row_of[key] for key in keys], np.int64)
+        edges = np.flatnonzero(at >= 0)
+        at, t = at[edges], self.padded
+        width = int(round(1 / t.inv_k[at].min())) if len(at) else 0  # the longest set's k
+        return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :, :width], t.inv_k[at])
+
+
 class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
     entry (None if empty). An edge with at most K top-M phrases keeps them
@@ -194,7 +228,8 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
                   ) -> List[Tuple[ScenePrediction, Dict[Tuple[int, int], np.ndarray]]]:
     """Score every ingested pair of every scene with one object pass and
     one edge pass over the whole batch, under the switches in `params`.
-    No targets; each pair's candidates are its labels' top K ORM phrases.
+    No targets; each pair's candidates are its labels' top K ORM phrases,
+    embedded once per ORM, object vocabulary, table, K, backoff and OOV rule.
 
     predcls: ORM lookups use the ground-truth object labels; object_probs
     is neither computed nor returned. sgcls: labels come from the object
@@ -220,11 +255,11 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     packed = pack_inputs(params.dims, inputs)
     enriched, obj_caches = enrich_objects(params, packed)
     obj_probs = classify_objects(enriched, params) if protocol == "sgcls" else None
-    sets = candidate_sets(packed.labels if obj_probs is None else obj_probs.argmax(axis=1),
-                          packed.so_rows[:, :2], orm, object_vocab, table,
-                          k_candidates, k_candidates, orm_backoff, strict_oov)
-    packed.cand_groups = candidate_slab(
-        [(row, c) for row, c in enumerate(sets) if c is not None], params.dims.e)
+    cands = orm._candidates.get(key := (k_candidates, orm_backoff, strict_oov))
+    if cands is None or cands.inputs[0] is not object_vocab or cands.inputs[1] is not table:
+        cands = orm._candidates[key] = PairCandidates(object_vocab, table, *key)  # `is`, not id()
+    packed.cand_groups = cands.slab(orm, packed.labels if obj_probs is None
+                                    else obj_probs.argmax(axis=1), packed.so_rows[:, :2])
     trace = forward_edges(params, packed, (enriched, obj_probs, obj_caches))
     rel_probs, pred_emb = iter(trace.rel_probs), iter(trace.pred_emb)  # zip reads m_b rows
     n0 = 0  # the scene's first object row, advanced scene by scene under sgcls

@@ -19,7 +19,8 @@ from relkit.core import SceneInstance, Vocabulary
 from relkit.corpus import Triplet, TripletCorpus
 from relkit.embed import EmbeddingTable, embed_phrase, embed_phrases
 from relkit.errors import ConfigError, OutOfVocabularyError
-from relkit.orm import build_orm, lookup, sample_candidates
+from relkit.orm import (OrmTable, build_orm, load_orm, lookup,
+                        sample_candidates, save_orm)
 from relkit.relhead import (CandidateIndex, Dims, TrainConfig,
                             build_example, draw_candidates, init_params,
                             loss_and_gradients, predict_batch, predict_scene,
@@ -153,34 +154,47 @@ def test_draw_matches_per_phrase_reference(world, backoff):
 @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
 def test_predict_scene_matches_per_phrase_reference(world, protocol,
                                                     monkeypatch):
+    """The slab that the edge stage receives holds, at each attending edge
+    row, the pair's top 4 phrases embedded one by one, under the ground-truth
+    labels (predcls) or the object classifier's argmax (sgcls); every scene
+    is scored twice, so the second pass reads a filled table."""
     data, orm, _, params = world
-    seen = []
-    original = train_mod.candidate_sets
+    slabs = []
+    original = train_mod.forward_edges
 
-    def recording(label_ids, pairs, *args):
-        sets = original(label_ids, pairs, *args)
-        seen.append((label_ids.tolist(), [tuple(p) for p in pairs], sets))
-        return sets
+    def recording(params, batch, objects):
+        slabs.append(batch.cand_groups)
+        return original(params, batch, objects)
 
-    monkeypatch.setattr(train_mod, "candidate_sets", recording)
-    labels = data.object_vocab.labels
-    for scene in data.test_scenes + data.train_scenes[:5]:
+    monkeypatch.setattr(train_mod, "forward_edges", recording)
+    labels, e = data.object_vocab.labels, data.embeddings.dimension
+
+    def expected_slab(ids, pairs):
+        sets = [reference_rows(data.embeddings, [r for r, _ in lookup(
+            orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
+            for s, o in pairs]
+        width = max([len(c) for c in sets if c is not None], default=0)
+        return per_edge_slab(sets, width, e)
+
+    truth_differs = False
+    for scene in 2 * (data.test_scenes + data.train_scenes[:5]):
         predict_scene(params, scene, orm, data.object_vocab,
                       data.predicate_vocab, data.embeddings, k_candidates=4,
                       protocol=protocol)
-        ids, pairs, sets = seen[-1]
+        pairs = sorted(scene.pair_feature_map())
+        want = expected_slab(scene.graph.labels(), pairs)
         if protocol == "sgcls":
             ex = build_example(scene, data.object_vocab, data.predicate_vocab,
                                data.embeddings)
             probs = forward_objects(params, pack_batch([ex], params.dims))[1]
-            assert ids == [int(np.argmax(row)) for row in probs]
-        else:
-            assert ids == scene.graph.labels()
-        assert pairs == sorted(scene.pair_feature_map())
-        expected = [reference_rows(data.embeddings, [r for r, _ in lookup(
-            orm, labels[ids[s]], labels[ids[o]]).entries[:4]], False)
-            for s, o in pairs]
-        assert_same_sets(sets, expected)
+            truth, want = want, expected_slab(
+                [int(np.argmax(row)) for row in probs], pairs)
+            truth_differs |= not all(np.array_equal(a, b) for a, b in
+                                     zip(truth[:2], want[:2]))
+        assert_same_slab(slabs[-1], want)
+    assert len(slabs) == 2 * 15
+    # the argmax labels change some scene's sets, so the check above bites
+    assert truth_differs or protocol == "predcls"
 
 
 @pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
@@ -223,6 +237,118 @@ def test_predict_batch_matches_per_scene_calls(world, protocol):
                                                len(data.object_vocab))
             np.testing.assert_allclose(pred.object_probs, one.object_probs,
                                        rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The per-label-pair candidate table inference reads
+# ---------------------------------------------------------------------------
+
+def ragged_batch(data):
+    """test_predict_batch_matches_per_scene_calls' batch: test scenes around
+    random scenes of 1 to 12 objects and a scene without pair features."""
+    rng = np.random.default_rng(17)
+    ragged = [random_instance(rng, n=n, n_edges=int(rng.integers(0, 2 * n)),
+                              n_obj_labels=len(data.object_vocab),
+                              n_pred_labels=len(data.predicate_vocab),
+                              d=data.config.d) for n in range(1, 13)]
+    bare = SceneInstance(data.test_scenes[0].graph, data.test_scenes[0].object_features)
+    return data.test_scenes[:5] + ragged[:6] + [bare] + ragged[6:] + data.test_scenes[5:]
+
+
+def scores(params, scenes, orm, data, table=None, vocab=None, **kwargs):
+    """Every output array of one predict_batch call, in order."""
+    out = []
+    for pred, embs in predict_batch(params, scenes, orm, vocab or data.object_vocab,
+                                    data.predicate_vocab, table or data.embeddings,
+                                    k_candidates=4, **kwargs):
+        out += [*pred.pair_probs.values(), *embs.values()]
+        out += [] if pred.object_probs is None else [pred.object_probs]
+    return out
+
+
+def assert_same_scores(got, want):
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def fresh(orm):
+    """The ORM's counts in a new table, so with nothing cached."""
+    return OrmTable(orm.pair_counts)
+
+
+@pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+def test_cold_warm_and_reloaded_tables_score_alike(world, protocol, tmp_path):
+    data, orm, _, params = world
+    scenes = ragged_batch(data)
+    cold = scores(params, scenes, orm, data, protocol=protocol)
+    assert orm._candidates  # the ORM holds the filled table
+    assert_same_scores(scores(params, scenes, orm, data, protocol=protocol), cold)
+    save_orm(orm, tmp_path / "orm.tsv")
+    loaded = load_orm(tmp_path / "orm.tsv")
+    assert_same_scores(scores(params, scenes, loaded, data, protocol=protocol), cold)
+
+
+@pytest.mark.parametrize("other", ["table", "vocabulary"])
+def test_another_table_or_vocabulary_gets_its_own_sets(world, other):
+    data, orm, _, params = world
+    scenes = data.test_scenes
+    first = scores(params, scenes, orm, data)
+    if other == "table":  # same width, other vectors
+        kwargs = {"table": EmbeddingTable(data.embeddings.dimension, {
+            t: v[::-1] + 1.0 for t, v in data.embeddings.vectors.items()})}
+    else:  # same labels, reordered: each id names another label
+        kwargs = {"vocab": Vocabulary(data.object_vocab.labels[::-1],
+                                      data.object_vocab.counts[::-1])}
+    second = scores(params, scenes, orm, data, **kwargs)
+    assert_same_scores(second, scores(params, scenes, fresh(orm), data, **kwargs))
+    assert not all(np.array_equal(a, b) for a, b in zip(first, second))
+    assert_same_scores(scores(params, scenes, orm, data), first)
+
+
+def test_backoff_off_then_on_scores_as_fresh_calls(world):
+    data, orm, _, params = world
+    scenes = ragged_batch(data)
+    off = scores(params, scenes, orm, data, orm_backoff=False)
+    on = scores(params, scenes, orm, data, orm_backoff=True)
+    assert_same_scores(off, scores(params, scenes, fresh(orm), data, orm_backoff=False))
+    assert_same_scores(on, scores(params, scenes, fresh(orm), data, orm_backoff=True))
+    assert not all(np.array_equal(a, b) for a, b in zip(off, on))
+
+
+def test_strict_raises_on_every_call_after_a_lenient_fill(world):
+    data, orm, _, params = world
+    lenient = scores(params, data.test_scenes, orm, data)
+    for _ in range(2):  # a pair whose phrase has no vector is never cached
+        with pytest.raises(OutOfVocabularyError, match="'zorp blick'"):
+            scores(params, data.test_scenes, orm, data, strict_oov=True)
+    assert_same_scores(scores(params, data.test_scenes, orm, data), lenient)
+
+
+def test_one_row_per_distinct_set(world):
+    """Pairs with the same top 4 phrases share a row, so all backoff pairs
+    share one; so do lists that embed alike, as when the lenient rule drops
+    an OOV phrase. Rows grow only with the distinct sets queried."""
+    data, orm, _, params = world
+    scenes = ragged_batch(data) + data.train_scenes
+    scores(params, scenes, orm, data)
+    cands = orm._candidates[4, True, False]
+    labels = data.object_vocab.labels
+    tops = {}  # queried label-id pair -> its top 4 phrases
+    for scene in scenes:
+        ids = scene.graph.labels()
+        for s, o in scene.pair_feature_map():
+            tops[ids[s], ids[o]] = tuple(r for r, _ in lookup(
+                orm, labels[ids[s]], labels[ids[o]]).entries[:4])
+    assert set(cands.row_of) == set(tops)
+    rows_of_top = {}
+    for pair, top in tops.items():
+        rows_of_top.setdefault(top, set()).add(cands.row_of[pair])
+    assert all(len(rows) == 1 for rows in rows_of_top.values())
+    sets = [reference_rows(data.embeddings, top, False) for top in rows_of_top]
+    distinct = {c.tobytes() for c in sets if c is not None}
+    assert len(cands.row_of_set) == len(distinct) < len(rows_of_top) < len(tops)
+    backoff = [pair for pair in tops if lookup(orm, *(labels[i] for i in pair)).backoff]
+    assert len(backoff) > 1 and len({cands.row_of[pair] for pair in backoff}) == 1
 
 
 def test_predict_batch_of_nothing_is_empty(world):

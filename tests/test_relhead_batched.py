@@ -16,7 +16,8 @@ from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, InvalidBoxError,
                            NumericError)
 from relkit.relhead import (Dims, Example, ModelParams, Toggles, forward_scene,
-                            init_params, loss_and_gradients, scene_loss)
+                            geometric_quad, init_params, loss_and_gradients,
+                            scene_loss)
 from relkit.relhead.model import CE_EPS, forward_batch, pack_batch
 
 DIMS = Dims(d=8, r=4, e=6, n_object_labels=4, n_predicate_labels=5)
@@ -168,6 +169,20 @@ def test_non_positive_edge_box():
     # without the geometric edge encoding the box is never divided by
     off = Toggles(geometric_relationships=False)
     assert_matches_reference(params, [good, bad], off, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("size", [0.0, -1.0])
+def test_quad_is_per_edge_geometric_quad(size):
+    batch = mixed_batch(3)
+    want = np.array([geometric_quad(ex.boxes[i], ex.boxes[j])
+                     for ex in batch for i, j, _ in ex.edges])
+    assert pack_batch(batch, DIMS).quad.tobytes() == want.tobytes()
+    batch[2].boxes[1, 2] = size  # an object of an edgeless scene: never read
+    assert pack_batch(batch, DIMS).quad.tobytes() == want.tobytes()
+    i, j, _ = batch[3].edges[-1]
+    batch[3].boxes[j, 3] = size  # an endpoint
+    with pytest.raises(InvalidBoxError, match="positive box sizes"):
+        pack_batch(batch, DIMS).quad
 
 
 @pytest.mark.parametrize("field", ["pair_features", "target_embeddings"])

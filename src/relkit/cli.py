@@ -181,10 +181,14 @@ def cmd_train(args) -> int:
 
 def _predict(args, cfg, inputs, protocol):
     """`predict_batch` over the `_load_shared` inputs with the checkpoint and
-    the config's candidate settings; a scene error gets the --scenes path."""
+    the config's candidate settings; an error names the files behind it."""
     object_vocab, predicate_vocab, table, orm_table, scenes = inputs
     params = load_params(args.checkpoint)
-    check_inputs(params, table, object_vocab)  # before the try: it names no scene
+    try:
+        check_inputs(params, table, object_vocab)
+    except ConfigError as exc:
+        raise ConfigError(f"{exc} (--vectors {args.vectors}, --objects {args.objects}, "
+                          f"--checkpoint {args.checkpoint})") from exc
     try:
         return predict_batch(params, scenes, orm_table, object_vocab,
                              predicate_vocab, table, k_candidates=cfg.k_candidates,

@@ -249,7 +249,7 @@ class PackedBatch:
     pair_features: np.ndarray   # (E, d)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
     dpr: int                    # d + r, the width of an enriched object row
-    cand_groups: CandidateSlab = _NO_CANDIDATES  # every non-empty candidate set
+    candidates: CandidateSlab = _NO_CANDIDATES  # every non-empty candidate set
     obj_weight: Optional[np.ndarray] = None   # (N,) 1 / (B n_b)
     targets: Optional[np.ndarray] = None      # (E, e)
     predicates: Optional[np.ndarray] = None   # (E,)
@@ -328,7 +328,7 @@ def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
                               dtype=np.float64).reshape(-1, dims.e)
     packed.predicates = np.array([p for ex in examples for *_, p in ex.edges], np.int64)
     packed.edge_weight = np.repeat(1.0 / (b * np.maximum(m, 1)), m)
-    packed.cand_groups = _pack_candidates(examples, dims.e)
+    packed.candidates = _pack_candidates(examples, dims.e)
     return packed
 
 
@@ -397,7 +397,7 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
     g = (batch.quad @ t["W_geo"] + t["b_geo"] if toggles.geometric_relationships
          else np.zeros((n_edges, params.dims.r)))
     f = np.concatenate([batch.pair_features, g], axis=1)
-    slab, txt_cache = batch.cand_groups, None
+    slab, txt_cache = batch.candidates, None
     if len(slab.rows):
         V = slab.sets.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
         out, txt_cache = _attend_fwd(
@@ -464,7 +464,7 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
         np.add.at(d_enriched.reshape(-1), batch.so_scatter, (dC @ t["W_so"].T).ravel())
 
     if trace.txt_cache is not None:
-        slab = batch.cand_groups
+        slab = batch.candidates
         dq, dV, grads["W_att_txt"] = _attend_bwd(trace.txt_cache,
                                                  df[slab.rows][:, None])
         df[slab.rows] = dq[:, 0]

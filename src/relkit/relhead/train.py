@@ -1,10 +1,11 @@
 """Batch preparation, the gradient-descent training loop, and inference.
 
 Training is plain full-batch gradient descent with a fixed learning rate.
-Each edge's top-M ORM phrases are looked up, and the candidate slab built,
-once per run. Only the edges with more than K of them are re-drawn each
-epoch, into their slab rows, from a seed derived from (run seed, epoch,
-scene, edge), so runs are bit-reproducible.
+Each label pair's top-M ORM phrases are looked up and embedded, and the
+candidate slab built, once per run, in the per-label-pair table that
+inference also reads. Only the edges with more than K of them are
+re-drawn each epoch, into their slab rows, from a seed derived from (run
+seed, epoch, scene, edge), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -85,56 +86,54 @@ def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
     return ((seed * 1000003 + epoch) * 1000003 + scene_idx) * 1000003 + edge_idx
 
 
-def candidate_sets(label_ids: np.ndarray, pairs, orm: OrmTable,
-                   object_vocab: Vocabulary, table: EmbeddingTable, m: int, k: int,
-                   backoff: bool, strict_oov: bool) -> list:
-    """Per (subject, object) row pair, under the object label ids: its top-M
-    ORM phrases, embedded (None if none embeds), or, if over K, its label pair."""
-    names = object_vocab.labels
-    pairs = [(names[a], names[b]) for a, b in label_ids[pairs].tolist()]
-    tops = [[r for r, _ in lookup(orm, *pair, backoff=backoff).entries[:m]] for pair in pairs]
-    return [pair if len(top) > k else embed_phrases(table, top, strict_oov)
-            for pair, top in zip(pairs, tops)]
-
-
 class PairCandidates:
-    """Each object-label pair's top K ORM phrases, embedded by `candidate_sets`
-    when a call first meets the pair, for one object vocabulary, embedding
-    table, K, backoff and OOV rule. Pairs with equal sets (so all with the
-    same top K phrases) share a row of `padded`, zero-padded to K, whose
-    `rows` are unused; a pair with an empty set has none."""
+    """Each object-label pair's candidate set, for one object vocabulary,
+    embedding table, M, K, backoff and OOV rule: its top M ORM phrases,
+    looked up and embedded when a call first meets the pair. A pair with
+    more than K of them is drawn each epoch and maps to row 0, K zeros
+    that a caller's slab overwrites; one whose set is empty maps to -1.
+    Pairs with equal sets share a row of `padded`, zero-padded to K, whose
+    `rows` are unused, and the read-only (k, e) array in `sets`."""
 
     def __init__(self, object_vocab: Vocabulary, table: EmbeddingTable,
-                 k: int, backoff: bool, strict_oov: bool):
-        self.inputs = (object_vocab, table, k, k, backoff, strict_oov)
-        self.row_of: Dict[Tuple[int, int], int] = {}  # label-id pair -> row, -1 if none
-        self.row_of_set: Dict[bytes, int] = {}
+                 m: int, k: int, backoff: bool, strict_oov: bool):
+        self.inputs = (object_vocab, table, m, k, backoff, strict_oov)
+        self.row_of: Dict[Tuple[int, int], int] = {}  # label-id pair -> row
+        self.row_of_set, self.sets = {}, [None]  # a set's bytes -> row; row -> set
         self.padded = candidate_slab([(0, np.zeros((k, table.dimension)))], table.dimension)
 
-    def slab(self, orm: OrmTable, label_ids: np.ndarray, pairs: np.ndarray) -> CandidateSlab:
-        """The (subject, object) row pairs' slab, padded as `candidate_slab` pads."""
+    def rows(self, orm: OrmTable, label_ids: np.ndarray, pairs) -> np.ndarray:
+        """The row of each (subject, object) row pair, under the label ids."""
+        vocab, table, m, k, backoff, strict_oov = self.inputs
         keys = list(map(tuple, label_ids[pairs].tolist()))
-        new = {key: i for i, key in enumerate(keys) if key not in self.row_of}
-        # under strict OOV a phrase without a vector raises here, before caching
-        for key, c in zip(new, candidate_sets(label_ids, pairs[list(new.values())], orm,
-                                              *self.inputs) if new else ()):
+        for key in dict.fromkeys(key for key in keys if key not in self.row_of):
+            top = [r for r, _ in lookup(orm, vocab.labels[key[0]], vocab.labels[key[1]],
+                                        backoff=backoff).entries[:m]]
+            # under strict OOV a phrase without a vector raises here, before caching
+            c = None if len(top) > k else embed_phrases(table, top, strict_oov)
             if c is not None and (b := c.tobytes()) not in self.row_of_set:
-                row = self.row_of_set[b] = len(self.row_of_set)
+                row = self.row_of_set[b] = len(self.sets)
                 if row == len(self.padded.rows):  # full: double
                     self.padded = CandidateSlab(*(np.concatenate([x, x]) for x in self.padded))
                 self.padded.put(row, c)
-            self.row_of[key] = -1 if c is None else self.row_of_set[b]
-        at = np.array([self.row_of[key] for key in keys], np.int64)
-        edges = np.flatnonzero(at >= 0)
-        at, t = at[edges], self.padded
+                c.setflags(write=False)
+                self.sets.append(c)
+            self.row_of[key] = 0 if len(top) > k else -1 if c is None else self.row_of_set[b]
+        return np.array([self.row_of[key] for key in keys], np.int64)
+
+    def slab(self, rows: np.ndarray) -> CandidateSlab:
+        """The slab of the edges at `rows`, padded as `candidate_slab` pads."""
+        edges = np.flatnonzero(rows >= 0)
+        at, t = rows[edges], self.padded
         width = int(round(1 / t.inv_k[at].min())) if len(at) else 0  # the longest set's k
         return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :, :width], t.inv_k[at])
 
 
 class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
-    entry (None if empty). An edge with at most K top-M phrases keeps them
-    all for the whole run, embedded once and read-only; `draw_candidates`
+    entry (None if empty), from one `PairCandidates` for the run. An edge
+    with at most K top-M phrases keeps them all for the whole run, in a
+    read-only array that edges with an equal set share; `draw_candidates`
     draws the others' sets. `slab` holds the non-empty static sets and a
     row, padded to K, for each drawn edge. Object labels must index
     `object_vocab`."""
@@ -142,23 +141,20 @@ class CandidateIndex:
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
+        cands = PairCandidates(object_vocab, table, cfg.m_candidates, cfg.k_candidates,
+                               cfg.orm_backoff, cfg.strict_oov)
+        rows = [cands.rows(orm, ex.object_labels, [e[:2] for e in ex.edges]).tolist()
+                for ex in examples]
+        self.slab = cands.slab(np.array([row for r in rows for row in r], np.int64))
+        names, at = object_vocab.labels, 0  # at: the edge's slab row, if it has one
         self.drawn = []  # slab row, example, scene, edge, subject, object
-        slots, row = [], 0
-        pending = np.zeros((cfg.k_candidates, table.dimension))  # a drawn row until drawn
-        for si, ex in enumerate(examples):
-            ex.candidate_embeddings = candidate_sets(
-                ex.object_labels, [e[:2] for e in ex.edges], orm, object_vocab, table,
-                cfg.m_candidates, cfg.k_candidates, cfg.orm_backoff, cfg.strict_oov)
-            for ei, c in enumerate(ex.candidate_embeddings):
-                if isinstance(c, tuple):  # a label pair: drawn each epoch
-                    self.drawn.append((len(slots), ex, si, ei, *c))
-                    slots.append((row + ei, pending))
-                    ex.candidate_embeddings[ei] = None
-                elif c is not None:
-                    c.setflags(write=False)  # shared by every epoch
-                    slots.append((row + ei, c))
-            row += len(ex.edges)
-        self.slab = candidate_slab(slots, table.dimension)
+        for si, (ex, ex_rows) in enumerate(zip(examples, rows)):
+            ex.candidate_embeddings = [cands.sets[row] if row > 0 else None for row in ex_rows]
+            for ei, row in enumerate(ex_rows):
+                if row == 0:  # drawn each epoch
+                    s, o = ex.object_labels[list(ex.edges[ei][:2])].tolist()
+                    self.drawn.append((at, ex, si, ei, names[s], names[o]))
+                at += row >= 0
 
 
 def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
@@ -202,7 +198,7 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     losses: List[float] = []
     with np.errstate(over="ignore", invalid="ignore"):  # NumericError reports it
         for epoch in range(cfg.epochs):
-            packed.cand_groups = draw_candidates(examples, index, epoch)
+            packed.candidates = draw_candidates(examples, index, epoch)
             try:
                 loss, grads = loss_and_gradients(params, examples, packed=packed)
             except NumericError as exc:
@@ -257,9 +253,9 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     obj_probs = classify_objects(enriched, params) if protocol == "sgcls" else None
     cands = orm._candidates.get(key := (k_candidates, orm_backoff, strict_oov))
     if cands is None or cands.inputs[0] is not object_vocab or cands.inputs[1] is not table:
-        cands = orm._candidates[key] = PairCandidates(object_vocab, table, *key)  # `is`, not id()
-    packed.cand_groups = cands.slab(orm, packed.labels if obj_probs is None
-                                    else obj_probs.argmax(axis=1), packed.so_rows[:, :2])
+        cands = orm._candidates[key] = PairCandidates(object_vocab, table, k_candidates, *key)
+    labels = packed.labels if obj_probs is None else obj_probs.argmax(axis=1)
+    packed.candidates = cands.slab(cands.rows(orm, labels, packed.so_rows[:, :2]))
     trace = forward_edges(params, packed, (enriched, obj_probs, obj_caches))
     rel_probs, pred_emb = iter(trace.rel_probs), iter(trace.pred_emb)  # zip reads m_b rows
     n0 = 0  # the scene's first object row, advanced scene by scene under sgcls

@@ -11,7 +11,7 @@ embeddings, never used as training labels) probe zero-shot transfer.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -66,7 +66,6 @@ class SynthDataset:
     heldout_predicates: List[str]
     embeddings: EmbeddingTable
     corpus: TripletCorpus
-    config: SynthConfig = field(repr=False, default=None)
 
 
 def _names(prefix: str, count: int) -> List[str]:
@@ -153,5 +152,4 @@ def generate(cfg: SynthConfig) -> SynthDataset:
         heldout_predicates=heldout,
         embeddings=table,
         corpus=corpus,
-        config=cfg,
     )

@@ -103,8 +103,7 @@ def test_03_gradients_match_finite_differences():
     budget(start, 30.0)
 
 
-def _train_on(dataset, epochs, seed, n_predicate_labels):
-    cfg = dataset.config
+def _train_on(cfg, dataset, epochs, seed, n_predicate_labels):
     dims = Dims(cfg.d, cfg.r, cfg.e, cfg.n_object_labels, n_predicate_labels)
     examples = [build_example(s, dataset.object_vocab,
                               dataset.predicate_vocab, dataset.embeddings)
@@ -120,10 +119,11 @@ def _train_on(dataset, epochs, seed, n_predicate_labels):
 def test_04_trainability():
     """Training separates the synthetic predicates nearly perfectly."""
     start = time.perf_counter()
-    dataset = generate(SynthConfig(seed=42, n_seen_predicates=10, sigma=0.1,
-                                   n_train_scenes=75, n_test_scenes=1))
+    cfg = SynthConfig(seed=42, n_seen_predicates=10, sigma=0.1,
+                      n_train_scenes=75, n_test_scenes=1)
+    dataset = generate(cfg)
     assert sum(len(s.graph.edges) for s in dataset.train_scenes) == 150
-    params, losses, orm = _train_on(dataset, epochs=200, seed=42,
+    params, losses, orm = _train_on(cfg, dataset, epochs=200, seed=42,
                                     n_predicate_labels=10)
     assert np.mean(losses[:5]) > np.mean(losses[5:10])  # early descent
     hits = total = 0
@@ -146,10 +146,10 @@ def test_05_zero_shot_transfer():
     chance = 5 / 13
     accuracies = []
     for seed in range(5):
-        dataset = generate(SynthConfig(seed=seed, n_seen_predicates=10,
-                                       n_heldout_predicates=3, sigma=0.1,
-                                       n_train_scenes=75, n_test_scenes=30))
-        params, _, orm = _train_on(dataset, epochs=150, seed=seed,
+        cfg = SynthConfig(seed=seed, n_seen_predicates=10, n_heldout_predicates=3,
+                          sigma=0.1, n_train_scenes=75, n_test_scenes=30)
+        dataset = generate(cfg)
+        params, _, orm = _train_on(cfg, dataset, epochs=150, seed=seed,
                                    n_predicate_labels=10)
         matrix = build_label_matrix(list(dataset.predicate_vocab.labels),
                                     dataset.embeddings)

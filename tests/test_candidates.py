@@ -77,15 +77,16 @@ def drawn(examples):
     return [c for ex in examples for c in ex.candidate_embeddings]
 
 
+WORLD = SynthConfig(n_object_labels=5, n_seen_predicates=8, n_train_scenes=20,
+                    n_test_scenes=10, objects_per_scene=4, edges_per_scene=4, seed=3)
+
+
 def make_world(oov=True):
-    """A synth world whose ORM, built from half the train scenes, carries
-    an OOV phrase (unless `oov` is false), a partly known and a two-token
-    phrase, so that candidate sets mix known and unknown phrases and unseen
-    pairs back off."""
-    data = generate(SynthConfig(n_object_labels=5, n_seen_predicates=8,
-                                n_train_scenes=20, n_test_scenes=10,
-                                objects_per_scene=4, edges_per_scene=4,
-                                seed=3))
+    """A synth world of the WORLD config whose ORM, built from half the
+    train scenes, carries an OOV phrase (unless `oov` is false), a partly
+    known and a two-token phrase, so that candidate sets mix known and
+    unknown phrases and unseen pairs back off."""
+    data = generate(WORLD)
     labels = data.object_vocab.labels
     corpus = TripletCorpus()
     for scene in data.train_scenes[:10]:
@@ -101,8 +102,7 @@ def make_world(oov=True):
     orm = build_orm(corpus)
     examples = [build_example(s, data.object_vocab, data.predicate_vocab,
                               data.embeddings) for s in data.train_scenes]
-    cfg = data.config
-    dims = Dims(cfg.d, cfg.r, cfg.e, len(data.object_vocab),
+    dims = Dims(WORLD.d, WORLD.r, WORLD.e, len(data.object_vocab),
                 len(data.predicate_vocab))
     return data, orm, examples, init_params(dims, seed=5)
 
@@ -163,7 +163,7 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
     original = train_mod.forward_edges
 
     def recording(params, batch, objects):
-        slabs.append(batch.cand_groups)
+        slabs.append(batch.candidates)
         return original(params, batch, objects)
 
     monkeypatch.setattr(train_mod, "forward_edges", recording)
@@ -204,7 +204,7 @@ def test_predict_batch_matches_per_scene_calls(world, protocol):
     ragged = [random_instance(rng, n=n, n_edges=int(rng.integers(0, 2 * n)),
                               n_obj_labels=len(data.object_vocab),
                               n_pred_labels=len(data.predicate_vocab),
-                              d=data.config.d) for n in range(1, 13)]
+                              d=WORLD.d) for n in range(1, 13)]
     bare = data.test_scenes[0]  # its edges, without pair features
     bare = SceneInstance(bare.graph, bare.object_features)
     scenes = data.test_scenes[:5] + ragged[:6] + [bare] + ragged[6:] + \
@@ -250,7 +250,7 @@ def ragged_batch(data):
     ragged = [random_instance(rng, n=n, n_edges=int(rng.integers(0, 2 * n)),
                               n_obj_labels=len(data.object_vocab),
                               n_pred_labels=len(data.predicate_vocab),
-                              d=data.config.d) for n in range(1, 13)]
+                              d=WORLD.d) for n in range(1, 13)]
     bare = SceneInstance(data.test_scenes[0].graph, data.test_scenes[0].object_features)
     return data.test_scenes[:5] + ragged[:6] + [bare] + ragged[6:] + data.test_scenes[5:]
 
@@ -349,6 +349,19 @@ def test_one_row_per_distinct_set(world):
     assert len(cands.row_of_set) == len(distinct) < len(rows_of_top) < len(tops)
     backoff = [pair for pair in tops if lookup(orm, *(labels[i] for i in pair)).backoff]
     assert len(backoff) > 1 and len({cands.row_of[pair] for pair in backoff}) == 1
+
+
+@pytest.mark.parametrize("protocol", ["predcls", "sgcls"])
+def test_predict_after_train_scores_as_on_a_fresh_orm(world, protocol):
+    """Training's table, whose K = 4 matches predict_batch's but whose M = 6
+    sends some pairs to the drawn row, stays off the ORM."""
+    data, orm, examples, params = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=4, seed=4, epochs=2)
+    trained, _ = train(cfg, examples, orm, data.object_vocab, data.embeddings, params)
+    assert not orm._candidates
+    scenes = ragged_batch(data)
+    assert_same_scores(scores(trained, scenes, orm, data, protocol=protocol),
+                       scores(trained, scenes, fresh(orm), data, protocol=protocol))
 
 
 def test_predict_batch_of_nothing_is_empty(world):
@@ -580,6 +593,65 @@ def test_static_sets_are_grouped_once_per_index(world):
         assert_same_slab(slab, per_edge_slab(drawn(examples), 3, e))
 
 
+def edge_label_pairs(data, examples):
+    """Per edge, in order: (scene, edge, subject label, object label)."""
+    labels = data.object_vocab.labels
+    return [(si, ei, labels[int(ex.object_labels[i])], labels[int(ex.object_labels[j])])
+            for si, ex in enumerate(examples) for ei, (i, j, _p) in enumerate(ex.edges)]
+
+
+def test_index_looks_up_each_label_pair_once(world, monkeypatch):
+    data, orm, examples, _ = world
+    calls = []
+    original = train_mod.lookup
+
+    def recording(orm, subject, obj, **kwargs):
+        calls.append((subject, obj))
+        return original(orm, subject, obj, **kwargs)
+
+    monkeypatch.setattr(train_mod, "lookup", recording)
+    CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
+                   TrainConfig(m_candidates=6, k_candidates=3))
+    pairs = [(s, o) for _, _, s, o in edge_label_pairs(data, examples)]
+    assert len(set(pairs)) < len(pairs)  # some label pair has several edges
+    assert sorted(calls) == sorted(set(pairs))
+
+
+def test_edges_of_a_label_pair_share_a_set_or_a_drawn_row(world):
+    """At most K phrases: one read-only array for all the pair's edges. More
+    than K: a K-wide slab row of zeros, unmasked, that only the draw writes."""
+    data, orm, examples, _ = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4)
+    args = (examples, orm, data.object_vocab, data.embeddings, cfg)
+    index = CandidateIndex(*args)
+    sets, above = {}, set()
+    for si, ei, s, o in edge_label_pairs(data, examples):
+        if len(lookup(orm, s, o).entries[:cfg.m_candidates]) > cfg.k_candidates:
+            above.add((si, ei))
+        else:
+            sets.setdefault((s, o), []).append(examples[si].candidate_embeddings[ei])
+    shared = [cs for cs in sets.values() if len(cs) > 1 and cs[0] is not None]
+    assert shared and above
+    for cs in shared:
+        assert all(c is cs[0] for c in cs) and not cs[0].flags.writeable
+    assert {(si, ei) for _, _, si, ei, *_ in index.drawn} == above
+    slab = index.slab
+    assert slab.sets.shape[1] == cfg.k_candidates
+
+    def drawn_rows_are_blank(index):
+        t = index.slab
+        return all(ex.candidate_embeddings[ei] is None and not t.sets[at].any()
+                   and not t.mask[at].any() and t.inv_k[at] == 1 / cfg.k_candidates
+                   for at, ex, _, ei, *_ in index.drawn)
+
+    assert drawn_rows_are_blank(index)
+    draw_candidates(examples, index, 0)
+    for at, ex, _, ei, *_ in index.drawn:
+        c = ex.candidate_embeddings[ei]
+        assert c is None or np.array_equal(slab.sets[at, :len(c)], c)
+    assert drawn_rows_are_blank(CandidateIndex(*args))  # the draw wrote no shared row
+
+
 def test_slab_draw_writes_only_the_drawn_rows(world):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4)
@@ -624,7 +696,7 @@ def test_drawn_set_of_oov_phrases_skips_the_text_site(world):
     assert empty and not set(empty) & set(slab.rows.tolist())
     assert len(slab.rows) + len(empty) == len(index.drawn)
     packed = pack_batch(examples, params.dims)
-    packed.cand_groups = slab
+    packed.candidates = slab
     loss, grads = loss_and_gradients(params, examples, packed=packed)
     fresh_loss, fresh = loss_and_gradients(params, examples)  # entries None
     assert loss == fresh_loss

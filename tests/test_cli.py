@@ -626,6 +626,9 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"relkit: error: {message}" in captured.err
+        vectors, objects = (args[args.index(f) + 1] for f in ("--vectors", "--objects"))
+        assert f"{message} (--vectors {vectors}, --objects {objects}, " \
+               f"--checkpoint {workspace['ckpt']})\n" in captured.err
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -663,7 +666,12 @@ class TestEval:
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 2
-        assert re.search(message, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(message, err)
+        if protocol == "sgcls":  # the size mismatch names the files behind it
+            vectors = args[args.index("--vectors") + 1]
+            assert f" (--vectors {vectors}, --objects {objects}, " \
+                   f"--checkpoint {workspace['ckpt']})\n" in err
 
     @pytest.mark.parametrize("header",
                              ["tensor", "tensor W_r 3 x", "tensor W_r -1 -1"])

@@ -20,7 +20,7 @@ from relkit.core import SceneGraph, SceneInstance
 from relkit.errors import ConfigError, EmptySceneError
 from relkit.orm import lookup
 from relkit.relhead import Example, ModelParams, Toggles, predict_batch
-from test_candidates import make_world, reference_rows
+from test_candidates import WORLD, make_world, reference_rows
 
 ALL_TOGGLES = [Toggles(*bits) for bits in itertools.product([False, True],
                                                             repeat=5)]
@@ -40,7 +40,7 @@ def ragged_scenes(data):
     ragged = [random_instance(rng, n=n, n_edges=int(rng.integers(0, 2 * n)),
                               n_obj_labels=len(data.object_vocab),
                               n_pred_labels=len(data.predicate_vocab),
-                              d=data.config.d) for n in range(1, 9)]
+                              d=WORLD.d) for n in range(1, 9)]
     bare = data.test_scenes[1]
     bare = SceneInstance(bare.graph, bare.object_features)
     return data.test_scenes[:3] + ragged[:4] + [bare] + ragged[4:] + \
@@ -98,7 +98,7 @@ def test_predict_batch_matches_reference_model(world, protocol, toggles):
 
 def faulty(scene, fault, data):
     """`scene` with one fault, and the exception it raises from scene 1."""
-    g, d = scene.graph, data.config.d
+    g, d = scene.graph, WORLD.d
     n, n_labels = g.n_objects, len(data.object_vocab)
     pair_map = scene.pair_feature_map()
     if fault == "object-width":

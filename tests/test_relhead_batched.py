@@ -131,9 +131,9 @@ def test_static_pack_reuse_repacks_candidates():
     for ex in batch:  # a new draw
         ex.candidate_embeddings = [
             rng.normal(size=(int(rng.integers(1, 4)), DIMS.e)) for _ in ex.edges]
-    # a given pack is used as it is, stale candidate groups included
+    # a given pack is used as it is, stale candidates included
     assert loss_and_gradients(params, batch, packed=packed)[0] == stale_loss
-    packed.cand_groups = pack_batch(batch, DIMS).cand_groups
+    packed.candidates = pack_batch(batch, DIMS).candidates
     loss, grads = loss_and_gradients(params, batch, packed=packed)
     fresh_loss, fresh = loss_and_gradients(params, batch)
     assert loss == fresh_loss

@@ -18,8 +18,8 @@ from pathlib import Path
 from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
-from .errors import (ConfigError, EmptySceneError, FormatError, RelkitError,
-                     TextFile)
+from .errors import (ConfigError, EmptySceneError, FormatError,
+                     OutOfVocabularyError, RelkitError, TextFile)
 from .relhead import (check_inputs, Dims, build_example, init_params,
                       load_params, predict_batch, save_params, train)
 
@@ -173,6 +173,8 @@ def cmd_train(args) -> int:
         params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
     except (ConfigError, EmptySceneError) as exc:
         raise type(exc)(f"{args.scenes}: {exc}") from exc
+    except OutOfVocabularyError as exc:  # a candidate phrase: targets were checked above
+        raise OutOfVocabularyError(f"{args.orm}: {exc}") from exc
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):
         print(f"epoch\t{epoch}\t{loss:.6f}")
@@ -196,6 +198,8 @@ def _predict(args, cfg, inputs, protocol):
                              strict_oov=cfg.strict_oov, protocol=protocol)
     except (ConfigError, EmptySceneError) as exc:
         raise type(exc)(f"{args.scenes}: {exc}") from exc
+    except OutOfVocabularyError as exc:  # a candidate phrase
+        raise OutOfVocabularyError(f"{args.orm}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:

@@ -13,9 +13,15 @@ Object self-attention runs once per object count n > 1, on the
 (scenes, n, n) block of those scenes with the diagonal masked, as its cost
 follows the sum of n^2. Text attention runs once, on a slab of every
 candidate set padded to the largest, K, with the padding masked, as a set
-of k phrases wastes at most K/k of its row. One-object scenes and edges
-without candidates skip the site. Training packs once and swaps in each
-epoch's slab; inference computes object probabilities only for SG-Cls.
+of k phrases wastes at most K/k of its row. It runs in phrase space: the
+contexts `S_k @ W_txt + b_txt` are never built, as the scores
+`q . (S_k @ W_txt + b_txt)` are `(q @ W_txt.T) . S_k` plus `q . b_txt`, a
+term shared by a row's candidates that the softmax cancels, and as the
+weights sum to 1 the context sum is `(sum_k w_k S_k) @ W_txt + b_txt`; so
+every array with a candidate axis is e wide, not d + r. One-object scenes
+and edges without candidates skip the site. Training packs once and swaps
+in each epoch's slab; inference computes object probabilities only for
+SG-Cls.
 Object terms of the loss weigh lambda1/(B n_b), edge terms lambda2/(B m_b)
 and lambda3/(B m_b): the batch mean of per-scene means.
 """
@@ -64,14 +70,14 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Generic attention
+# Attention: generic, and text attention in phrase space
 # ---------------------------------------------------------------------------
 
 def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray, scale,
                 mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, tuple]:
     """Queries q (G, Q, D) attend over contexts C (G, K, D), except where
     `mask` (broadcast to (G, Q, K)) is true; the weighted context sum is
-    multiplied by `scale`, a number or one per group."""
+    multiplied by the number `scale`."""
     a = q @ np.swapaxes(C, 1, 2)
     if mask is not None:
         np.copyto(a, -np.inf, where=mask)
@@ -94,6 +100,34 @@ def _attend_bwd(cache: tuple, dout: np.ndarray
     dq = dqv[:, :, :d] + da @ C
     dC = np.swapaxes(w, 1, 2) @ dv + np.swapaxes(da, 1, 2) @ q
     return dq, dC, dW
+
+
+def _attend_text_fwd(q: np.ndarray, slab: CandidateSlab, W_txt: np.ndarray,
+                     b_txt: np.ndarray, W_fuse: np.ndarray, scale
+                     ) -> Tuple[np.ndarray, tuple]:
+    """Queries q (G, D) attend over their candidate sets projected by
+    `x @ W_txt + b_txt`, in phrase space (module docstring); the weights,
+    (G, K), are the cache's third entry."""
+    a = np.einsum("gke,ge->gk", slab.sets, q @ W_txt.T)
+    np.copyto(a, -np.inf, where=slab.mask)
+    w = softmax(a)
+    u = np.einsum("gk,gke->ge", w, slab.sets)
+    qv = np.concatenate([q, scale * (u @ W_txt + b_txt)], axis=1)
+    return qv @ W_fuse, (q, u, w, scale, qv, slab.sets, W_txt, W_fuse)
+
+
+def _attend_text_bwd(cache: tuple, dout: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients w.r.t. the queries, the fuse matrix, W_txt and b_txt."""
+    q, u, w, scale, qv, sets, W_txt, W_fuse = cache
+    d = q.shape[1]
+    dqv = dout @ W_fuse.T
+    dctx = scale * dqv[:, d:]
+    dw = np.einsum("gke,ge->gk", sets, dctx @ W_txt.T)
+    da = w * (dw - (w * dw).sum(axis=1, keepdims=True))
+    dp = np.einsum("gk,gke->ge", da, sets)
+    return (dqv[:, :d] + dp @ W_txt, qv.T @ dout, u.T @ dctx + dp.T @ q,
+            dctx.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +244,13 @@ class CandidateSlab(NamedTuple):
 
     rows: np.ndarray   # (G,) the edges' rows, ascending
     sets: np.ndarray   # (G, K, e) their candidate sets, zero-padded to K
-    mask: np.ndarray   # (G, 1, K) true at the padding
-    inv_k: np.ndarray  # (G, 1, 1) 1/k
+    mask: np.ndarray   # (G, K) true at the padding
+    inv_k: np.ndarray  # (G, 1) 1/k
 
     def put(self, i: int, c: np.ndarray) -> None:  # c is (k, e), 1 <= k <= K
         k = len(c)
         self.sets[i], self.mask[i], self.inv_k[i] = 0.0, True, 1.0 / k
-        self.sets[i, :k], self.mask[i, 0, :k] = c, False
+        self.sets[i, :k], self.mask[i, :k] = c, False
 
 
 def candidate_slab(slots: Sequence[Tuple[int, np.ndarray]], e: int) -> CandidateSlab:
@@ -228,14 +262,14 @@ def candidate_slab(slots: Sequence[Tuple[int, np.ndarray]], e: int) -> Candidate
     sets = np.zeros((len(slots), max(lengths), e))
     for i, (_, c) in enumerate(slots):
         sets[i, :len(c)] = c
-    k = np.array(lengths, dtype=np.float64).reshape(-1, 1, 1)
+    k = np.array(lengths, dtype=np.float64).reshape(-1, 1)
     return CandidateSlab(np.array([row for row, _ in slots], dtype=np.int64), sets,
                          np.arange(sets.shape[1]) >= k, 1.0 / k)
 
 
 # No edge attends: shared, as it has no row to write.
 _NO_CANDIDATES = CandidateSlab(np.zeros(0, np.int64), np.zeros((0, 0, 0)),
-                               np.zeros((0, 1, 0), bool), np.zeros((0, 1, 1)))
+                               np.zeros((0, 0), bool), np.zeros((0, 1)))
 
 
 @dataclass
@@ -399,11 +433,9 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
     f = np.concatenate([batch.pair_features, g], axis=1)
     slab, txt_cache = batch.candidates, None
     if len(slab.rows):
-        V = slab.sets.reshape(-1, params.dims.e) @ t["W_txt"] + t["b_txt"]
-        out, txt_cache = _attend_fwd(
-            f[slab.rows][:, None], V.reshape(len(slab.rows), -1, dpr),
-            t["W_att_txt"], slab.inv_k if toggles.attention_mean else 1.0, slab.mask)
-        f[slab.rows] = out[:, 0]
+        f[slab.rows], txt_cache = _attend_text_fwd(
+            f[slab.rows], slab, t["W_txt"], t["b_txt"], t["W_att_txt"],
+            slab.inv_k if toggles.attention_mean else 1.0)
     so_cache = None
     if toggles.subject_object_attention:
         cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)  # [s o], [o s]
@@ -464,13 +496,9 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
         np.add.at(d_enriched.reshape(-1), batch.so_scatter, (dC @ t["W_so"].T).ravel())
 
     if trace.txt_cache is not None:
-        slab = batch.candidates
-        dq, dV, grads["W_att_txt"] = _attend_bwd(trace.txt_cache,
-                                                 df[slab.rows][:, None])
-        df[slab.rows] = dq[:, 0]
-        dV = dV.reshape(-1, dpr)
-        grads["W_txt"] = slab.sets.reshape(-1, params.dims.e).T @ dV
-        grads["b_txt"] = dV.sum(axis=0)
+        rows = batch.candidates.rows
+        df[rows], grads["W_att_txt"], grads["W_txt"], grads["b_txt"] = \
+            _attend_text_bwd(trace.txt_cache, df[rows])
 
     # geometric encoding (pair visual feature is an ingested constant)
     if params.toggles.geometric_relationships:

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import SceneInstance, Vocabulary
 from ..embed import EmbeddingTable, embed_phrase, embed_phrases
-from ..errors import ConfigError, NumericError
+from ..errors import ConfigError, NumericError, OutOfVocabularyError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
 from .model import (CandidateSlab, Example, candidate_slab, check_scene,
@@ -92,6 +92,7 @@ class PairCandidates:
     looked up and embedded when a call first meets the pair. A pair with
     more than K of them is drawn each epoch and maps to row 0, K zeros
     that a caller's slab overwrites; one whose set is empty maps to -1.
+    Under strict OOV each top-M phrase, drawn or not, must have a vector.
     Pairs with equal sets share a row of `padded`, zero-padded to K, whose
     `rows` are unused, and the read-only (k, e) array in `sets`."""
 
@@ -107,11 +108,13 @@ class PairCandidates:
         vocab, table, m, k, backoff, strict_oov = self.inputs
         keys = list(map(tuple, label_ids[pairs].tolist()))
         for key in dict.fromkeys(key for key in keys if key not in self.row_of):
-            top = [r for r, _ in lookup(orm, vocab.labels[key[0]], vocab.labels[key[1]],
-                                        backoff=backoff).entries[:m]]
-            # under strict OOV a phrase without a vector raises here, before caching
-            c = None if len(top) > k else embed_phrases(table, top, strict_oov)
-            if c is not None and (b := c.tobytes()) not in self.row_of_set:
+            names = vocab.labels[key[0]], vocab.labels[key[1]]
+            top = [r for r, _ in lookup(orm, *names, backoff=backoff).entries[:m]]
+            try:  # under strict OOV every top-M phrase needs a vector, drawn or not
+                c = embed_phrases(table, top if strict_oov or len(top) <= k else [], strict_oov)
+            except OutOfVocabularyError as exc:
+                raise OutOfVocabularyError(f"label pair {names}: {exc}") from None
+            if c is not None and len(top) <= k and (b := c.tobytes()) not in self.row_of_set:
                 row = self.row_of_set[b] = len(self.sets)
                 if row == len(self.padded.rows):  # full: double
                     self.padded = CandidateSlab(*(np.concatenate([x, x]) for x in self.padded))
@@ -126,7 +129,7 @@ class PairCandidates:
         edges = np.flatnonzero(rows >= 0)
         at, t = rows[edges], self.padded
         width = int(round(1 / t.inv_k[at].min())) if len(at) else 0  # the longest set's k
-        return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :, :width], t.inv_k[at])
+        return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :width], t.inv_k[at])
 
 
 class CandidateIndex:

@@ -917,6 +917,43 @@ def test_scene_defect_is_located_error(workspace, tmp_path, capsys, command,
     assert re.search(re.escape(f"relkit: error: {args[1]}") + message, err), err
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "zeroshot"])
+def test_strict_oov_orm_phrase_fails_before_training(workspace, tmp_path,
+                                                     capsys, command):
+    """Under strict OOV, a top-M phrase without a vector is an error before
+    epoch 0, even one that only a draw could pick; it names the ORM file,
+    the label pair and the phrase."""
+    data = workspace["data"]
+    scene = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+    names = [line.split("\t")[0] for line in
+             (data / "objects.tsv").read_text().splitlines()]
+    s, o, _ = scene["edges"][0]
+    pair = (names[scene["objects"][s]["label"]], names[scene["objects"][o]["label"]])
+    # train: count 1 ranks it last, in the top M but outside inference's top K
+    count = 1 if command == "train" else 1000
+    total, *rows = (data / "orm.tsv").read_text().splitlines(keepends=True)
+    orm = tmp_path / "orm.tsv"
+    orm.write_text(f"#total\t{int(total.split()[1]) + count}\n" + "".join(rows)
+                   + f"{pair[0]}\t{pair[1]}\tzzzoov\t{count}\n")
+    assert sum(row.startswith(f"{pair[0]}\t{pair[1]}\t") for row in rows) >= 1
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("strict_oov = true\nk_candidates = 1\n")
+    args = model_args(workspace)
+    args[args.index("--orm") + 1] = str(orm)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("relaa\nrelab\n")
+    ckpt = tmp_path / "x.ckpt"
+    extra = {"train": ["--out", str(ckpt), "--epochs", "1"],
+             "eval": ["--checkpoint", str(workspace["ckpt"])],
+             "zeroshot": ["--checkpoint", str(workspace["ckpt"]),
+                          "--labels", str(labels), "--topk", "1"]}[command]
+    assert run(command, *args, *extra, "--config", str(cfgfile)) == 3
+    out, err = capsys.readouterr()
+    assert err == f"relkit: error: {orm}: label pair {pair}: no embeddable " \
+        f"token in phrase: 'zzzoov'\n"
+    assert out == "" and not ckpt.exists()
+
+
 @pytest.mark.parametrize("which", ["scenes", "out"])
 def test_directory_for_a_file_is_data_error(workspace, tmp_path, capsys,
                                             which):

@@ -122,6 +122,33 @@ def test_scene_loss_rejects_another_example():
                    (1.0, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("mean", [True, False], ids=["mean", "sum"])
+def test_text_attention_weights_match_reference(mean):
+    """The text site's weights, (G, K) in the trace: zero at the padding,
+    each row a distribution, and the reference's per-edge weights."""
+    rng = np.random.default_rng(60)
+    batch = [random_example(rng, DIMS, n=4, n_edges=5) for _ in range(3)]
+    sizes = itertools.cycle([1, 2, None, 3, 4])
+    for ex in batch:
+        ex.candidate_embeddings = [None if k is None else rng.normal(size=(k, DIMS.e))
+                                   for k, _ in zip(sizes, ex.edges)]
+    toggles = Toggles(attention_mean=mean)
+    params = init_params(DIMS, seed=11, scale=0.3)
+    params = ModelParams(params.dims, params.tensors, params.lambdas, toggles)
+    packed = pack_batch(batch, DIMS)
+    w = forward_batch(params, packed).txt_cache[2]
+    lengths = [len(c) for ex in batch for c in ex.candidate_embeddings if c is not None]
+    assert sorted(set(lengths)) == [1, 2, 3, 4]
+    assert w.shape == (len(lengths), 4)
+    assert all(np.all(row[k:] == 0.0) for row, k in zip(w, lengths))
+    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
+    expected = [et.txt_cache[2] for ex in batch
+                for et in ref.forward_scene(params, ex, toggles).edge_traces
+                if et.txt_cache is not None]
+    for row, want in zip(w, expected, strict=True):
+        assert np.abs(row[:len(want)] - want).max() <= 1e-12
+
+
 def test_static_pack_reuse_repacks_candidates():
     rng = np.random.default_rng(50)
     params = init_params(DIMS, seed=10, scale=0.3)

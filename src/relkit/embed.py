@@ -99,8 +99,8 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     if u.shape != v.shape:
         raise NumericError(f"cosine shape mismatch: {u.shape} vs {v.shape}")
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise NumericError("cosine undefined for the zero vector")
+    if not (0.0 < nu < np.inf and 0.0 < nv < np.inf):  # a NaN norm fails too
+        raise NumericError("cosine undefined for a zero or non-finite vector")
     value = float(np.dot(u, v) / (nu * nv))
     # guard against rounding drift just past +/-1
     return max(-1.0, min(1.0, value))

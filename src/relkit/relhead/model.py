@@ -9,19 +9,22 @@ One kernel runs a whole batch. `pack_inputs` stacks the N objects and the
 E edges of all B scenes into the flat arrays the forward pass reads (and
 the labels); edges index their subject and object rows. `pack_batch` adds
 what only the loss reads: weights, predicate ids and target embeddings.
-Object self-attention runs once per object count n > 1, on the
-(scenes, n, n) block of those scenes with the diagonal masked, as its cost
-follows the sum of n^2. Text attention runs once, on a slab of every
-candidate set padded to the largest, K, with the padding masked, as a set
-of k phrases wastes at most K/k of its row. It runs in phrase space: the
-contexts `S_k @ W_txt + b_txt` are never built, as the scores
-`q . (S_k @ W_txt + b_txt)` are `(q @ W_txt.T) . S_k` plus `q . b_txt`, a
-term shared by a row's candidates that the softmax cancels, and as the
-weights sum to 1 the context sum is `(sum_k w_k S_k) @ W_txt + b_txt`; so
-every array with a candidate axis is e wide, not d + r. One-object scenes
-and edges without candidates skip the site. Training packs once and swaps
-in each epoch's slab; inference computes object probabilities only for
-SG-Cls.
+Attention has one kernel per shape. `_attend_scene` runs object
+self-attention once per object count n > 1, on the (scenes, n, D) block of
+those scenes with the diagonal scores at -inf, as its cost follows the sum
+of n^2. `_attend_rows` lets each edge row score and pool its own K rows:
+its contexts [s o] @ W_so and [o s] @ W_so at the subject-object site, and
+at the text site a slab of every candidate set padded to the largest, K,
+with the padding masked, as a set of k phrases wastes at most K/k of its row.
+The text site works in phrase space: the contexts `S_k @ W_txt + b_txt`
+are never built, as the scores `q . (S_k @ W_txt + b_txt)` are
+`(q @ W_txt.T) . S_k` plus `q . b_txt`, a term shared by a row's
+candidates that the softmax cancels, and as the weights sum to 1 the
+context sum is `(sum_k w_k S_k) @ W_txt + b_txt`; so every array with a
+candidate axis is e wide, not d + r. One-object scenes and edges without
+candidates skip their site; each site's cache holds its weights third.
+Training packs once and swaps in each epoch's slab; inference computes
+object probabilities only for SG-Cls.
 Object terms of the loss weigh lambda1/(B n_b), edge terms lambda2/(B m_b)
 and lambda3/(B m_b): the batch mean of per-scene means.
 """
@@ -70,64 +73,53 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Attention: generic, and text attention in phrase space
+# Attention kernels: per row, and objects over their scene
 # ---------------------------------------------------------------------------
 
-def _attend_fwd(q: np.ndarray, C: np.ndarray, W_fuse: np.ndarray, scale,
-                mask: Optional[np.ndarray] = None) -> Tuple[np.ndarray, tuple]:
-    """Queries q (G, Q, D) attend over contexts C (G, K, D), except where
-    `mask` (broadcast to (G, Q, K)) is true; the weighted context sum is
-    multiplied by the number `scale`."""
-    a = q @ np.swapaxes(C, 1, 2)
+def _attend_rows(p: np.ndarray, C: np.ndarray, mask: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row p[g] (G, D) scores its own rows C[g] (G, K, D), except where
+    `mask` (G, K) is true, and pools them: the weights (G, K) and the pool."""
+    a = np.einsum("gkd,gd->gk", C, p)
     if mask is not None:
         np.copyto(a, -np.inf, where=mask)
     w = softmax(a)
-    qv = np.concatenate([q, scale * (w @ C)], axis=2)
-    out = (qv.reshape(-1, qv.shape[2]) @ W_fuse).reshape(q.shape)
-    return out, (q, C, w, scale, qv, W_fuse)
+    return w, np.einsum("gk,gkd->gd", w, C)
 
 
-def _attend_bwd(cache: tuple, dout: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. the queries, the contexts and the fuse matrix."""
-    q, C, w, scale, qv, W_fuse = cache
-    d = q.shape[2]
-    dW = qv.reshape(-1, 2 * d).T @ dout.reshape(-1, d)
-    dqv = (dout.reshape(-1, d) @ W_fuse.T).reshape(qv.shape)
-    dv = scale * dqv[:, :, d:]
-    dw = dv @ np.swapaxes(C, 1, 2)
-    da = w * (dw - (w * dw).sum(axis=2, keepdims=True))
-    dq = dqv[:, :, :d] + da @ C
-    dC = np.swapaxes(w, 1, 2) @ dv + np.swapaxes(da, 1, 2) @ q
-    return dq, dC, dW
-
-
-def _attend_text_fwd(q: np.ndarray, slab: CandidateSlab, W_txt: np.ndarray,
-                     b_txt: np.ndarray, W_fuse: np.ndarray, scale
-                     ) -> Tuple[np.ndarray, tuple]:
-    """Queries q (G, D) attend over their candidate sets projected by
-    `x @ W_txt + b_txt`, in phrase space (module docstring); the weights,
-    (G, K), are the cache's third entry."""
-    a = np.einsum("gke,ge->gk", slab.sets, q @ W_txt.T)
-    np.copyto(a, -np.inf, where=slab.mask)
-    w = softmax(a)
-    u = np.einsum("gk,gke->ge", w, slab.sets)
-    qv = np.concatenate([q, scale * (u @ W_txt + b_txt)], axis=1)
-    return qv @ W_fuse, (q, u, w, scale, qv, slab.sets, W_txt, W_fuse)
-
-
-def _attend_text_bwd(cache: tuple, dout: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. the queries, the fuse matrix, W_txt and b_txt."""
-    q, u, w, scale, qv, sets, W_txt, W_fuse = cache
-    d = q.shape[1]
-    dqv = dout @ W_fuse.T
-    dctx = scale * dqv[:, d:]
-    dw = np.einsum("gke,ge->gk", sets, dctx @ W_txt.T)
+def _attend_rows_bwd(C: np.ndarray, w: np.ndarray, du: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. the scores and p, given du, the pool's; d(C) = w (x) du + da (x) p."""
+    dw = np.einsum("gkd,gd->gk", C, du)
     da = w * (dw - (w * dw).sum(axis=1, keepdims=True))
-    dp = np.einsum("gk,gke->ge", da, sets)
-    return (dqv[:, :d] + dp @ W_txt, qv.T @ dout, u.T @ dctx + dp.T @ q,
-            dctx.sum(axis=0))
+    return da, np.einsum("gk,gkd->gd", da, C)
+
+
+def _attend_scene(x: np.ndarray, W_fuse: np.ndarray, scale: float
+                  ) -> Tuple[np.ndarray, tuple]:
+    """Each object of x (scenes, n, D) attends over the other objects of its
+    scene (weights (scenes, n, n), 0 on the diagonal); the pool is scaled by `scale`."""
+    a = x @ np.swapaxes(x, 1, 2)
+    i = np.arange(x.shape[1])
+    a[:, i, i] = -np.inf
+    w = softmax(a)
+    qv = np.concatenate([x, scale * (w @ x)], axis=2)
+    return (qv.reshape(-1, qv.shape[2]) @ W_fuse).reshape(x.shape), (x, scale, w, qv)
+
+
+def _attend_scene_bwd(cache: tuple, W_fuse: np.ndarray, dout: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Gradients w.r.t. the fuse matrix and x."""
+    x, scale, w, qv = cache
+    d, dout = x.shape[2], dout.reshape(-1, x.shape[2])
+    dqv = (dout @ W_fuse.T).reshape(qv.shape)
+    dv = scale * dqv[:, :, d:]
+    dw = dv @ np.swapaxes(x, 1, 2)
+    da = w * (dw - (w * dw).sum(axis=2, keepdims=True))
+    dx = (da + np.swapaxes(da, 1, 2)) @ x  # sums in place, as in backward_scene
+    dx += np.swapaxes(w, 1, 2) @ dv
+    dx += dqv[:, :, :d]
+    return qv.reshape(-1, 2 * d).T @ dout, dx
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +395,9 @@ def enrich_objects(params: ModelParams, batch: PackedBatch) -> Tuple[np.ndarray,
     obj_caches = []
     if params.toggles.object_attention:
         for rows in batch.obj_groups:
-            x, n = enriched[rows], rows.shape[1]
-            scale = 1.0 / (n - 1) if params.toggles.attention_mean else 1.0
-            enriched[rows], cache = _attend_fwd(x, x, params.tensors["W_att_obj"],
-                                                scale, np.eye(n, dtype=bool))
+            scale = 1.0 / (rows.shape[1] - 1) if params.toggles.attention_mean else 1.0
+            enriched[rows], cache = _attend_scene(enriched[rows],
+                                                  params.tensors["W_att_obj"], scale)
             obj_caches.append(cache)
         _check_finite("enriched objects", enriched)
     return enriched, obj_caches
@@ -424,25 +415,25 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
                   ) -> ForwardTrace:
     """The edge stage on top of `objects`, the batch's forward_objects
     output (its probabilities may be None); the trace holds both stages."""
-    t, toggles = params.tensors, params.toggles
-    dpr = params.dims.dpr
+    t, toggles, dpr = params.tensors, params.toggles, params.dims.dpr
     enriched, obj_probs, obj_caches = objects
-    n_edges = len(batch.so_rows)
     g = (batch.quad @ t["W_geo"] + t["b_geo"] if toggles.geometric_relationships
-         else np.zeros((n_edges, params.dims.r)))
+         else np.zeros((len(batch.so_rows), params.dims.r)))
     f = np.concatenate([batch.pair_features, g], axis=1)
-    slab, txt_cache = batch.candidates, None
-    if len(slab.rows):
-        f[slab.rows], txt_cache = _attend_text_fwd(
-            f[slab.rows], slab, t["W_txt"], t["b_txt"], t["W_att_txt"],
-            slab.inv_k if toggles.attention_mean else 1.0)
-    so_cache = None
+    slab, txt_cache, so_cache = batch.candidates, None, None
+    if len(slab.rows):  # in phrase space (module docstring)
+        q, W_txt = f[slab.rows], t["W_txt"]
+        w, u = _attend_rows(q @ W_txt.T, slab.sets, slab.mask)
+        scale = slab.inv_k if toggles.attention_mean else 1.0
+        qv = np.concatenate([q, scale * (u @ W_txt + t["b_txt"])], axis=1)
+        f[slab.rows], txt_cache = qv @ t["W_att_txt"], (q, u, w, scale, qv)
     if toggles.subject_object_attention:
-        cats = enriched[batch.so_rows].reshape(n_edges, 2, 2 * dpr)  # [s o], [o s]
-        contexts = (cats.reshape(-1, 2 * dpr) @ t["W_so"]).reshape(-1, 2, dpr)
-        out, so_cache = _attend_fwd(f[:, None], contexts, t["W_att_so"],
-                                    0.5 if toggles.attention_mean else 1.0)
-        f = out[:, 0]
+        cats = enriched[batch.so_rows].reshape(-1, 2 * dpr)  # [s o], [o s] per edge
+        contexts = (cats @ t["W_so"]).reshape(-1, 2, dpr)
+        w, u = _attend_rows(f, contexts)
+        scale = 0.5 if toggles.attention_mean else 1.0
+        qv = np.concatenate([f, scale * u], axis=1)
+        so_cache, f = (f, contexts, w, scale, qv), qv @ t["W_att_so"]
     _check_finite("edge representations", f)
     rel_probs, pred_emb = predict_relationship(f, params)
     return ForwardTrace(batch, obj_caches, enriched, obj_probs, txt_cache,
@@ -487,18 +478,27 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
             dx += dlog @ t[W].T
     df = df3
     if trace.so_cache is not None:
-        dq, dC, grads["W_att_so"] = _attend_bwd(trace.so_cache, df3[:, None])
-        df = dq[:, 0]
-        dC = dC.reshape(-1, dpr)
-        cats = trace.enriched[batch.so_rows].reshape(-1, 2 * dpr)
-        grads["W_so"] = cats.T @ dC
+        q, C, w, scale, qv = trace.so_cache
+        grads["W_att_so"], dqv = qv.T @ df3, df3 @ t["W_att_so"].T
+        du = scale * dqv[:, dpr:]
+        da, dq = _attend_rows_bwd(C, w, du)
+        df = dqv[:, :dpr] + dq
+        # rows re-gathered and sums in place: fewer live arrays, so malloc keeps its heap
+        dC = np.einsum("gk,gc->gkc", w, du).reshape(-1, dpr)
+        dC += np.einsum("gk,gc->gkc", da, q).reshape(-1, dpr)
+        grads["W_so"] = trace.enriched[batch.so_rows].reshape(-1, 2 * dpr).T @ dC
         # a flat scatter-add is ~4x faster; same additions, same order, same bits
         np.add.at(d_enriched.reshape(-1), batch.so_scatter, (dC @ t["W_so"].T).ravel())
 
     if trace.txt_cache is not None:
-        rows = batch.candidates.rows
-        df[rows], grads["W_att_txt"], grads["W_txt"], grads["b_txt"] = \
-            _attend_text_bwd(trace.txt_cache, df[rows])
+        q, u, w, scale, qv = trace.txt_cache
+        rows, W_txt = batch.candidates.rows, t["W_txt"]
+        dout = df[rows]
+        grads["W_att_txt"], dqv = qv.T @ dout, dout @ t["W_att_txt"].T
+        dctx = scale * dqv[:, dpr:]
+        dp = _attend_rows_bwd(batch.candidates.sets, w, dctx @ W_txt.T)[1]
+        df[rows] = dqv[:, :dpr] + dp @ W_txt
+        grads["W_txt"], grads["b_txt"] = u.T @ dctx + dp.T @ q, dctx.sum(axis=0)
 
     # geometric encoding (pair visual feature is an ingested constant)
     if params.toggles.geometric_relationships:
@@ -508,8 +508,7 @@ def backward_scene(params: ModelParams, trace: ForwardTrace,
 
     d_f1 = d_enriched  # disjoint groups again: rows are read, then replaced
     for rows, cache in zip(batch.obj_groups, trace.obj_caches):
-        dq, dC, dW = _attend_bwd(cache, d_f1[rows])
-        d_f1[rows] = dq + dC
+        dW, d_f1[rows] = _attend_scene_bwd(cache, t["W_att_obj"], d_f1[rows])
         grads["W_att_obj"] += dW
 
     # spatial projection (object features themselves are ingested constants)

@@ -27,8 +27,8 @@ class LabelEmbeddingMatrix:
         if self.matrix.shape[0] != len(self.labels):
             raise NumericError("label/matrix row count mismatch")
         object.__setattr__(self, "norms", np.linalg.norm(self.matrix, axis=1))
-        if np.any(self.norms == 0.0):
-            raise NumericError("label embedding rows must be nonzero")
+        if not np.all((self.norms > 0.0) & (self.norms < np.inf)):  # NaN fails both
+            raise NumericError("label embedding rows must be nonzero and finite")
 
 
 def build_label_matrix(labels: Sequence[str],
@@ -43,8 +43,8 @@ def predict_unseen(v_hat: np.ndarray, labels: LabelEmbeddingMatrix) -> np.ndarra
     """Softmax over per-label cosine similarities; sums to 1."""
     v_hat = np.asarray(v_hat, dtype=np.float64)
     norm = float(np.linalg.norm(v_hat))
-    if norm == 0.0:
-        raise NumericError("cosine undefined for a zero representation")
+    if not 0.0 < norm < np.inf:  # zero, infinite or NaN
+        raise NumericError(f"cosine undefined for a representation of norm {norm}")
     return softmax(labels.matrix @ v_hat / (labels.norms * norm))
 
 

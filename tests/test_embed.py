@@ -110,6 +110,13 @@ class TestCosine:
         with pytest.raises(NumericError):
             cosine([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        for u, v in (([bad, 1.0], [1.0, 0.0]), ([1.0, 0.0], [bad, 1.0])):
+            with pytest.raises(NumericError, match="^cosine undefined for a zero "
+                                                   "or non-finite vector$"):
+                cosine(u, v)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(NumericError, match=r"^cosine shape mismatch: \(2,\) vs \(3,\)$"):
             cosine([1.0, 0.0], [1.0, 0.0, 0.0])

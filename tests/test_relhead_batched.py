@@ -123,11 +123,14 @@ def test_scene_loss_rejects_another_example():
 
 
 @pytest.mark.parametrize("mean", [True, False], ids=["mean", "sum"])
-def test_text_attention_weights_match_reference(mean):
-    """The text site's weights, (G, K) in the trace: zero at the padding,
-    each row a distribution, and the reference's per-edge weights."""
+@pytest.mark.parametrize("site", ["text", "subject-object", "object"])
+def test_attention_weights_match_reference(site, mean):
+    """Each site's weights, the third entry of its cache: text (G, K), zero
+    at the padding; subject-object (E, 2); object (scenes, n, n) per
+    group, zero on the diagonal. Every row is a distribution and matches
+    the reference's per-edge or per-object weights."""
     rng = np.random.default_rng(60)
-    batch = [random_example(rng, DIMS, n=4, n_edges=5) for _ in range(3)]
+    batch = [random_example(rng, DIMS, n=n, n_edges=5) for n in (4, 1, 3, 4)]
     sizes = itertools.cycle([1, 2, None, 3, 4])
     for ex in batch:
         ex.candidate_embeddings = [None if k is None else rng.normal(size=(k, DIMS.e))
@@ -136,17 +139,36 @@ def test_text_attention_weights_match_reference(mean):
     params = init_params(DIMS, seed=11, scale=0.3)
     params = ModelParams(params.dims, params.tensors, params.lambdas, toggles)
     packed = pack_batch(batch, DIMS)
-    w = forward_batch(params, packed).txt_cache[2]
-    lengths = [len(c) for ex in batch for c in ex.candidate_embeddings if c is not None]
-    assert sorted(set(lengths)) == [1, 2, 3, 4]
-    assert w.shape == (len(lengths), 4)
-    assert all(np.all(row[k:] == 0.0) for row, k in zip(w, lengths))
-    assert np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12)
-    expected = [et.txt_cache[2] for ex in batch
-                for et in ref.forward_scene(params, ex, toggles).edge_traces
-                if et.txt_cache is not None]
-    for row, want in zip(w, expected, strict=True):
-        assert np.abs(row[:len(want)] - want).max() <= 1e-12
+    trace = forward_batch(params, packed)
+    edges = [et for ex in batch for et in ref.forward_scene(params, ex, toggles).edge_traces]
+    if site == "text":
+        w = trace.txt_cache[2]
+        lengths = [len(c) for ex in batch for c in ex.candidate_embeddings if c is not None]
+        assert sorted(set(lengths)) == [1, 2, 3, 4]
+        assert w.shape == (len(lengths), 4)
+        assert all(np.all(row[k:] == 0.0) for row, k in zip(w, lengths))
+        rows, got = [w], [row[:k] for row, k in zip(w, lengths)]
+        expected = [et.txt_cache[2] for et in edges if et.txt_cache is not None]
+    elif site == "subject-object":
+        w = trace.so_cache[2]
+        assert w.shape == (len(edges), 2)
+        rows, got, expected = [w], list(w), [et.so_cache[2] for et in edges]
+    else:
+        starts = np.cumsum([0] + [len(ex.features) for ex in batch])
+        rows, got, expected = [], [], []
+        for group, cache in zip(packed.obj_groups, trace.obj_caches, strict=True):
+            w, n = cache[2], group.shape[1]
+            assert w.shape == (len(group), n, n)
+            assert np.all(w[:, np.arange(n), np.arange(n)] == 0.0)
+            rows.append(w.reshape(-1, n))
+            for scene_rows, scene_w in zip(group, w):
+                ex = batch[int(np.searchsorted(starts, scene_rows[0]))]
+                got += [row[np.arange(n) != i] for i, row in enumerate(scene_w)]
+                expected += [c[2] for c in ref.forward_scene(params, ex, toggles).obj_caches]
+        assert len(got) == sum(len(ex.features) for ex in batch if len(ex.features) > 1)
+    assert all(np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12) for w in rows)
+    for row, want in zip(got, expected, strict=True):
+        assert np.abs(row - want).max() <= 1e-12
 
 
 def test_static_pack_reuse_repacks_candidates():

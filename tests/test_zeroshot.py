@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ class TestPredictUnseen:
         with pytest.raises(NumericError):
             predict_unseen(np.zeros(2), m)
 
+    @pytest.mark.parametrize("bad, norm", [(np.inf, "inf"), (-np.inf, "inf"),
+                                           (np.nan, "nan")])
+    def test_non_finite_norm_rejected(self, bad, norm):
+        m = matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy warns
+            with pytest.raises(NumericError, match=f"^cosine undefined for a "
+                                                   f"representation of norm {norm}$"):
+                predict_unseen(np.array([bad, bad]), m)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         m = matrix_of([f"l{i}" for i in range(5)], rng.normal(size=(5, 3)))
@@ -123,6 +134,12 @@ class TestLabelEmbeddingMatrix:
     def test_zero_row_rejected(self):
         with pytest.raises(NumericError, match="rows must be nonzero"):
             matrix_of(["a", "b"], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(NumericError, match="^label embedding rows must be "
+                                               "nonzero and finite$"):
+            matrix_of(["a", "b"], [[1.0, 0.0], [bad, 1.0]])
 
 
 def test_build_label_matrix_pools_phrases():

@@ -97,7 +97,8 @@ def cmd_query(args) -> int:
     result = ormmod.lookup(table, args.subject, args.object,
                            backoff=not args.no_backoff)
     if result.backoff:
-        print("# backoff: pair unseen, global marginal distribution")
+        print("# pair unseen, backoff off: no candidates" if args.no_backoff
+              else "# backoff: pair unseen, global marginal distribution")
     for predicate, prob in result.entries[:args.top]:
         print(f"{predicate}\t{prob:.6g}")
     return 0

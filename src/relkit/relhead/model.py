@@ -48,8 +48,8 @@ class Example:
     """Numeric inputs of one scene, ready for the head.
 
     candidate_embeddings has one entry per edge: a (k, e) matrix of the
-    drawn predicate-phrase embeddings, or None when the pair produced no
-    candidates (strict ORM mode).
+    drawn phrase embeddings, or None: the pair is unseen with `orm_backoff`
+    off, or (lenient OOV rule) none of its phrases has a vector.
     """
 
     features: np.ndarray            # (n, d)
@@ -232,41 +232,22 @@ def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class CandidateSlab(NamedTuple):
-    """Text attention's input, one row per edge that attends."""
+    """Text attention's input, one row per edge that attends. A row's k is
+    its unmasked count; `put` is the only code that writes a row."""
 
     rows: np.ndarray   # (G,) the edges' rows, ascending
     sets: np.ndarray   # (G, K, e) their candidate sets, zero-padded to K
     mask: np.ndarray   # (G, K) true at the padding
-    inv_k: np.ndarray  # (G, 1) 1/k
 
     def put(self, i: int, c: np.ndarray) -> None:  # c is (k, e), 1 <= k <= K
-        k = len(c)
-        self.sets[i], self.mask[i], self.inv_k[i] = 0.0, True, 1.0 / k
-        self.sets[i, :k], self.mask[i, :k] = c, False
-
-
-def candidate_slab(slots: Sequence[Tuple[int, np.ndarray]], e: int) -> CandidateSlab:
-    """The slab of (edge row, (k, e) set with k >= 1) `slots`, padded to the
-    longest set."""
-    if not slots:
-        return _NO_CANDIDATES
-    lengths = [len(c) for _, c in slots]
-    sets = np.zeros((len(slots), max(lengths), e))
-    for i, (_, c) in enumerate(slots):
-        sets[i, :len(c)] = c
-    k = np.array(lengths, dtype=np.float64).reshape(-1, 1)
-    return CandidateSlab(np.array([row for row, _ in slots], dtype=np.int64), sets,
-                         np.arange(sets.shape[1]) >= k, 1.0 / k)
-
-
-# No edge attends: shared, as it has no row to write.
-_NO_CANDIDATES = CandidateSlab(np.zeros(0, np.int64), np.zeros((0, 0, 0)),
-                               np.zeros((0, 0), bool), np.zeros((0, 1)))
+        self.sets[i], self.mask[i] = 0.0, True
+        self.sets[i, :len(c)], self.mask[i, :len(c)] = c, False
 
 
 @dataclass
 class PackedBatch:
-    """A batch as flat arrays (module docstring); loss columns None at inference."""
+    """A batch as flat arrays (module docstring); loss columns None at
+    inference, and `candidates` None until pack_batch or predict_batch sets it."""
 
     features: np.ndarray        # (N, d)
     boxes: np.ndarray           # (N, 4)
@@ -275,7 +256,7 @@ class PackedBatch:
     pair_features: np.ndarray   # (E, d)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
     dpr: int                    # d + r, the width of an enriched object row
-    candidates: CandidateSlab = _NO_CANDIDATES  # every non-empty candidate set
+    candidates: Optional[CandidateSlab] = None  # every non-empty candidate set
     obj_weight: Optional[np.ndarray] = None   # (N,) 1 / (B n_b)
     targets: Optional[np.ndarray] = None      # (E, e)
     predicates: Optional[np.ndarray] = None   # (E,)
@@ -366,7 +347,12 @@ def _pack_candidates(examples: Sequence[Example], e: int) -> CandidateSlab:
                 _expect_shape(f"scene {s} edge {k}: candidate embeddings", c, (len(c), e))
                 slots.append((row + k, c))
         row += len(ex.edges)
-    return candidate_slab(slots, e)
+    width = max((len(c) for _, c in slots), default=0)
+    slab = CandidateSlab(np.array([row for row, _ in slots], np.int64),
+                         np.empty((len(slots), width, e)), np.empty((len(slots), width), bool))
+    for i, (_, c) in enumerate(slots):
+        slab.put(i, c)
+    return slab
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +410,7 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
     if len(slab.rows):  # in phrase space (module docstring)
         q, W_txt = f[slab.rows], t["W_txt"]
         w, u = _attend_rows(q @ W_txt.T, slab.sets, slab.mask)
-        scale = slab.inv_k if toggles.attention_mean else 1.0
+        scale = 1.0 / (~slab.mask).sum(axis=1, keepdims=True) if toggles.attention_mean else 1.0
         qv = np.concatenate([q, scale * (u @ W_txt + t["b_txt"])], axis=1)
         f[slab.rows], txt_cache = qv @ t["W_att_txt"], (q, u, w, scale, qv)
     if toggles.subject_object_attention:

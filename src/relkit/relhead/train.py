@@ -1,11 +1,11 @@
 """Batch preparation, the gradient-descent training loop, and inference.
 
 Training is plain full-batch gradient descent with a fixed learning rate.
-Each label pair's top-M ORM phrases are looked up and embedded, and the
-candidate slab built, once per run, in the per-label-pair table that
-inference also reads. Only the edges with more than K of them are
-re-drawn each epoch, into their slab rows, from a seed derived from (run
-seed, epoch, scene, edge), so runs are bit-reproducible.
+One `PairCandidates.rows` call per run, as per inference batch, looks up
+and embeds each label pair's top-M ORM phrases and finds every edge's
+candidate slab row. Only the edges with more than K of them are re-drawn
+each epoch, into their slab rows, from a seed derived from (run seed,
+epoch, scene, edge), so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError, OutOfVocabularyError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, sample_candidates, lookup
-from .model import (CandidateSlab, Example, candidate_slab, check_scene,
-                    classify_objects, enrich_objects, forward_edges,
-                    loss_and_gradients, pack_batch, pack_inputs)
+from .model import (CandidateSlab, Example, check_scene, classify_objects,
+                    enrich_objects, forward_edges, loss_and_gradients,
+                    pack_batch, pack_inputs)
 # Unused here: the benchmark's tracer requires this module to name it.
 from .model import forward_scene  # noqa: F401
 from .params import ModelParams
@@ -89,24 +89,26 @@ def _edge_seed(seed: int, epoch: int, scene_idx: int, edge_idx: int) -> int:
 class PairCandidates:
     """Each object-label pair's candidate set, for one object vocabulary,
     embedding table, M, K, backoff and OOV rule: its top M ORM phrases,
-    looked up and embedded when a call first meets the pair. A pair with
-    more than K of them is drawn each epoch and maps to row 0, K zeros
-    that a caller's slab overwrites; one whose set is empty maps to -1.
-    Under strict OOV each top-M phrase, drawn or not, must have a vector.
-    Pairs with equal sets share a row of `padded`, zero-padded to K, whose
-    `rows` are unused, and the read-only (k, e) array in `sets`."""
+    looked up and embedded when a `rows` call (one per batch of edges)
+    first meets the pair. A pair with more than K of them is drawn each
+    epoch and maps to row 0, K unmasked zeros that a caller's slab
+    overwrites; one whose set is empty maps to -1. Under strict OOV each
+    top-M phrase, drawn or not, must have a vector. Pairs with equal sets
+    share a row of `padded`, zero-padded to K, whose `rows` are unused,
+    and the read-only (k, e) array in `sets`."""
 
     def __init__(self, object_vocab: Vocabulary, table: EmbeddingTable,
                  m: int, k: int, backoff: bool, strict_oov: bool):
         self.inputs = (object_vocab, table, m, k, backoff, strict_oov)
         self.row_of: Dict[Tuple[int, int], int] = {}  # label-id pair -> row
         self.row_of_set, self.sets = {}, [None]  # a set's bytes -> row; row -> set
-        self.padded = candidate_slab([(0, np.zeros((k, table.dimension)))], table.dimension)
+        self.padded = CandidateSlab(np.zeros(1, np.int64), np.zeros((1, k, table.dimension)),
+                                    np.zeros((1, k), bool))
 
-    def rows(self, orm: OrmTable, label_ids: np.ndarray, pairs) -> np.ndarray:
-        """The row of each (subject, object) row pair, under the label ids."""
+    def rows(self, orm: OrmTable, pairs: np.ndarray) -> np.ndarray:
+        """The row of each (subject, object) label-id pair of `pairs`, (E, 2)."""
         vocab, table, m, k, backoff, strict_oov = self.inputs
-        keys = list(map(tuple, label_ids[pairs].tolist()))
+        keys = list(map(tuple, pairs.tolist()))
         for key in dict.fromkeys(key for key in keys if key not in self.row_of):
             names = vocab.labels[key[0]], vocab.labels[key[1]]
             top = [r for r, _ in lookup(orm, *names, backoff=backoff).entries[:m]]
@@ -125,39 +127,43 @@ class PairCandidates:
         return np.array([self.row_of[key] for key in keys], np.int64)
 
     def slab(self, rows: np.ndarray) -> CandidateSlab:
-        """The slab of the edges at `rows`, padded as `candidate_slab` pads."""
+        """The slab of the edges at `rows`, padded to the longest set."""
         edges = np.flatnonzero(rows >= 0)
         at, t = rows[edges], self.padded
-        width = int(round(1 / t.inv_k[at].min())) if len(at) else 0  # the longest set's k
-        return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :width], t.inv_k[at])
+        width = (~t.mask[at]).sum(axis=1).max(initial=0)
+        return CandidateSlab(edges, t.sets[at, :width], t.mask[at, :width])
 
 
 class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
-    entry (None if empty), from one `PairCandidates` for the run. An edge
-    with at most K top-M phrases keeps them all for the whole run, in a
-    read-only array that edges with an equal set share; `draw_candidates`
-    draws the others' sets. `slab` holds the non-empty static sets and a
-    row, padded to K, for each drawn edge. Object labels must index
-    `object_vocab`."""
+    entry (None if empty), from one `PairCandidates.rows` call over every
+    edge of the run. An edge with at most K top-M phrases keeps them all
+    for the whole run, in a read-only array that edges with an equal set
+    share; `draw_candidates` draws the others' sets. `slab` holds the
+    non-empty static sets and a row, padded to K, for each drawn edge.
+    Object labels must index `object_vocab`."""
 
     def __init__(self, examples: Sequence[Example], orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
         cands = PairCandidates(object_vocab, table, cfg.m_candidates, cfg.k_candidates,
                                cfg.orm_backoff, cfg.strict_oov)
-        rows = [cands.rows(orm, ex.object_labels, [e[:2] for e in ex.edges]).tolist()
-                for ex in examples]
-        self.slab = cands.slab(np.array([row for r in rows for row in r], np.int64))
-        names, at = object_vocab.labels, 0  # at: the edge's slab row, if it has one
-        self.drawn = []  # slab row, example, scene, edge, subject, object
-        for si, (ex, ex_rows) in enumerate(zip(examples, rows)):
-            ex.candidate_embeddings = [cands.sets[row] if row > 0 else None for row in ex_rows]
-            for ei, row in enumerate(ex_rows):
-                if row == 0:  # drawn each epoch
-                    s, o = ex.object_labels[list(ex.edges[ei][:2])].tolist()
-                    self.drawn.append((at, ex, si, ei, names[s], names[o]))
-                at += row >= 0
+        pairs = np.array([(ids[s], ids[o]) for ex in examples
+                          for ids in [ex.object_labels.tolist()] for s, o, _ in ex.edges],
+                         np.int64).reshape(-1, 2)
+        rows = cands.rows(orm, pairs)
+        self.slab = cands.slab(rows)
+        sets = [cands.sets[row] if row > 0 else None for row in rows.tolist()]
+        m = np.array([len(ex.edges) for ex in examples], np.int64)
+        first = np.cumsum(m) - m  # each scene's first edge
+        for ex, lo, n in zip(examples, first.tolist(), m.tolist()):
+            ex.candidate_embeddings = sets[lo:lo + n]
+        names, at = object_vocab.labels, np.cumsum(rows >= 0) - 1  # at: each edge's slab row
+        drawn = np.flatnonzero(rows == 0)  # drawn each epoch
+        scene = np.repeat(np.arange(len(examples)), m)[drawn]
+        self.drawn = [(a, examples[i], i, j, names[s], names[o]) for a, i, j, (s, o) in zip(
+            at[drawn].tolist(), scene.tolist(), (drawn - first[scene]).tolist(),
+            pairs[drawn].tolist())]  # slab row, example, scene, edge, subject, object
 
 
 def draw_candidates(examples: Sequence[Example], index: CandidateIndex,
@@ -258,7 +264,7 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     if cands is None or cands.inputs[0] is not object_vocab or cands.inputs[1] is not table:
         cands = orm._candidates[key] = PairCandidates(object_vocab, table, k_candidates, *key)
     labels = packed.labels if obj_probs is None else obj_probs.argmax(axis=1)
-    packed.candidates = cands.slab(cands.rows(orm, labels, packed.so_rows[:, :2]))
+    packed.candidates = cands.slab(cands.rows(orm, labels[packed.so_rows[:, :2]]))
     trace = forward_edges(params, packed, (enriched, obj_probs, obj_caches))
     rel_probs, pred_emb = iter(trace.rel_probs), iter(trace.pred_emb)  # zip reads m_b rows
     n0 = 0  # the scene's first object row, advanced scene by scene under sgcls

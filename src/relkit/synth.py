@@ -54,6 +54,9 @@ class SynthConfig:
             raise ConfigError("at most 676 labels per vocabulary")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if min(self.d, self.e) < 1 or not 0 <= self.sigma < np.inf:  # NaN fails too
+            raise ConfigError(f"need d, e >= 1 and a finite sigma >= 0, got d = {self.d}, "
+                              f"e = {self.e}, sigma = {self.sigma}")
 
 
 @dataclass

@@ -521,7 +521,6 @@ def assert_same_slab(got, want):
     assert got.sets.dtype == sets.dtype and np.array_equal(got.sets, sets)
     k = np.array(lengths, dtype=np.int64).reshape(-1, 1)
     assert np.array_equal(got.mask, np.arange(sets.shape[1]) >= k)
-    assert np.array_equal(got.inv_k, 1.0 / k)
 
 
 ORACLE_CASES = [(backoff, strict) for backoff in (True, False)
@@ -555,6 +554,35 @@ def test_train_is_byte_identical_to_per_edge_draw(backoff, strict):
     args = (examples, orm, data.object_vocab, data.embeddings, params)
     got, got_losses = train(cfg, *args)
     want, want_losses = per_edge_train(cfg, *args)
+    assert got_losses == want_losses
+    for name, tensor in want.tensors.items():
+        assert got.tensors[name].tobytes() == tensor.tobytes(), name
+
+
+def test_edgeless_and_all_drawn_scenes_match_per_edge_paths():
+    """The first, a middle and the last scene have no edge, and K = 3 of
+    M = 6 draws every edge of another scene, so the offsets that place each
+    drawn edge in its scene and slab row skip empty scenes and full ones."""
+    data, orm, examples, params = make_world()
+    for ex in (examples[0], examples[len(examples) // 2], examples[-1]):
+        ex.edges, ex.pair_features, ex.target_embeddings = [], [], []
+        ex.candidate_embeddings = []
+    cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4, epochs=3,
+                      learning_rate=0.3)
+    args = (orm, data.object_vocab, data.embeddings, cfg)
+    index = CandidateIndex(examples, *args)
+    per_scene = [sum(si == s for _, _, si, *_ in index.drawn) for s in range(len(examples))]
+    assert any(n == len(ex.edges) > 0 for n, ex in zip(per_scene, examples))
+    assert 0 < len(index.drawn) < len(index.slab.rows)
+    for epoch in range(cfg.epochs):
+        expected = per_edge_draw(examples, *args, epoch)
+        slab = draw_candidates(examples, index, epoch)
+        assert_same_sets(drawn(examples), expected)
+        assert_same_slab(slab, per_edge_slab(expected, cfg.k_candidates,
+                                             data.embeddings.dimension))
+    train_args = (examples, orm, data.object_vocab, data.embeddings, params)
+    got, got_losses = train(cfg, *train_args)
+    want, want_losses = per_edge_train(cfg, *train_args)
     assert got_losses == want_losses
     for name, tensor in want.tensors.items():
         assert got.tensors[name].tobytes() == tensor.tobytes(), name
@@ -617,6 +645,24 @@ def test_index_looks_up_each_label_pair_once(world, monkeypatch):
     assert sorted(calls) == sorted(set(pairs))
 
 
+def test_index_finds_every_edge_row_in_one_call(world, monkeypatch):
+    data, orm, examples, _ = world
+    calls = []
+    original = train_mod.PairCandidates.rows
+
+    def recording(self, orm, pairs):
+        calls.append(pairs.copy())
+        return original(self, orm, pairs)
+
+    monkeypatch.setattr(train_mod.PairCandidates, "rows", recording)
+    CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
+                   TrainConfig(m_candidates=6, k_candidates=3))
+    want = [[int(ex.object_labels[i]), int(ex.object_labels[j])]
+            for ex in examples for i, j, _ in ex.edges]
+    assert len(calls) == 1
+    assert calls[0].shape == (len(want), 2) and calls[0].tolist() == want
+
+
 def test_edges_of_a_label_pair_share_a_set_or_a_drawn_row(world):
     """At most K phrases: one read-only array for all the pair's edges. More
     than K: a K-wide slab row of zeros, unmasked, that only the draw writes."""
@@ -641,7 +687,7 @@ def test_edges_of_a_label_pair_share_a_set_or_a_drawn_row(world):
     def drawn_rows_are_blank(index):
         t = index.slab
         return all(ex.candidate_embeddings[ei] is None and not t.sets[at].any()
-                   and not t.mask[at].any() and t.inv_k[at] == 1 / cfg.k_candidates
+                   and not t.mask[at].any()
                    for at, ex, _, ei, *_ in index.drawn)
 
     assert drawn_rows_are_blank(index)
@@ -661,7 +707,7 @@ def test_slab_draw_writes_only_the_drawn_rows(world):
     at = [a for a, *_ in index.drawn]
     static = np.setdiff1d(np.arange(len(slab.rows)), at)
     assert len(at) and len(static)
-    fields = ("rows", "sets", "mask", "inv_k")
+    fields = ("rows", "sets", "mask")
     before = {name: getattr(slab, name)[static].copy() for name in fields}
     rows = slab.rows.copy()
     for epoch in range(4):
@@ -672,7 +718,6 @@ def test_slab_draw_writes_only_the_drawn_rows(world):
             want = expected[rows[a]]
             assert np.array_equal(slab.sets[a], np.pad(want, ((0, 3 - len(want)), (0, 0))))
             assert np.array_equal(slab.mask[a], np.arange(3) >= len(want))
-            assert slab.inv_k[a, 0] == 1.0 / len(want)
         for name in fields:
             assert np.array_equal(getattr(slab, name)[static], before[name])
         assert np.array_equal(slab.rows, rows)

@@ -206,6 +206,12 @@ class TestQuery:
                    "--subject", "never", "--object", "seen") == 0
         assert "backoff" in capsys.readouterr().out
 
+    def test_unseen_pair_without_backoff_has_no_candidates(self, workspace, capsys):
+        # no marginal is given, so the note must not promise one
+        assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
+                   "--subject", "never", "--object", "seen", "--no-backoff") == 0
+        assert capsys.readouterr().out == "# pair unseen, backoff off: no candidates\n"
+
     def test_draw_without_seed_is_config_error(self, workspace):
         assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
                    "--subject", "a", "--object", "b", "--draw", "2") == 2
@@ -333,6 +339,13 @@ class TestSynthCommand:
         out = tmp_path / "data"
         assert run("synth", "--out-dir", str(out), "--seed", "-1") == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "-1e-09"])
+    def test_negative_sigma_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        assert run("synth", "--out-dir", str(out), f"--sigma={value}") == 2
+        assert f"sigma = {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_same_seed_byte_identical(self, tmp_path):

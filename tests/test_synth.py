@@ -38,6 +38,16 @@ class TestConfigValidation:
             SynthConfig(**counts)
         SynthConfig(**{k: v - 1 for k, v in counts.items()})
 
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("d", -1), ("e", 0), ("sigma", -0.5), ("sigma", float("nan")),
+        ("sigma", float("inf")), ("sigma", float("-inf"))])
+    def test_widths_below_one_and_bad_noise_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} = {value}"):
+            SynthConfig(**{field: value})
+
+    def test_zero_noise_and_unread_r_accepted(self):
+        SynthConfig(sigma=0.0, r=0)  # generate never reads r
+
     def test_edges_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             SynthConfig(objects_per_scene=2, edges_per_scene=3)

@@ -83,24 +83,20 @@ def cmd_build_orm(args) -> int:
 def cmd_query(args) -> int:
     if args.top < 1:
         raise ConfigError(f"--top must be >= 1, got {args.top}")
-    table = ormmod.load_orm(args.orm)
-    if args.draw is not None:
-        if args.seed is None:
-            raise ConfigError("--draw requires --seed")
-        chosen = ormmod.sample_candidates(table, args.subject, args.object,
-                                          m=args.top, k=args.draw,
-                                          seed=args.seed,
-                                          backoff=not args.no_backoff)
-        for predicate in chosen:
-            print(predicate)
-        return 0
-    result = ormmod.lookup(table, args.subject, args.object,
-                           backoff=not args.no_backoff)
+    if args.draw is not None and args.seed is None:
+        raise ConfigError("--draw requires --seed")
+    table, backoff = ormmod.load_orm(args.orm), not args.no_backoff
+    result = ormmod.lookup(table, args.subject, args.object, backoff=backoff)
+    if args.draw is None:
+        lines = [f"{predicate}\t{prob:.6g}" for predicate, prob in result.entries[:args.top]]
+    else:  # checks K <= M and the seed before anything is printed
+        lines = ormmod.sample_candidates(table, args.subject, args.object, m=args.top,
+                                         k=args.draw, seed=args.seed, backoff=backoff)
     if result.backoff:
         print("# pair unseen, backoff off: no candidates" if args.no_backoff
               else "# backoff: pair unseen, global marginal distribution")
-    for predicate, prob in result.entries[:args.top]:
-        print(f"{predicate}\t{prob:.6g}")
+    for line in lines:
+        print(line)
     return 0
 
 

@@ -109,6 +109,8 @@ def load_vocab(path) -> Vocabulary:
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
                 raise FormatError("expected 'label<TAB>count'")
+            if not parts[0]:
+                raise FormatError("empty label")
             label, count = lines.unique("label", parts[0]), int(parts[1])
             if count < 0:
                 raise FormatError(f"count {count} must be >= 0")

@@ -134,6 +134,8 @@ class Vocabulary:
             raise FormatError("vocabulary labels/counts length mismatch")
         if any(c < 0 for c in self.counts):
             raise FormatError("vocabulary counts must be >= 0")
+        if not all(self.labels):
+            raise FormatError("vocabulary labels must not be empty")
         for label in self.labels:  # labels are TSV fields
             if "\t" in label or "\n" in label or "\r" in label:
                 raise FormatError(f"vocabulary label {label!r} holds a tab or "

@@ -130,6 +130,8 @@ def load_orm(path) -> OrmTable:
         declared_total = int(header[1])
         for line in lines:
             s, o, r, count = line.rstrip("\n").split("\t")
+            if not (s and o and r):
+                raise FormatError("empty subject, object or predicate")
             count = int(count)
             if count < 1:
                 raise FormatError("count must be >= 1")

@@ -126,14 +126,6 @@ def _attend_scene_bwd(cache: tuple, W_fuse: np.ndarray, dout: np.ndarray
 # Stage ops the kernel shares with single-vector callers
 # ---------------------------------------------------------------------------
 
-def spatial_projection(boxes: np.ndarray, params: ModelParams,
-                       enabled: bool = True) -> np.ndarray:
-    n = boxes.shape[0]
-    if not enabled:
-        return np.zeros((n, params.dims.r), dtype=np.float64)
-    return boxes @ params.tensors["W_spat"] + params.tensors["b_spat"]
-
-
 def classify_objects(enriched: np.ndarray, params: ModelParams) -> np.ndarray:
     return softmax(enriched @ params.tensors["W_o"] + params.tensors["b_o"], axis=1)
 
@@ -374,16 +366,17 @@ class ForwardTrace:
 
 def enrich_objects(params: ModelParams, batch: PackedBatch) -> Tuple[np.ndarray, list]:
     """Enriched object rows and the self-attention caches."""
-    enriched = np.concatenate([batch.features, spatial_projection(
-        batch.boxes, params, params.toggles.geometric_objects)], axis=1)
+    t, toggles = params.tensors, params.toggles
+    spat = (batch.boxes @ t["W_spat"] + t["b_spat"] if toggles.geometric_objects
+            else np.zeros((len(batch.boxes), params.dims.r)))
+    enriched = np.concatenate([batch.features, spat], axis=1)
     _check_finite("F'", enriched)
     # groups hold disjoint rows, so each is read before it is overwritten
     obj_caches = []
-    if params.toggles.object_attention:
+    if toggles.object_attention:
         for rows in batch.obj_groups:
-            scale = 1.0 / (rows.shape[1] - 1) if params.toggles.attention_mean else 1.0
-            enriched[rows], cache = _attend_scene(enriched[rows],
-                                                  params.tensors["W_att_obj"], scale)
+            scale = 1.0 / (rows.shape[1] - 1) if toggles.attention_mean else 1.0
+            enriched[rows], cache = _attend_scene(enriched[rows], t["W_att_obj"], scale)
             obj_caches.append(cache)
         _check_finite("enriched objects", enriched)
     return enriched, obj_caches

@@ -212,6 +212,26 @@ class TestQuery:
                    "--subject", "never", "--object", "seen", "--no-backoff") == 0
         assert capsys.readouterr().out == "# pair unseen, backoff off: no candidates\n"
 
+    def test_unseen_pair_draw_has_the_backoff_note(self, workspace, capsys):
+        orm = str(workspace["data"] / "orm.tsv")
+        unseen = ["--orm", orm, "--subject", "never", "--object", "seen", "--top", "3"]
+        assert run("query", *unseen) == 0
+        note, *marginal = capsys.readouterr().out.splitlines()
+        assert run("query", *unseen, "--draw", "2", "--seed", "7") == 0
+        drawn = capsys.readouterr().out.splitlines()
+        assert drawn[0] == note == "# backoff: pair unseen, global marginal distribution"
+        assert len(set(drawn[1:])) == 2
+        assert set(drawn[1:]) <= {line.split("\t")[0] for line in marginal}
+        # K > M is refused before the note is printed
+        assert run("query", *unseen, "--draw", "4", "--seed", "7") == 2
+        assert capsys.readouterr().out == ""
+
+    def test_unseen_pair_draw_without_backoff_has_no_candidates(self, workspace, capsys):
+        assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
+                   "--subject", "never", "--object", "seen", "--no-backoff",
+                   "--draw", "2", "--seed", "7") == 0
+        assert capsys.readouterr().out == "# pair unseen, backoff off: no candidates\n"
+
     def test_draw_without_seed_is_config_error(self, workspace):
         assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
                    "--subject", "a", "--object", "b", "--draw", "2") == 2

@@ -170,6 +170,12 @@ class TestVocabFile:
         with pytest.raises(FormatError, match=f"{path}:2: count -2 must be >= 0"):
             load_vocab(path)
 
+    def test_empty_label_named(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("a\t1\n\t5\n")
+        with pytest.raises(FormatError, match=f"{path}:2: empty label"):
+            load_vocab(path)
+
     def test_repeated_label_named(self, tmp_path):
         path = tmp_path / "vocab.tsv"
         path.write_text("wearing\t54\nriding\t7\n\nwearing\t2\n")

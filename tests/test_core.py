@@ -46,6 +46,10 @@ class TestVocabulary:
         with pytest.raises(FormatError, match="tab or line break"):
             Vocabulary.make([("x", 1), (label, 2)])
 
+    def test_rejects_an_empty_label(self):
+        with pytest.raises(FormatError, match="labels must not be empty"):
+            Vocabulary.make([("x", 1), ("", 2)])
+
     def test_rejects_negative_counts(self):
         with pytest.raises(FormatError):
             Vocabulary.make([("a", -1)])

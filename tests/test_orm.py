@@ -290,6 +290,17 @@ class TestPersistence:
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
             load_orm(path)
 
+    @pytest.mark.parametrize("row", ["\thorse\triding\t1", "man\t\triding\t1",
+                                     "man\thorse\t\t1"],
+                             ids=["subject", "object", "predicate"])
+    def test_empty_field_is_located(self, tmp_path, row):
+        # save_orm never writes one, and lookup would answer for label ""
+        path = tmp_path / "orm.tsv"
+        path.write_text(f"#total\t3\nman\thorse\ton\t2\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:3: empty subject, object or predicate")):
+            load_orm(path)
+
     def test_non_utf8_line_reports_offset(self, tmp_path):
         path = tmp_path / "orm.tsv"
         path.write_bytes(b"#total\t1\na\tb\tr\xff\t1\n")

@@ -90,8 +90,12 @@ def cmd_query(args) -> int:
     if args.draw is None:
         lines = [f"{predicate}\t{prob:.6g}" for predicate, prob in result.entries[:args.top]]
     else:  # checks K <= M and the seed before anything is printed
-        lines = ormmod.sample_candidates(table, args.subject, args.object, m=args.top,
-                                         k=args.draw, seed=args.seed, backoff=backoff)
+        try:
+            lines = ormmod.sample_candidates(table, args.subject, args.object, m=args.top,
+                                             k=args.draw, seed=args.seed, backoff=backoff)
+        except ConfigError as exc:
+            raise ConfigError(f"--draw {args.draw} --top {args.top} --seed {args.seed}: "
+                              f"{exc}") from None
     if result.backoff:
         print("# pair unseen, backoff off: no candidates" if args.no_backoff
               else "# backoff: pair unseen, global marginal distribution")

@@ -72,18 +72,19 @@ def json_line(line: str):
 
 
 class TextFile:
-    """A UTF-8 text file read line by line: `with TextFile(path) as lines:`.
-    An error raised in the block gets a `path:line: ` prefix (`path: ` before
-    the first or after the last line). A RelkitError keeps its type, a parse
-    error becomes a FormatError, a byte that is not UTF-8 is named by offset.
-    Whitespace-only lines are skipped; `lines.lineno`, the current line's
-    number, counts them. `lines.unique` refuses a key an earlier line gave."""
+    """A UTF-8 text file, less any leading byte-order mark, read line by line:
+    `with TextFile(path) as lines:`. An error raised in the block gets a
+    `path:line: ` prefix (`path: ` before the first or after the last line).
+    A RelkitError keeps its type, a parse error becomes a FormatError, a byte
+    that is not UTF-8 is named by offset. Whitespace-only lines are skipped;
+    `lines.lineno`, the current line's number, counts them. `lines.unique`
+    refuses a key an earlier line gave."""
 
     def __init__(self, path):
         self.path, self.lineno, self._first = path, None, {}
 
     def __enter__(self):
-        self._fh = open(self.path, encoding="utf-8")
+        self._fh = open(self.path, encoding="utf-8-sig")
         self._numbered = enumerate(self._fh, start=1)
         return self
 

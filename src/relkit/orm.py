@@ -92,15 +92,17 @@ def lookup(table: OrmTable, subject: str, obj: str,
     return table._backoff
 
 
+def check_k(k: int, m: int) -> None:
+    if not 1 <= k <= m:
+        raise ConfigError(f"K and M must satisfy 1 <= K <= M, got K = {k}, M = {m}")
+
+
 def sample_candidates(table: OrmTable, subject: str, obj: str,
                       m: int, k: int, seed: int,
                       backoff: bool = True) -> List[str]:
     """Draw K distinct predicates from the pair's top-M candidates, uniform
     over K-subsets. Returns fewer than K items only when fewer exist."""
-    if k < 1 or m < 1:
-        raise ConfigError("sample_candidates requires M >= 1 and K >= 1")
-    if k > m:
-        raise ConfigError(f"K ({k}) must not exceed M ({m})")
+    check_k(k, m)
     if seed < 0:  # random.Random(-s) draws what random.Random(s) draws
         raise ConfigError(f"seed must be >= 0, got {seed}")
     top = [r for r, _ in lookup(table, subject, obj, backoff=backoff).entries[:m]]
@@ -129,7 +131,10 @@ def load_orm(path) -> OrmTable:
             raise FormatError("expected '#total\\t<n>' header")
         declared_total = int(header[1])
         for line in lines:
-            s, o, r, count = line.rstrip("\n").split("\t")
+            try:
+                s, o, r, count = line.rstrip("\n").split("\t")
+            except ValueError:
+                raise FormatError("expected 'subject<TAB>object<TAB>predicate<TAB>count'")
             if not (s and o and r):
                 raise FormatError("empty subject, object or predicate")
             count = int(count)

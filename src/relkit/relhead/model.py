@@ -189,9 +189,9 @@ def _composite(obj_probs: np.ndarray, labels: np.ndarray, obj_weight: np.ndarray
                pred_emb: np.ndarray, edge_weight: np.ndarray,
                lambdas: Tuple[float, float, float], grad: bool
                ) -> Tuple[float, tuple]:
-    """The three lambda-weighted loss terms, summed with per-instance weights,
-    and, if `grad`, their gradients w.r.t. the object logits, predicate
-    logits and predicted embeddings (None for a term that is off)."""
+    """The lambda-weighted loss terms on a batch's pack_batch loss columns and,
+    if `grad`, their gradients w.r.t. the object logits, predicate logits
+    and predicted embeddings (None for a term that is off)."""
     terms = [(0.0, None)] * 3
     if lambdas[0] > 0 and len(labels):
         terms[0] = _weighted_ce(obj_probs, labels, lambdas[0] * obj_weight, grad)
@@ -200,23 +200,6 @@ def _composite(obj_probs: np.ndarray, labels: np.ndarray, obj_weight: np.ndarray
     if lambdas[2] > 0 and len(predicates):
         terms[2] = _weighted_cosine(targets, pred_emb, lambdas[2] * edge_weight, grad)
     return sum(loss for loss, _ in terms), tuple(g for _, g in terms)
-
-
-def composite_loss(object_labels: Sequence[int], obj_probs: np.ndarray,
-                   predicate_labels: Sequence[int], rel_probs: np.ndarray,
-                   target_embeddings: Sequence[np.ndarray],
-                   predicted_embeddings: Sequence[np.ndarray],
-                   lambdas: Tuple[float, float, float]) -> float:
-    """lambda1 * object CE + lambda2 * relationship CE + lambda3 * cosine loss,
-    each term averaged over its instances. Each edge has one predicate
-    label, one target and one predicted embedding."""
-    n, m = len(object_labels), len(predicate_labels)
-    return _composite(np.asarray(obj_probs), np.asarray(object_labels),
-                      np.full(n, 1.0 / max(n, 1)), np.asarray(rel_probs),
-                      np.asarray(predicate_labels),
-                      np.asarray(target_embeddings, dtype=np.float64),
-                      np.asarray(predicted_embeddings, dtype=np.float64),
-                      np.full(m, 1.0 / max(m, 1)), lambdas, grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +413,14 @@ def forward_scene(params: ModelParams, ex: Example) -> ForwardTrace:
 
 def scene_loss(trace: ForwardTrace, ex: Example,
                lambdas: Tuple[float, float, float]) -> float:
-    """Loss of `ex` given `trace`, its forward pass (from forward_scene)."""
+    """Loss of `ex` given `trace`, its forward_scene pass, on its packed loss columns."""
     if (len(trace.obj_probs), len(trace.rel_probs)) != (len(ex.features),
                                                         len(ex.edges)):
         raise ConfigError("trace and example differ in object or edge count")
-    return composite_loss(ex.object_labels, trace.obj_probs,
-                          [p for _, _, p in ex.edges], trace.rel_probs,
-                          ex.target_embeddings, trace.pred_emb, lambdas)
+    b = trace.batch
+    return _composite(trace.obj_probs, b.labels, b.obj_weight, trace.rel_probs,
+                      b.predicates, b.targets, trace.pred_emb, b.edge_weight,
+                      lambdas, grad=False)[0]
 
 
 def backward_scene(params: ModelParams, trace: ForwardTrace,

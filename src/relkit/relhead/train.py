@@ -20,7 +20,7 @@ from ..core import SceneInstance, Vocabulary
 from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError, OutOfVocabularyError
 from ..evalkit import ScenePrediction
-from ..orm import OrmTable, sample_candidates, lookup
+from ..orm import OrmTable, check_k, lookup, sample_candidates
 from .model import (CandidateSlab, Example, check_scene, classify_objects,
                     enrich_objects, forward_edges, loss_and_gradients,
                     pack_batch, pack_inputs)
@@ -49,11 +49,6 @@ class TrainConfig:
             raise ConfigError("epochs and learning rate must be >= 0 and finite")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-def check_k(k: int, m: int) -> None:
-    if not 1 <= k <= m:
-        raise ConfigError(f"K and M must satisfy 1 <= K <= M, got K = {k}, M = {m}")
 
 
 def build_example(instance: SceneInstance,

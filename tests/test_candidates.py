@@ -364,6 +364,20 @@ def test_predict_after_train_scores_as_on_a_fresh_orm(world, protocol):
                        scores(trained, scenes, fresh(orm), data, protocol=protocol))
 
 
+def test_training_twice_on_the_same_inputs_is_bit_identical(world):
+    """Training writes drawn sets into its examples; a second run on the same
+    examples, ORM, vocabulary and table, after a predict_batch call on that
+    ORM, trains the same head."""
+    data, orm, examples, params = world
+    cfg = TrainConfig(m_candidates=6, k_candidates=4, seed=4, epochs=5, learning_rate=0.3)
+    args = (examples, orm, data.object_vocab, data.embeddings, params)
+    first, first_losses = train(cfg, *args)
+    assert scores(first, ragged_batch(data), orm, data) and orm._candidates
+    second, second_losses = train(cfg, *args)
+    assert second_losses == first_losses
+    assert all(np.array_equal(second.tensors[k], v) for k, v in first.tensors.items())
+
+
 def test_predict_batch_of_nothing_is_empty(world):
     data, orm, _, params = world
     assert predict_batch(params, [], orm, data.object_vocab,

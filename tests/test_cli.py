@@ -264,6 +264,19 @@ class TestQuery:
         drawn = draws[0].splitlines()
         assert len(set(drawn)) == 2 and set(drawn) <= {"riding", "on", "near"}
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--draw", "0", "--seed", "7"],
+         "--draw 0 --top 10 --seed 7: K and M must satisfy 1 <= K <= M, got K = 0, M = 10"),
+        (["--draw", "5", "--top", "3", "--seed", "7"],
+         "--draw 5 --top 3 --seed 7: K and M must satisfy 1 <= K <= M, got K = 5, M = 3"),
+    ], ids=["draw-0", "draw-above-top"])
+    def test_refused_draw_names_the_flags(self, workspace, capsys, flags, message):
+        assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),
+                   "--subject", "a", "--object", "b", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"relkit: error: {message}\n"
+
     def test_negative_seed_is_config_error(self, workspace, capsys):
         # random.Random(-1) would draw what random.Random(1) draws
         assert run("query", "--orm", str(workspace["data"] / "orm.tsv"),

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from json_line_cases import CASES, outcome
-from relkit import cli, core, corpus
+from relkit import cli, config, core, corpus, embed
 from relkit.errors import ConfigError, FormatError, TextFile, json_line
 
 
@@ -73,6 +73,28 @@ def test_non_utf8_byte_named_by_line_and_offset(tmp_path):
     path.write_bytes(b"one\nt\xffo\n")
     with pytest.raises(FormatError, match=f"^{path}:2: byte 5: not UTF-8$"):
         read(path, lambda line: None)
+
+
+def test_non_utf8_offset_counts_a_byte_order_mark(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"\xef\xbb\xbfone\nt\xffo\n")
+    with pytest.raises(FormatError, match=f"^{path}:2: byte 8: not UTF-8$"):
+        read(path, lambda line: None)
+
+
+@pytest.mark.parametrize("name, load, save", [
+    ("objects.tsv", config.load_vocab, config.save_vocab),
+    ("vectors.txt", embed.load_embeddings, embed.save_embeddings),
+    ("train.jsonl", core.load_scenes, core.save_scenes),
+], ids=["objects", "vectors", "scenes"])
+def test_byte_order_mark_is_not_part_of_the_first_line(tmp_path, name, load, save):
+    # else the first label or token would carry it, and a scenes file would not parse
+    assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "3",
+                     "--train-scenes", "2", "--test-scenes", "1"]) == 0
+    plain, marked, resaved = (tmp_path / f"{prefix}{name}" for prefix in ("", "bom-", "re-"))
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    save(load(marked), resaved)
+    assert resaved.read_bytes() == plain.read_bytes()
 
 
 def test_unique_returns_the_key_and_names_its_first_line(tmp_path):

@@ -192,7 +192,8 @@ class TestSampleCandidates:
     @pytest.mark.parametrize("m, k", [(0, 1), (2, 0), (-1, -1)])
     def test_m_or_k_below_one_rejected(self, m, k):
         table = build_orm(corpus_of(("a", "r", "b", 1)))
-        with pytest.raises(ConfigError, match="requires M >= 1 and K >= 1"):
+        with pytest.raises(ConfigError, match=f"^K and M must satisfy 1 <= K <= M, "
+                                              f"got K = {k}, M = {m}$"):
             sample_candidates(table, "a", "b", m=m, k=k, seed=0)
 
     def test_negative_seed_rejected(self):
@@ -288,6 +289,15 @@ class TestPersistence:
         path = tmp_path / "orm.tsv"
         path.write_text("#total\t1\na\tb\tr\tnotanumber\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
+            load_orm(path)
+
+    @pytest.mark.parametrize("row", ["man\thorse\t1", "man\thorse\triding\t1\t1"],
+                             ids=["three-fields", "five-fields"])
+    def test_wrong_field_count_is_located(self, tmp_path, row):
+        path = tmp_path / "orm.tsv"
+        path.write_text(f"#total\t1\n{row}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:2: expected 'subject<TAB>object<TAB>predicate<TAB>count'")):
             load_orm(path)
 
     @pytest.mark.parametrize("row", ["\thorse\triding\t1", "man\t\triding\t1",

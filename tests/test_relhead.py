@@ -10,7 +10,7 @@ from helpers import random_example
 from relkit.errors import (ConfigError, EmptySceneError, FormatError,
                            InvalidBoxError, NumericError)
 from relkit.relhead import (Dims, Example, Toggles, classify_objects,
-                            composite_loss, forward_scene, geometric_quad,
+                            forward_scene, geometric_quad,
                             init_params, load_params, loss_and_gradients,
                             predict_batch, predict_relationship, save_params,
                             scene_loss, train, TrainConfig)
@@ -315,6 +315,18 @@ class TestPairStages:
         assert np.allclose(probs, 1.0 / DIMS.n_predicate_labels, atol=1e-12)
 
 
+def one_scene_composite(object_labels, obj_probs, predicate_labels, rel_probs,
+                        targets, predicted, lambdas):
+    """model._composite on one scene, weighted as pack_batch weighs it:
+    1/n per object and 1/m per edge."""
+    n, m = len(object_labels), len(predicate_labels)
+    return model._composite(np.asarray(obj_probs), np.asarray(object_labels),
+                            np.full(n, 1.0 / n), np.asarray(rel_probs),
+                            np.asarray(predicate_labels), np.asarray(targets),
+                            np.asarray(predicted), np.full(m, 1.0 / m), lambdas,
+                            grad=False)[0]
+
+
 class TestCompositeLoss:
     def test_perfect_predictions_near_zero(self):
         eps = 1e-12
@@ -325,8 +337,8 @@ class TestCompositeLoss:
         rel_probs = np.full((1, n_pred), eps)
         rel_probs[0, 2] = 1.0 - (n_pred - 1) * eps
         emb = np.array([1.0, 2.0, 3.0])
-        loss = composite_loss([1, 0], obj_probs, [2], rel_probs,
-                              [emb], [2.0 * emb], (1.0, 1.0, 1.0))
+        loss = one_scene_composite([1, 0], obj_probs, [2], rel_probs,
+                                   [emb], [2.0 * emb], (1.0, 1.0, 1.0))
         bound = -math.log(1.0 - (n_pred - 1) * eps)
         assert 0.0 <= loss <= 2 * bound + 1e-9
 
@@ -334,9 +346,9 @@ class TestCompositeLoss:
         rng = np.random.default_rng(20)
         obj_probs = rng.dirichlet(np.ones(3), size=2)
         rel_probs = rng.dirichlet(np.ones(4), size=1)
-        loss = composite_loss([0, 2], obj_probs, [1], rel_probs,
-                              [rng.normal(size=3)], [rng.normal(size=3)],
-                              (1.0, 0.0, 0.0))
+        loss = one_scene_composite([0, 2], obj_probs, [1], rel_probs,
+                                   [rng.normal(size=3)], [rng.normal(size=3)],
+                                   (1.0, 0.0, 0.0))
         expected = -(math.log(obj_probs[0, 0]) + math.log(obj_probs[1, 2])) / 2
         assert math.isclose(loss, expected, rel_tol=1e-12)
 
@@ -345,8 +357,8 @@ class TestCompositeLoss:
         rel_probs = np.array([[0.6, 0.4]])
         u = np.array([1.0, 0.0])
         v = np.array([1.0, 1.0])
-        loss = composite_loss([0], obj_probs, [1], rel_probs, [u], [v],
-                              (2.0, 3.0, 0.5))
+        loss = one_scene_composite([0], obj_probs, [1], rel_probs, [u], [v],
+                                   (2.0, 3.0, 0.5))
         expected = (2.0 * -math.log(0.7) + 3.0 * -math.log(0.4)
                     + 0.5 * (1.0 - 1.0 / math.sqrt(2.0)))
         assert math.isclose(loss, expected, rel_tol=1e-12)
@@ -356,10 +368,10 @@ class TestCompositeLoss:
         for _ in range(50):
             obj = rng.dirichlet(np.ones(3), size=2)
             rel = rng.dirichlet(np.ones(4), size=2)
-            loss = composite_loss([0, 1], obj, [2, 3], rel,
-                                  [rng.normal(size=3) for _ in range(2)],
-                                  [rng.normal(size=3) for _ in range(2)],
-                                  tuple(rng.uniform(0, 2, size=3)))
+            loss = one_scene_composite([0, 1], obj, [2, 3], rel,
+                                       [rng.normal(size=3) for _ in range(2)],
+                                       [rng.normal(size=3) for _ in range(2)],
+                                       tuple(rng.uniform(0, 2, size=3)))
             assert loss >= 0.0
 
 

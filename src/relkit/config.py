@@ -106,13 +106,14 @@ def load_vocab(path) -> Vocabulary:
     items = []
     with TextFile(path) as lines:
         for line in lines:
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
+            try:  # a wrong field count or a count that is not an integer
+                label, count = line.rstrip("\n").split("\t")
+                count = int(count)
+            except ValueError:
                 raise FormatError("expected 'label<TAB>count'")
-            if not parts[0]:
+            if not label:
                 raise FormatError("empty label")
-            label, count = lines.unique("label", parts[0]), int(parts[1])
             if count < 0:
                 raise FormatError(f"count {count} must be >= 0")
-            items.append((label, count))
+            items.append((lines.unique("label", label), count))
     return Vocabulary.make(items)

@@ -127,17 +127,20 @@ def load_orm(path) -> OrmTable:
     table = OrmTable()
     with TextFile(path) as lines:
         header = next(iter(lines), "").rstrip("\n").split("\t")
-        if len(header) != 2 or header[0] != "#total":
+        try:  # int() raises on a count that is not an integer
+            declared = int(header[1]) if len(header) == 2 and header[0] == "#total" else None
+        except ValueError:
+            declared = None
+        if declared is None:
             raise FormatError("expected '#total\\t<n>' header")
-        declared_total = int(header[1])
         for line in lines:
             try:
                 s, o, r, count = line.rstrip("\n").split("\t")
+                count = int(count)
             except ValueError:
                 raise FormatError("expected 'subject<TAB>object<TAB>predicate<TAB>count'")
             if not (s and o and r):
                 raise FormatError("empty subject, object or predicate")
-            count = int(count)
             if count < 1:
                 raise FormatError("count must be >= 1")
             preds = table.pair_counts.setdefault((s, o), {})
@@ -147,7 +150,7 @@ def load_orm(path) -> OrmTable:
                                  if earlier.split("\t")[:3] == [s, o, r])
                 raise FormatError(f"triplet {(s, o, r)!r} repeats line {first}")
             preds[r] = count
-        if table.total() != declared_total:
-            raise FormatError(f"declared total {declared_total} != summed "
+        if table.total() != declared:
+            raise FormatError(f"declared total {declared} != summed "
                               f"counts {table.total()} (truncated file?)")
     return table

@@ -7,8 +7,9 @@ including the 1/k factor on the weighted context sum; the config flag
 
 One kernel runs a whole batch. `pack_inputs` stacks the N objects and the
 E edges of all B scenes into the flat arrays the forward pass reads (and
-the labels); edges index their subject and object rows. `pack_batch` adds
-what only the loss reads: weights, predicate ids and target embeddings.
+the labels); edges index their subject and object rows, and `firsts`, which
+no other code fills or recounts, where each scene's rows start. `pack_batch`
+adds what only the loss reads: weights, predicate ids and target embeddings.
 Attention has one kernel per shape. `_attend_scene` runs object
 self-attention once per object count n > 1, on the (scenes, n, D) block of
 those scenes with the diagonal scores at -inf, as its cost follows the sum
@@ -222,11 +223,13 @@ class CandidateSlab(NamedTuple):
 @dataclass
 class PackedBatch:
     """A batch as flat arrays (module docstring); loss columns None at
-    inference, and `candidates` None until pack_batch or predict_batch sets it."""
+    inference, and `candidates` None until pack_batch or predict_batch sets it.
+    Scene b's object (edge) rows run from firsts[b][0] (firsts[b][1]) to the next."""
 
     features: np.ndarray        # (N, d)
     boxes: np.ndarray           # (N, 4)
     labels: np.ndarray          # (N,)
+    firsts: List[Tuple[int, int]]  # per scene its first object and edge row, then (N, E)
     obj_groups: List[np.ndarray]  # per object count n > 1: (scenes, n) rows
     pair_features: np.ndarray   # (E, d)
     so_rows: np.ndarray         # (E, 4) object rows (s, o, o, s) of each edge
@@ -273,8 +276,9 @@ def pack_inputs(dims: Dims, scenes: Sequence[tuple]) -> PackedBatch:
     """The model inputs of checked scenes, each given as check_scene's
     arguments after `dims`: one array per column over all scenes' rows."""
     features, boxes, labels, pairs, pair_features = zip(*scenes)
-    offset, ends, starts = 0, [], {}  # starts: per object count, its scenes' first rows
+    offset, ends, firsts, starts = 0, [], [], {}  # starts: first rows by object count
     for f, ps in zip(features, pairs):
+        firsts.append((offset, len(ends)))
         ends += [(offset + s, offset + o) for s, o in ps]
         starts.setdefault(len(f), []).append(offset)
         offset += len(f)
@@ -282,6 +286,7 @@ def pack_inputs(dims: Dims, scenes: Sequence[tuple]) -> PackedBatch:
         np.array([row for f in features for row in f], np.float64),
         np.array([box for bs in boxes for box in bs], np.float64),
         np.array([y for ys in labels for y in ys], np.int64),
+        firsts + [(offset, len(ends))],
         [np.array(starts[k])[:, None] + np.arange(k) for k in sorted(starts) if k > 1],
         np.array([v for vs in pair_features for v in vs], np.float64).reshape(-1, dims.d),
         np.array(ends, np.int64).reshape(-1, 2).take([0, 1, 1, 0], axis=1), dims.dpr)
@@ -304,24 +309,23 @@ def pack_batch(examples: Sequence[Example], dims: Dims) -> PackedBatch:
             _expect_shape(f"scene {s} edge {k}: target embeddings",
                           ex.target_embeddings[k], (dims.e,))
     packed, b = pack_inputs(dims, inputs), len(examples)
-    n, m = np.array([(len(ex.features), len(ex.edges)) for ex in examples]).T
+    n, m = np.diff(packed.firsts, axis=0).T
     packed.obj_weight = np.repeat(1.0 / (b * n), n)
     packed.targets = np.array([v for ex in examples for v in ex.target_embeddings],
                               dtype=np.float64).reshape(-1, dims.e)
     packed.predicates = np.array([p for ex in examples for *_, p in ex.edges], np.int64)
     packed.edge_weight = np.repeat(1.0 / (b * np.maximum(m, 1)), m)
-    packed.candidates = _pack_candidates(examples, dims.e)
+    packed.candidates = _pack_candidates(examples, packed.firsts, dims.e)
     return packed
 
 
-def _pack_candidates(examples: Sequence[Example], e: int) -> CandidateSlab:
-    slots, row = [], 0  # row: the scene's first edge
-    for s, ex in enumerate(examples):
+def _pack_candidates(examples: Sequence[Example], firsts: list, e: int) -> CandidateSlab:
+    slots = []
+    for s, (ex, (_, row)) in enumerate(zip(examples, firsts)):  # row: the scene's first edge
         for k, c in enumerate(ex.candidate_embeddings[:len(ex.edges)]):
             if c is not None and len(c):
                 _expect_shape(f"scene {s} edge {k}: candidate embeddings", c, (len(c), e))
                 slots.append((row + k, c))
-        row += len(ex.edges)
     width = max((len(c) for _, c in slots), default=0)
     slab = CandidateSlab(np.array([row for row, _ in slots], np.int64),
                          np.empty((len(slots), width, e)), np.empty((len(slots), width), bool))
@@ -365,18 +369,11 @@ def enrich_objects(params: ModelParams, batch: PackedBatch) -> Tuple[np.ndarray,
     return enriched, obj_caches
 
 
-def forward_objects(params: ModelParams, batch: PackedBatch
-                    ) -> Tuple[np.ndarray, np.ndarray, List[tuple]]:
-    """The object stage: enrich_objects plus the object class probabilities."""
-    enriched, obj_caches = enrich_objects(params, batch)
-    return enriched, classify_objects(enriched, params), obj_caches
-
-
 def forward_edges(params: ModelParams, batch: PackedBatch,
-                  objects: Tuple[np.ndarray, np.ndarray, List[tuple]]
+                  objects: Tuple[np.ndarray, Optional[np.ndarray], List[tuple]]
                   ) -> ForwardTrace:
-    """The edge stage on top of `objects`, the batch's forward_objects
-    output (its probabilities may be None); the trace holds both stages."""
+    """The edge stage on top of `objects`, enrich_objects' output with the
+    class probabilities (or None) between; the trace holds both stages."""
     t, toggles, dpr = params.tensors, params.toggles, params.dims.dpr
     enriched, obj_probs, obj_caches = objects
     g = (batch.quad @ t["W_geo"] + t["b_geo"] if toggles.geometric_relationships
@@ -403,7 +400,9 @@ def forward_edges(params: ModelParams, batch: PackedBatch,
 
 
 def forward_batch(params: ModelParams, batch: PackedBatch) -> ForwardTrace:
-    return forward_edges(params, batch, forward_objects(params, batch))
+    enriched, obj_caches = enrich_objects(params, batch)
+    return forward_edges(params, batch,
+                         (enriched, classify_objects(enriched, params), obj_caches))
 
 
 def forward_scene(params: ModelParams, ex: Example) -> ForwardTrace:
@@ -414,8 +413,7 @@ def forward_scene(params: ModelParams, ex: Example) -> ForwardTrace:
 def scene_loss(trace: ForwardTrace, ex: Example,
                lambdas: Tuple[float, float, float]) -> float:
     """Loss of `ex` given `trace`, its forward_scene pass, on its packed loss columns."""
-    if (len(trace.obj_probs), len(trace.rel_probs)) != (len(ex.features),
-                                                        len(ex.edges)):
+    if trace.batch.firsts != [(0, 0), (len(ex.features), len(ex.edges))]:
         raise ConfigError("trace and example differ in object or edge count")
     b = trace.batch
     return _composite(trace.obj_probs, b.labels, b.obj_weight, trace.rel_probs,

@@ -21,9 +21,9 @@ from ..embed import EmbeddingTable, embed_phrase, embed_phrases
 from ..errors import ConfigError, NumericError, OutOfVocabularyError
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, check_k, lookup, sample_candidates
-from .model import (CandidateSlab, Example, check_scene, classify_objects,
-                    enrich_objects, forward_edges, loss_and_gradients,
-                    pack_batch, pack_inputs)
+from .model import (CandidateSlab, Example, PackedBatch, check_scene,
+                    classify_objects, enrich_objects, forward_edges,
+                    loss_and_gradients, pack_batch, pack_inputs)
 # Unused here: the benchmark's tracer requires this module to name it.
 from .model import forward_scene  # noqa: F401
 from .params import ModelParams
@@ -132,30 +132,27 @@ class PairCandidates:
 class CandidateIndex:
     """Every edge's candidate set, as its example's `candidate_embeddings`
     entry (None if empty), from one `PairCandidates.rows` call over every
-    edge of the run. An edge with at most K top-M phrases keeps them all
-    for the whole run, in a read-only array that edges with an equal set
-    share; `draw_candidates` draws the others' sets. `slab` holds the
-    non-empty static sets and a row, padded to K, for each drawn edge.
-    Object labels must index `object_vocab`."""
+    edge of `packed`, the examples' pack, read as predict_batch reads its
+    own. An edge with at most K top-M phrases keeps them all for the run, in
+    a read-only array that edges with an equal set share; `draw_candidates`
+    draws the others' sets. `slab` holds the non-empty static sets and a
+    row, padded to K, per drawn edge. Object labels index `object_vocab`."""
 
-    def __init__(self, examples: Sequence[Example], orm: OrmTable,
+    def __init__(self, examples: Sequence[Example], packed: PackedBatch, orm: OrmTable,
                  object_vocab: Vocabulary, table: EmbeddingTable, cfg: TrainConfig):
         self.orm, self.cfg, self.table = orm, cfg, table
         cands = PairCandidates(object_vocab, table, cfg.m_candidates, cfg.k_candidates,
                                cfg.orm_backoff, cfg.strict_oov)
-        pairs = np.array([(ids[s], ids[o]) for ex in examples
-                          for ids in [ex.object_labels.tolist()] for s, o, _ in ex.edges],
-                         np.int64).reshape(-1, 2)
+        pairs = packed.labels[packed.so_rows[:, :2]]
         rows = cands.rows(orm, pairs)
         self.slab = cands.slab(rows)
         sets = [cands.sets[row] if row > 0 else None for row in rows.tolist()]
-        m = np.array([len(ex.edges) for ex in examples], np.int64)
-        first = np.cumsum(m) - m  # each scene's first edge
-        for ex, lo, n in zip(examples, first.tolist(), m.tolist()):
-            ex.candidate_embeddings = sets[lo:lo + n]
+        first = np.array(packed.firsts)[:, 1]  # each scene's first edge row, then E
+        for ex, lo, hi in zip(examples, first.tolist(), first[1:].tolist()):
+            ex.candidate_embeddings = sets[lo:hi]
         names, at = object_vocab.labels, np.cumsum(rows >= 0) - 1  # at: each edge's slab row
         drawn = np.flatnonzero(rows == 0)  # drawn each epoch
-        scene = np.repeat(np.arange(len(examples)), m)[drawn]
+        scene = np.repeat(np.arange(len(examples)), np.diff(first))[drawn]
         self.drawn = [(a, examples[i], i, j, names[s], names[o]) for a, i, j, (s, o) in zip(
             at[drawn].tolist(), scene.tolist(), (drawn - first[scene]).tolist(),
             pairs[drawn].tolist())]  # slab row, example, scene, edge, subject, object
@@ -198,7 +195,7 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     check_inputs(params, table, object_vocab)
     params = params.copy()
     packed = pack_batch(examples, params.dims)  # checks widths and ids once
-    index = CandidateIndex(examples, orm, object_vocab, table, cfg)
+    index = CandidateIndex(examples, packed, orm, object_vocab, table, cfg)
     losses: List[float] = []
     with np.errstate(over="ignore", invalid="ignore"):  # NumericError reports it
         for epoch in range(cfg.epochs):
@@ -261,11 +258,11 @@ def predict_batch(params: ModelParams, scenes: Sequence[SceneInstance],
     labels = packed.labels if obj_probs is None else obj_probs.argmax(axis=1)
     packed.candidates = cands.slab(cands.rows(orm, labels[packed.so_rows[:, :2]]))
     trace = forward_edges(params, packed, (enriched, obj_probs, obj_caches))
-    rel_probs, pred_emb = iter(trace.rel_probs), iter(trace.pred_emb)  # zip reads m_b rows
-    n0 = 0  # the scene's first object row, advanced scene by scene under sgcls
-    return [(ScenePrediction(dict(zip(pairs, rel_probs)), obj_probs if obj_probs is None
-                             else obj_probs[n0:(n0 := n0 + len(rows))]),
-             dict(zip(pairs, pred_emb))) for rows, _, _, pairs, _ in inputs]
+    rel, emb, firsts = trace.rel_probs, trace.pred_emb, packed.firsts
+    return [(ScenePrediction(dict(zip(pairs, rel[e:e_end])),
+                             None if obj_probs is None else obj_probs[o:o_end]),
+             dict(zip(pairs, emb[e:e_end])))
+            for (_, _, _, pairs, _), (o, e), (o_end, e_end) in zip(inputs, firsts, firsts[1:])]
 
 
 def predict_scene(params: ModelParams, instance: SceneInstance, *args, **kwargs

@@ -25,7 +25,7 @@ from relkit.relhead import (CandidateIndex, Dims, TrainConfig,
                             build_example, draw_candidates, init_params,
                             loss_and_gradients, predict_batch, predict_scene,
                             train)
-from relkit.relhead.model import _pack_candidates, forward_objects, pack_batch
+from relkit.relhead.model import _pack_candidates, forward_batch, pack_batch
 from relkit.synth import SynthConfig, generate
 
 # the package exports the function `train` under the submodule's name
@@ -107,6 +107,15 @@ def make_world(oov=True):
     return data, orm, examples, init_params(dims, seed=5)
 
 
+DIMS = Dims(WORLD.d, WORLD.r, WORLD.e, WORLD.n_object_labels,
+            WORLD.n_seen_predicates + WORLD.n_heldout_predicates)
+
+
+def index_of(examples, *args):
+    """A CandidateIndex on the examples' pack, as `train` builds one."""
+    return CandidateIndex(examples, pack_batch(examples, DIMS), *args)
+
+
 @pytest.fixture
 def world():
     return make_world()
@@ -115,7 +124,7 @@ def world():
 def draw(examples, orm, object_vocab, table, cfg, epoch):
     """One draw from a fresh index."""
     return draw_candidates(
-        examples, CandidateIndex(examples, orm, object_vocab, table, cfg), epoch)
+        examples, index_of(examples, orm, object_vocab, table, cfg), epoch)
 
 
 def test_fixture_mixes_known_unknown_and_backoff(world):
@@ -141,8 +150,7 @@ def test_draw_matches_per_phrase_reference(world, backoff):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=1,
                       orm_backoff=backoff)
-    index = CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
-                           cfg)
+    index = index_of(examples, orm, data.object_vocab, data.embeddings, cfg)
     for epoch in range(3):
         expected = reference_draw(examples, orm, data.object_vocab,
                                   data.embeddings, cfg, epoch)
@@ -186,7 +194,7 @@ def test_predict_scene_matches_per_phrase_reference(world, protocol,
         if protocol == "sgcls":
             ex = build_example(scene, data.object_vocab, data.predicate_vocab,
                                data.embeddings)
-            probs = forward_objects(params, pack_batch([ex], params.dims))[1]
+            probs = forward_batch(params, pack_batch([ex], params.dims)).obj_probs
             truth, want = want, expected_slab(
                 [int(np.argmax(row)) for row in probs], pairs)
             truth_differs |= not all(np.array_equal(a, b) for a, b in
@@ -463,8 +471,7 @@ def test_strict_draw_and_predict_raise_after_lenient_calls(world):
 def test_writing_into_candidates_leaves_the_next_draw_alone(world):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=2)
-    index = CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
-                           cfg)
+    index = index_of(examples, orm, data.object_vocab, data.embeddings, cfg)
     draw_candidates(examples, index, 0)
     first = [None if c is None else c.copy() for c in drawn(examples)]
     static = drawn_fresh = 0
@@ -548,7 +555,7 @@ def test_index_draw_matches_per_edge_draw(backoff, strict):
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4,
                       orm_backoff=backoff, strict_oov=strict)
     args = (orm, data.object_vocab, data.embeddings, cfg)
-    index = CandidateIndex(examples, *args)
+    index = index_of(examples, *args)
     for epoch in range(4):
         expected = per_edge_draw(examples, *args, epoch)
         slab = draw_candidates(examples, index, epoch)
@@ -584,7 +591,7 @@ def test_edgeless_and_all_drawn_scenes_match_per_edge_paths():
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4, epochs=3,
                       learning_rate=0.3)
     args = (orm, data.object_vocab, data.embeddings, cfg)
-    index = CandidateIndex(examples, *args)
+    index = index_of(examples, *args)
     per_scene = [sum(si == s for _, _, si, *_ in index.drawn) for s in range(len(examples))]
     assert any(n == len(ex.edges) > 0 for n, ex in zip(per_scene, examples))
     assert 0 < len(index.drawn) < len(index.slab.rows)
@@ -616,9 +623,9 @@ def test_static_sets_are_grouped_once_per_index(world):
     data, orm, examples, _ = world
     e = data.embeddings.dimension
     args = (examples, orm, data.object_vocab, data.embeddings)
-    index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=6))
+    index = index_of(*args, TrainConfig(m_candidates=6, k_candidates=6))
     assert not index.drawn  # no edge has more than K = M phrases
-    fresh = _pack_candidates(examples, e)
+    fresh = _pack_candidates(examples, pack_batch(examples, DIMS).firsts, e)
     assert len(fresh.rows)  # some edges have candidates
     width = max(len(c) for c in drawn(examples) if c is not None)
     want = per_edge_slab(drawn(examples), width, e)
@@ -627,7 +634,7 @@ def test_static_sets_are_grouped_once_per_index(world):
         slab = draw_candidates(examples, index, epoch)
         assert slab is index.slab
         assert_same_slab(slab, want)
-    index = CandidateIndex(*args, TrainConfig(m_candidates=6, k_candidates=3))
+    index = index_of(*args, TrainConfig(m_candidates=6, k_candidates=3))
     assert index.drawn
     for epoch in range(2):  # the drawn sets are written into the index's slab
         slab = draw_candidates(examples, index, epoch)
@@ -652,8 +659,8 @@ def test_index_looks_up_each_label_pair_once(world, monkeypatch):
         return original(orm, subject, obj, **kwargs)
 
     monkeypatch.setattr(train_mod, "lookup", recording)
-    CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
-                   TrainConfig(m_candidates=6, k_candidates=3))
+    index_of(examples, orm, data.object_vocab, data.embeddings,
+             TrainConfig(m_candidates=6, k_candidates=3))
     pairs = [(s, o) for _, _, s, o in edge_label_pairs(data, examples)]
     assert len(set(pairs)) < len(pairs)  # some label pair has several edges
     assert sorted(calls) == sorted(set(pairs))
@@ -669,8 +676,8 @@ def test_index_finds_every_edge_row_in_one_call(world, monkeypatch):
         return original(self, orm, pairs)
 
     monkeypatch.setattr(train_mod.PairCandidates, "rows", recording)
-    CandidateIndex(examples, orm, data.object_vocab, data.embeddings,
-                   TrainConfig(m_candidates=6, k_candidates=3))
+    index_of(examples, orm, data.object_vocab, data.embeddings,
+             TrainConfig(m_candidates=6, k_candidates=3))
     want = [[int(ex.object_labels[i]), int(ex.object_labels[j])]
             for ex in examples for i, j, _ in ex.edges]
     assert len(calls) == 1
@@ -683,7 +690,7 @@ def test_edges_of_a_label_pair_share_a_set_or_a_drawn_row(world):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4)
     args = (examples, orm, data.object_vocab, data.embeddings, cfg)
-    index = CandidateIndex(*args)
+    index = index_of(*args)
     sets, above = {}, set()
     for si, ei, s, o in edge_label_pairs(data, examples):
         if len(lookup(orm, s, o).entries[:cfg.m_candidates]) > cfg.k_candidates:
@@ -709,14 +716,14 @@ def test_edges_of_a_label_pair_share_a_set_or_a_drawn_row(world):
     for at, ex, _, ei, *_ in index.drawn:
         c = ex.candidate_embeddings[ei]
         assert c is None or np.array_equal(slab.sets[at, :len(c)], c)
-    assert drawn_rows_are_blank(CandidateIndex(*args))  # the draw wrote no shared row
+    assert drawn_rows_are_blank(index_of(*args))  # the draw wrote no shared row
 
 
 def test_slab_draw_writes_only_the_drawn_rows(world):
     data, orm, examples, _ = world
     cfg = TrainConfig(m_candidates=6, k_candidates=3, seed=4)
     args = (orm, data.object_vocab, data.embeddings, cfg)
-    index = CandidateIndex(examples, *args)
+    index = index_of(examples, *args)
     slab = index.slab
     at = [a for a, *_ in index.drawn]
     static = np.setdiff1d(np.arange(len(slab.rows)), at)
@@ -747,8 +754,8 @@ def test_drawn_set_of_oov_phrases_skips_the_text_site(world):
         for phrase in (OOV, "blick zorp") if n == 0 else ("relaa", TWO_TOKENS):
             corpus.add(Triplet(s, phrase, o))
     cfg = TrainConfig(m_candidates=2, k_candidates=1, seed=4)
-    index = CandidateIndex(examples, build_orm(corpus), data.object_vocab,
-                           data.embeddings, cfg)
+    index = index_of(examples, build_orm(corpus), data.object_vocab,
+                     data.embeddings, cfg)
     assert len(index.drawn) == sum(len(ex.edges) for ex in examples)
     slab = draw_candidates(examples, index, 0)
     empty = [row for row, c in enumerate(drawn(examples)) if c is None]

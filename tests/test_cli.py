@@ -291,8 +291,13 @@ class TestQuery:
         ("#total\t0\na\tb\ton\t0\n", 2, "count must be >= 1"),
         ("#total\t6\nman\thorse\triding\t2\nman\thorse\ton\t1\n\n"
          "man\thorse\triding\t3\n", 5,
-         "triplet ('man', 'horse', 'riding') repeats line 2")],
-        ids=["header", "count", "repeated-triplet"])
+         "triplet ('man', 'horse', 'riding') repeats line 2"),
+        ("#total\tx\n", 1, "expected '#total\\t<n>' header"),
+        ("#total\t1.0\n", 1, "expected '#total\\t<n>' header"),
+        ("#total\t1\na\tb\tr\tx\n", 2,
+         "expected 'subject<TAB>object<TAB>predicate<TAB>count'")],
+        ids=["header", "count", "repeated-triplet", "header-count-not-integer",
+             "header-count-float", "count-not-integer"])
     def test_bad_orm_file_is_located_data_error(self, tmp_path, capsys, text,
                                                 where, message):
         orm = tmp_path / "orm.tsv"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import pytest
 
@@ -162,6 +163,14 @@ class TestVocabFile:
         path = tmp_path / "vocab.tsv"
         path.write_text("wearing\tfifty\n")
         with pytest.raises(FormatError, match=":1"):
+            load_vocab(path)
+
+    @pytest.mark.parametrize("count", ["x", "1.5", ""])
+    def test_count_not_an_integer_named(self, tmp_path, count):
+        path = tmp_path / "vocab.tsv"
+        path.write_text(f"objaa\t{count}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:1: expected 'label<TAB>count'") + "$"):
             load_vocab(path)
 
     def test_negative_count_named(self, tmp_path):

@@ -291,6 +291,22 @@ class TestPersistence:
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
             load_orm(path)
 
+    @pytest.mark.parametrize("total", ["x", "1.0", ""])
+    def test_header_count_not_an_integer_is_located(self, tmp_path, total):
+        path = tmp_path / "orm.tsv"
+        path.write_text(f"#total\t{total}\na\tb\tr\t1\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:1: expected '#total\\t<n>' header") + "$"):
+            load_orm(path)
+
+    @pytest.mark.parametrize("count", ["x", "1.0", ""])
+    def test_row_count_not_an_integer_is_located(self, tmp_path, count):
+        path = tmp_path / "orm.tsv"
+        path.write_text(f"#total\t1\na\tb\tr\t{count}\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}:2: expected 'subject<TAB>object<TAB>predicate<TAB>count'") + "$"):
+            load_orm(path)
+
     @pytest.mark.parametrize("row", ["man\thorse\t1", "man\thorse\triding\t1\t1"],
                              ids=["three-fields", "five-fields"])
     def test_wrong_field_count_is_located(self, tmp_path, row):

@@ -596,7 +596,7 @@ class TestCheckpoint:
 
 
 @pytest.mark.parametrize("fn", [
-    model.forward_objects, model.forward_edges, model.forward_batch,
+    model.forward_edges, model.forward_batch,
     model.forward_scene, model.backward_scene, model.loss_and_gradients,
     predict_batch], ids=lambda fn: fn.__name__)
 def test_switches_are_read_from_params(fn):

@@ -18,7 +18,7 @@ from pathlib import Path
 from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
-from .errors import (ConfigError, EmptySceneError, FormatError,
+from .errors import (ConfigError, EmptySceneError, FormatError, NumericError,
                      OutOfVocabularyError, RelkitError, TextFile)
 from .relhead import (check_inputs, Dims, build_example, init_params,
                       load_params, predict_batch, save_params, train)
@@ -207,10 +207,12 @@ def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     *_, scenes = inputs = _load_shared(args)
     predictions = [pred for pred, _ in _predict(args, cfg, inputs, args.protocol)]
-    evaluate = (evalkit.predcls_eval if args.protocol == "predcls"
-                else evalkit.sgcls_eval)
-    metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
-                       graph_constraint=cfg.graph_constraint)
+    evaluate = evalkit.predcls_eval if args.protocol == "predcls" else evalkit.sgcls_eval
+    try:  # recall is undefined when --scenes holds no edge
+        metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
+                           graph_constraint=cfg.graph_constraint)
+    except NumericError as exc:
+        raise NumericError(f"{args.scenes}: {exc}") from exc
     with _output(args) as out:
         evalkit.format_metrics(metrics, args.format, out)
     return 0
@@ -242,7 +244,10 @@ def cmd_zeroshot(args) -> int:
             ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
             gt_names.append(predicate_vocab.labels[p])
             lines.append(f"{si}\t{s}\t{o}\t{gt_names[-1]}\t{','.join(ranked_lists[-1])}\n")
-    accuracies = [evalkit.topk_accuracy(ranked_lists, gt_names, k) for k in ks]
+    try:  # so is top-k accuracy
+        accuracies = [evalkit.topk_accuracy(ranked_lists, gt_names, k) for k in ks]
+    except NumericError as exc:
+        raise NumericError(f"{args.scenes}: {exc}") from exc
     with _output(args) as out:  # written only once every scene is scored
         out.writelines(lines)
         for k, acc in zip(ks, accuracies):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .core import Vocabulary
-from .errors import ConfigError, FormatError, TextFile
+from .errors import ConfigError, FormatError, TextFile, integer
 from .relhead import Toggles, TrainConfig
 
 
@@ -73,7 +73,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
             raise FormatError(f"bad boolean for {field.name}: {raw!r}")
         return _BOOL[key]
     if field.type in ("int", int):
-        return int(raw)
+        return integer(raw)
     return float(raw)
 
 
@@ -108,7 +108,7 @@ def load_vocab(path) -> Vocabulary:
         for line in lines:
             try:  # a wrong field count or a count that is not an integer
                 label, count = line.rstrip("\n").split("\t")
-                count = int(count)
+                count = integer(count)
             except ValueError:
                 raise FormatError("expected 'label<TAB>count'")
             if not label:

@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, InvalidBoxError, TextFile, json_line
+from .errors import FormatError, InvalidBoxError, TextFile, integer, json_line
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def scene_from_dict(doc: dict) -> SceneInstance:
         rows = doc.get("object_features", [])
         pairs: Dict[Tuple[int, int], Sequence[float]] = {}
         for key, vec in doc.get("pair_features", {}).items():
-            pair = tuple(map(int, key.split(",")))
+            pair = tuple(map(integer, key.split(",")))
             if pair in pairs:
                 raise ValueError(f"pair_features key {key!r} repeats {pair}")
             pairs[pair] = vec  # make() converts, inside this guard

@@ -71,6 +71,13 @@ def json_line(line: str):
         raise json.JSONDecodeError("nested too deep", line, 0) from None
 
 
+def integer(text: str) -> int:
+    """`text` as an int if it is ASCII `-?[0-9]+`, else a ValueError."""
+    if text.isascii() and (text.isdecimal() or text[:1] == "-" and text[1:].isdecimal()):
+        return int(text)
+    raise ValueError(f"{text!r} is not an integer")
+
+
 class TextFile:
     """A UTF-8 text file, less any leading byte-order mark, read line by line:
     `with TextFile(path) as lines:`. An error raised in the block gets a

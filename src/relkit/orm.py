@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .corpus import TripletCorpus
-from .errors import ConfigError, FormatError, TextFile
+from .errors import ConfigError, FormatError, TextFile, integer
 
 Pair = Tuple[str, str]
 
@@ -127,8 +127,8 @@ def load_orm(path) -> OrmTable:
     table = OrmTable()
     with TextFile(path) as lines:
         header = next(iter(lines), "").rstrip("\n").split("\t")
-        try:  # int() raises on a count that is not an integer
-            declared = int(header[1]) if len(header) == 2 and header[0] == "#total" else None
+        try:  # integer() raises on a count that is not an integer
+            declared = integer(header[1]) if len(header) == 2 and header[0] == "#total" else None
         except ValueError:
             declared = None
         if declared is None:
@@ -136,7 +136,7 @@ def load_orm(path) -> OrmTable:
         for line in lines:
             try:
                 s, o, r, count = line.rstrip("\n").split("\t")
-                count = int(count)
+                count = integer(count)
             except ValueError:
                 raise FormatError("expected 'subject<TAB>object<TAB>predicate<TAB>count'")
             if not (s and o and r):

@@ -154,24 +154,20 @@ def predict_relationship(f_tripleprime: np.ndarray, params: ModelParams
 # Composite loss
 # ---------------------------------------------------------------------------
 
-def _weighted_ce(probs: np.ndarray, labels: np.ndarray, weight: np.ndarray,
-                 grad: bool = True) -> Tuple[float, Optional[np.ndarray]]:
-    """sum_i weight_i * CE_i and, if `grad`, its gradient w.r.t. the logits."""
+def _weighted_ce(probs: np.ndarray, labels: np.ndarray, weight: np.ndarray
+                 ) -> Tuple[float, np.ndarray]:
+    """sum_i weight_i * CE_i and its gradient w.r.t. the logits."""
     rows = np.arange(len(labels))
     p = probs[rows, labels]
-    loss = float(weight @ -np.log(np.maximum(p, CE_EPS)))
-    if not grad:
-        return loss, None
     dlogits = probs * weight[:, None]
     dlogits[rows, labels] -= weight
     dlogits[p <= CE_EPS] = 0.0  # clamped CE has zero gradient
-    return loss, dlogits
+    return float(weight @ -np.log(np.maximum(p, CE_EPS))), dlogits
 
 
-def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray,
-                     grad: bool = True) -> Tuple[float, Optional[np.ndarray]]:
-    """sum_i weight_i * (1 - cos(u_i, v_i)) and, if `grad`, its gradient
-    w.r.t. v."""
+def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray
+                     ) -> Tuple[float, np.ndarray]:
+    """sum_i weight_i * (1 - cos(u_i, v_i)) and its gradient w.r.t. v."""
     nu = np.linalg.norm(u, axis=1, keepdims=True)
     nv = np.linalg.norm(v, axis=1, keepdims=True)
     if not (np.all(nu > 0) and np.all(nv > 0)):
@@ -179,27 +175,22 @@ def _weighted_cosine(u: np.ndarray, v: np.ndarray, weight: np.ndarray,
     cos = np.sum(u * v, axis=1, keepdims=True) / (nu * nv)
     weight = weight[:, None]
     loss = float(np.sum(weight * (1.0 - cos)))
-    if not grad:
-        return loss, None
     # d(1 - cos)/dv = cos * v/|v|^2 - u/(|u||v|)
     return loss, weight * (cos * v / (nv * nv) - u / (nu * nv))
 
 
-def _composite(obj_probs: np.ndarray, labels: np.ndarray, obj_weight: np.ndarray,
-               rel_probs: np.ndarray, predicates: np.ndarray, targets: np.ndarray,
-               pred_emb: np.ndarray, edge_weight: np.ndarray,
-               lambdas: Tuple[float, float, float], grad: bool
+def _composite(trace: ForwardTrace, lambdas: Tuple[float, float, float]
                ) -> Tuple[float, tuple]:
-    """The lambda-weighted loss terms on a batch's pack_batch loss columns and,
-    if `grad`, their gradients w.r.t. the object logits, predicate logits
-    and predicted embeddings (None for a term that is off)."""
-    terms = [(0.0, None)] * 3
-    if lambdas[0] > 0 and len(labels):
-        terms[0] = _weighted_ce(obj_probs, labels, lambdas[0] * obj_weight, grad)
-    if lambdas[1] > 0 and len(predicates):
-        terms[1] = _weighted_ce(rel_probs, predicates, lambdas[1] * edge_weight, grad)
-    if lambdas[2] > 0 and len(predicates):
-        terms[2] = _weighted_cosine(targets, pred_emb, lambdas[2] * edge_weight, grad)
+    """The one loss: lambda-weighted terms on the trace's head outputs and its
+    batch's pack_batch loss columns, and for every caller their gradients at the
+    object and predicate logits and predicted embeddings (None: the term is off)."""
+    b, terms = trace.batch, [(0.0, None)] * 3
+    if lambdas[0] > 0 and len(b.labels):
+        terms[0] = _weighted_ce(trace.obj_probs, b.labels, lambdas[0] * b.obj_weight)
+    if lambdas[1] > 0 and len(b.predicates):
+        terms[1] = _weighted_ce(trace.rel_probs, b.predicates, lambdas[1] * b.edge_weight)
+    if lambdas[2] > 0 and len(b.predicates):
+        terms[2] = _weighted_cosine(b.targets, trace.pred_emb, lambdas[2] * b.edge_weight)
     return sum(loss for loss, _ in terms), tuple(g for _, g in terms)
 
 
@@ -410,15 +401,12 @@ def forward_scene(params: ModelParams, ex: Example) -> ForwardTrace:
     return forward_batch(params, pack_batch([ex], params.dims))
 
 
-def scene_loss(trace: ForwardTrace, ex: Example,
-               lambdas: Tuple[float, float, float]) -> float:
-    """Loss of `ex` given `trace`, its forward_scene pass, on its packed loss columns."""
+def scene_loss(trace: ForwardTrace, ex: Example, lambdas: Tuple[float, float, float]) -> float:
+    """Loss of `ex` given `trace`, its forward_scene pass: _composite's loss
+    of that batch of one scene, which must be `ex`."""
     if trace.batch.firsts != [(0, 0), (len(ex.features), len(ex.edges))]:
         raise ConfigError("trace and example differ in object or edge count")
-    b = trace.batch
-    return _composite(trace.obj_probs, b.labels, b.obj_weight, trace.rel_probs,
-                      b.predicates, b.targets, trace.pred_emb, b.edge_weight,
-                      lambdas, grad=False)[0]
+    return _composite(trace, lambdas)[0]
 
 
 def backward_scene(params: ModelParams, trace: ForwardTrace,
@@ -486,12 +474,8 @@ def loss_and_gradients(params: ModelParams, batch: Sequence[Example],
                        ) -> Tuple[float, Dict[str, np.ndarray]]:
     """Mean params.lambdas-weighted batch loss and its exact gradients.
     `packed`, if given, is the complete pack of `batch`; it is used as it is."""
-    packed = pack_batch(batch, params.dims) if packed is None else packed
-    trace = forward_batch(params, packed)
-    loss, heads = _composite(trace.obj_probs, packed.labels, packed.obj_weight,
-                             trace.rel_probs, packed.predicates, packed.targets,
-                             trace.pred_emb, packed.edge_weight, params.lambdas,
-                             grad=True)
+    trace = forward_batch(params, pack_batch(batch, params.dims) if packed is None else packed)
+    loss, heads = _composite(trace, params.lambdas)
     if not np.isfinite(loss):
         raise NumericError("non-finite batch loss")
     return loss, backward_scene(params, trace, heads)

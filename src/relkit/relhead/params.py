@@ -9,7 +9,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, TextFile
+from ..errors import ConfigError, FormatError, TextFile, integer
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def load_params(path) -> ModelParams:
         if next(iter(lines), "").rstrip("\n") != _MAGIC:
             raise FormatError(f"not a {_MAGIC} checkpoint")
         try:  # a value Dims or ModelParams rejects is a malformed file here
-            dims = Dims(*(int(v) for v in header("dims")))
+            dims = Dims(*(integer(v) for v in header("dims")))
             lambdas = tuple(float(v) for v in header("lambdas"))
             if len(lambdas) != 3:
                 raise FormatError("need three loss weights")
@@ -151,11 +151,13 @@ def load_params(path) -> ModelParams:
             toggles = Toggles(*(v == "1" for v in switches))
             for line in lines:
                 parts = line.split()
-                if (parts[0] != "tensor" or len(parts) < 2
-                        or not all(s.isdecimal() for s in parts[2:])):
+                try:  # a size that is not an integer, or a negative one
+                    shape = tuple(integer(s) for s in parts[2:])
+                except ValueError:
+                    shape = (-1,)
+                if parts[0] != "tensor" or len(parts) < 2 or min(shape, default=0) < 0:
                     raise FormatError(f"bad tensor header: {line.strip()!r}")
                 name = lines.unique("tensor", parts[1])
-                shape = tuple(int(s) for s in parts[2:])
                 size = math.prod(shape)
                 values = np.array([float(v) for v in islice(lines, size)])
                 if values.size != size:

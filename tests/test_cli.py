@@ -862,17 +862,26 @@ class TestZeroshot:
 
     def test_empty_scenes_file_is_numeric_error(self, workspace, tmp_path,
                                                 capsys):
-        scenes = tmp_path / "s.jsonl"
-        scenes.write_text("")
-        args = model_args(workspace)
-        args[1] = str(scenes)
-        out = tmp_path / "zs.tsv"
-        assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
-                   "--labels", str(workspace["data"] / "heldout.txt"),
-                   "--topk", "5", "--out", str(out)) == 4
-        assert "no edge was scored" in capsys.readouterr().err
-        assert not out.exists()
-        assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 4
+        """A scenes file with no scene, or with scenes that hold no edge,
+        leaves nothing to score; both commands name it."""
+        lines = (workspace["data"] / "test.jsonl").read_text().splitlines()
+        edgeless = [json.dumps({**json.loads(line), "edges": [],
+                                "pair_features": {}}) + "\n" for line in lines]
+        for name, text in (("empty", ""), ("edgeless", "".join(edgeless))):
+            scenes = tmp_path / f"{name}.jsonl"
+            scenes.write_text(text)
+            args = model_args(workspace)
+            args[1] = str(scenes)
+            out = tmp_path / "zs.tsv"
+            assert run("zeroshot", *args, "--checkpoint", str(workspace["ckpt"]),
+                       "--labels", str(workspace["data"] / "heldout.txt"),
+                       "--topk", "5", "--out", str(out)) == 4
+            assert capsys.readouterr().err == f"relkit: error: {scenes}: top-k " \
+                "accuracy undefined: no edge was scored\n"
+            assert not out.exists()
+            assert run("eval", *args, "--checkpoint", str(workspace["ckpt"])) == 4
+            assert capsys.readouterr().err == f"relkit: error: {scenes}: recall " \
+                "undefined for empty ground truth\n"
 
     def test_repeated_label_is_located_data_error(self, workspace, tmp_path,
                                                   capsys):

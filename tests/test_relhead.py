@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -317,14 +318,17 @@ class TestPairStages:
 
 def one_scene_composite(object_labels, obj_probs, predicate_labels, rel_probs,
                         targets, predicted, lambdas):
-    """model._composite on one scene, weighted as pack_batch weighs it:
-    1/n per object and 1/m per edge."""
+    """model._composite on a trace of one scene, weighted as pack_batch
+    weighs it: 1/n per object and 1/m per edge."""
     n, m = len(object_labels), len(predicate_labels)
-    return model._composite(np.asarray(obj_probs), np.asarray(object_labels),
-                            np.full(n, 1.0 / n), np.asarray(rel_probs),
-                            np.asarray(predicate_labels), np.asarray(targets),
-                            np.asarray(predicted), np.full(m, 1.0 / m), lambdas,
-                            grad=False)[0]
+    batch = types.SimpleNamespace(
+        labels=np.asarray(object_labels), obj_weight=np.full(n, 1.0 / n),
+        predicates=np.asarray(predicate_labels), targets=np.asarray(targets),
+        edge_weight=np.full(m, 1.0 / m))
+    trace = types.SimpleNamespace(batch=batch, obj_probs=np.asarray(obj_probs),
+                                  rel_probs=np.asarray(rel_probs),
+                                  pred_emb=np.asarray(predicted))
+    return model._composite(trace, lambdas)[0]
 
 
 class TestCompositeLoss:

@@ -110,12 +110,23 @@ def test_forward_scene_is_the_batch_row():
         obj_row, edge_row = obj_row + n, edge_row + m
 
 
+@pytest.mark.parametrize("scene", range(7))
+@pytest.mark.parametrize("lambdas", LAMBDAS, ids=str)
+def test_scene_loss_is_the_batch_loss_of_one_scene(lambdas, scene):
+    """Bit for bit, with terms off, on one-object and edgeless scenes and
+    edges without candidates: one loss path serves both callers."""
+    params = init_params(DIMS, seed=9, scale=0.3)
+    params = ModelParams(params.dims, params.tensors, lambdas, params.toggles)
+    ex = mixed_batch(41)[scene]
+    loss = scene_loss(forward_scene(params, ex), ex, lambdas)
+    assert loss == loss_and_gradients(params, [ex])[0]
+
+
 def test_scene_loss_rejects_another_example():
     params = init_params(DIMS, seed=9, scale=0.3)
     rng = np.random.default_rng(45)
     ex = random_example(rng, DIMS, n=3, n_edges=2)
     trace = forward_scene(params, ex)
-    assert scene_loss(trace, ex, (1.0, 1.0, 1.0)) == loss_and_gradients(params, [ex])[0]
     with pytest.raises(ConfigError, match="edge count"):
         scene_loss(trace, random_example(rng, DIMS, n=3, n_edges=1),
                    (1.0, 1.0, 1.0))

@@ -19,7 +19,7 @@ from . import config as cfgmod
 from . import corpus as corpusmod
 from . import core, embed, evalkit, orm as ormmod, synth, zeroshot
 from .errors import (ConfigError, EmptySceneError, FormatError, NumericError,
-                     OutOfVocabularyError, RelkitError, TextFile)
+                     OutOfVocabularyError, RelkitError, TextFile, context, integer, real)
 from .relhead import (check_inputs, Dims, build_example, init_params,
                       load_params, predict_batch, save_params, train)
 
@@ -90,12 +90,9 @@ def cmd_query(args) -> int:
     if args.draw is None:
         lines = [f"{predicate}\t{prob:.6g}" for predicate, prob in result.entries[:args.top]]
     else:  # checks K <= M and the seed before anything is printed
-        try:
+        with context(f"--draw {args.draw} --top {args.top} --seed {args.seed}", ConfigError):
             lines = ormmod.sample_candidates(table, args.subject, args.object, m=args.top,
                                              k=args.draw, seed=args.seed, backoff=backoff)
-        except ConfigError as exc:
-            raise ConfigError(f"--draw {args.draw} --top {args.top} --seed {args.seed}: "
-                              f"{exc}") from None
     if result.backoff:
         print("# pair unseen, backoff off: no candidates" if args.no_backoff
               else "# backoff: pair unseen, global marginal distribution")
@@ -161,21 +158,16 @@ def cmd_train(args) -> int:
     n_pred = 1 + max((p for s in scenes for _, _, p in s.graph.edges), default=0)
     examples = []
     for si, scene in enumerate(scenes):  # a zero target has no cosine loss
-        try:
+        with context(f"{args.scenes}: scene {si}", RelkitError):
             examples.append(build_example(scene, object_vocab, predicate_vocab,
                                           table, cfg.strict_oov or cfg.lambda3 > 0))
-        except RelkitError as exc:
-            raise type(exc)(f"{args.scenes}: scene {si}: {exc}") from exc
-    try:  # packing errors name a scene, and a zero d comes from the scenes
+    with (context(args.scenes, ConfigError, EmptySceneError),  # or a zero d
+          context(args.orm, OutOfVocabularyError)):  # a candidate: targets were checked
         dims = Dims(d, cfg.r, table.dimension, len(object_vocab), n_pred)
         params = init_params(dims, seed=cfg.seed,
                              lambdas=(cfg.lambda1, cfg.lambda2, cfg.lambda3),
                              toggles=cfg.toggles)
         params, losses = train(cfg, examples, orm_table, object_vocab, table, params)
-    except (ConfigError, EmptySceneError) as exc:
-        raise type(exc)(f"{args.scenes}: {exc}") from exc
-    except OutOfVocabularyError as exc:  # a candidate phrase: targets were checked above
-        raise OutOfVocabularyError(f"{args.orm}: {exc}") from exc
     save_params(params, args.out)
     for epoch, loss in enumerate(losses):
         print(f"epoch\t{epoch}\t{loss:.6f}")
@@ -187,20 +179,15 @@ def _predict(args, cfg, inputs, protocol):
     the config's candidate settings; an error names the files behind it."""
     object_vocab, predicate_vocab, table, orm_table, scenes = inputs
     params = load_params(args.checkpoint)
-    try:
+    with context(f"--vectors {args.vectors}, --objects {args.objects}, "
+                 f"--checkpoint {args.checkpoint}", ConfigError):
         check_inputs(params, table, object_vocab)
-    except ConfigError as exc:
-        raise ConfigError(f"{exc} (--vectors {args.vectors}, --objects {args.objects}, "
-                          f"--checkpoint {args.checkpoint})") from exc
-    try:
+    with (context(args.scenes, ConfigError, EmptySceneError),
+          context(args.orm, OutOfVocabularyError)):  # a candidate phrase
         return predict_batch(params, scenes, orm_table, object_vocab,
                              predicate_vocab, table, k_candidates=cfg.k_candidates,
                              orm_backoff=cfg.orm_backoff,
                              strict_oov=cfg.strict_oov, protocol=protocol)
-    except (ConfigError, EmptySceneError) as exc:
-        raise type(exc)(f"{args.scenes}: {exc}") from exc
-    except OutOfVocabularyError as exc:  # a candidate phrase
-        raise OutOfVocabularyError(f"{args.orm}: {exc}") from exc
 
 
 def cmd_eval(args) -> int:
@@ -208,22 +195,23 @@ def cmd_eval(args) -> int:
     *_, scenes = inputs = _load_shared(args)
     predictions = [pred for pred, _ in _predict(args, cfg, inputs, args.protocol)]
     evaluate = evalkit.predcls_eval if args.protocol == "predcls" else evalkit.sgcls_eval
-    try:  # recall is undefined when --scenes holds no edge
+    with context(args.scenes, NumericError):  # recall is undefined when --scenes holds no edge
         metrics = evaluate(predictions, scenes, micro=cfg.micro_recall,
                            graph_constraint=cfg.graph_constraint)
-    except NumericError as exc:
-        raise NumericError(f"{args.scenes}: {exc}") from exc
     with _output(args) as out:
         evalkit.format_metrics(metrics, args.format, out)
     return 0
 
 
 def cmd_zeroshot(args) -> int:
-    ks = [v.strip() for v in args.topk.split(",")]
-    bad = [v for v in ks if not v.isdecimal() or int(v) < 1]
-    if bad:
-        raise ConfigError(f"--topk takes integers >= 1, got {bad[0]!r}")
-    ks = [int(v) for v in ks]
+    ks = []
+    for v in map(str.strip, args.topk.split(",")):
+        try:
+            ks.append(integer(v))
+        except ValueError:
+            ks.append(0)  # refused below, as a k < 1 is
+        if ks[-1] < 1:
+            raise ConfigError(f"--topk takes integers >= 1, got {v!r}")
     if len(set(ks)) < len(ks):
         raise ConfigError(f"--topk repeats a k: {args.topk!r}")
     cfg = _load_run_config(args)
@@ -244,10 +232,8 @@ def cmd_zeroshot(args) -> int:
             ranked_lists.append(zeroshot.topk(probs, matrix.labels, max(ks)))
             gt_names.append(predicate_vocab.labels[p])
             lines.append(f"{si}\t{s}\t{o}\t{gt_names[-1]}\t{','.join(ranked_lists[-1])}\n")
-    try:  # so is top-k accuracy
+    with context(args.scenes, NumericError):  # so is top-k accuracy
         accuracies = [evalkit.topk_accuracy(ranked_lists, gt_names, k) for k in ks]
-    except NumericError as exc:
-        raise NumericError(f"{args.scenes}: {exc}") from exc
     with _output(args) as out:  # written only once every scene is scored
         out.writelines(lines)
         for k, acc in zip(ks, accuracies):
@@ -313,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jsonl", action="store_true", help="input is pre-parsed triplet JSONL")
     p.add_argument("--stoplist")
     p.add_argument("--predicate-lexicon")
-    p.add_argument("--min-count", type=int, default=1)
+    p.add_argument("--min-count", type=integer, default=1)
 
     p = command(cmd_build_orm, "build the object-relationship mapping")
     p.add_argument("--in", dest="infile", required=True)
@@ -323,9 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orm", required=True)
     p.add_argument("--subject", required=True)
     p.add_argument("--object", required=True)
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--draw", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--top", type=integer, default=10)
+    p.add_argument("--draw", type=integer)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--no-backoff", action="store_true")
 
     p = command(cmd_embed, "pool a phrase embedding")
@@ -337,29 +323,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_synth, "generate a synthetic dataset")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--objects", type=int, dest="n_object_labels", metavar="OBJECTS")
-    p.add_argument("--predicates", type=int, dest="n_seen_predicates",
+    p.add_argument("--objects", type=integer, dest="n_object_labels", metavar="OBJECTS")
+    p.add_argument("--predicates", type=integer, dest="n_seen_predicates",
                    metavar="PREDICATES")
-    p.add_argument("--heldout", type=int, dest="n_heldout_predicates",
+    p.add_argument("--heldout", type=integer, dest="n_heldout_predicates",
                    metavar="HELDOUT")
-    p.add_argument("--train-scenes", type=int, dest="n_train_scenes",
+    p.add_argument("--train-scenes", type=integer, dest="n_train_scenes",
                    metavar="TRAIN_SCENES")
-    p.add_argument("--test-scenes", type=int, dest="n_test_scenes",
+    p.add_argument("--test-scenes", type=integer, dest="n_test_scenes",
                    metavar="TEST_SCENES")
-    p.add_argument("--objects-per-scene", type=int)
-    p.add_argument("--edges-per-scene", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--objects-per-scene", type=integer)
+    p.add_argument("--edges-per-scene", type=integer)
+    p.add_argument("--seed", type=integer)
+    p.add_argument("--sigma", type=real)
 
     p = command(cmd_train, "train the relationship head")
     _add_common_model_args(p)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=integer)
     p.add_argument("--ablation", choices=["all-off"],
                    help="disable object self-attention, both geometric "
                         "encodings and subject-object attention")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", type=float)
+    p.add_argument("--epochs", type=integer)
+    p.add_argument("--learning-rate", type=real)
 
     p = command(cmd_eval, "run an evaluation protocol")
     _add_common_model_args(p)
@@ -395,12 +381,9 @@ def main(argv=None) -> int:
             f"relkit: warning: {message}", file=sys.stderr)
         try:
             return args.func(args)
-        except RelkitError as exc:
+        except (RelkitError, OSError) as exc:  # an OSError is a file error
             print(f"relkit: error: {exc}", file=sys.stderr)
-            return exc.exit_code
-        except OSError as exc:
-            print(f"relkit: error: {exc}", file=sys.stderr)
-            return 3
+            return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

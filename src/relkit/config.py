@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from .core import Vocabulary
-from .errors import ConfigError, FormatError, TextFile, integer
+from .errors import ConfigError, FormatError, TextFile, integer, real
 from .relhead import Toggles, TrainConfig
 
 
@@ -74,7 +74,7 @@ def _parse_value(field: dataclasses.Field, raw: str):
         return _BOOL[key]
     if field.type in ("int", int):
         return integer(raw)
-    return float(raw)
+    return real(raw)
 
 
 def load_config(path) -> RunConfig:

@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import FormatError, NumericError, OutOfVocabularyError, TextFile
+from .errors import FormatError, NumericError, OutOfVocabularyError, TextFile, real
 
 
 @dataclass
@@ -32,7 +32,7 @@ def load_embeddings(path) -> EmbeddingTable:
     with TextFile(path) as lines:
         for line in lines:
             parts = line.split()
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            vec = np.array([real(v) for v in parts[1:]], dtype=np.float64)
             if not np.all(np.isfinite(vec)):
                 raise FormatError("non-finite entry")
             if dimension is None:

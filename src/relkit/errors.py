@@ -7,6 +7,7 @@ Exit-code categories used by the CLI:
 """
 
 import json
+from contextlib import AbstractContextManager
 from pathlib import Path
 
 
@@ -76,6 +77,25 @@ def integer(text: str) -> int:
     if text.isascii() and (text.isdecimal() or text[:1] == "-" and text[1:].isdecimal()):
         return int(text)
     raise ValueError(f"{text!r} is not an integer")
+
+
+def real(text: str) -> float:
+    """`float(text)` if `text` is ASCII with no `_`, else float's ValueError."""
+    if text.isascii() and "_" not in text:
+        return float(text)
+    raise ValueError(f"could not convert string to float: {text!r}")
+
+
+class context(AbstractContextManager):
+    """`with context(prefix, *kinds):` re-raises an error of one of `kinds` from its
+    block as `type(exc)(f"{prefix}: {exc}") from exc`; others pass through."""
+
+    def __init__(self, prefix, *kinds):
+        self.prefix, self.kinds = prefix, kinds
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, self.kinds):
+            raise type(exc)(f"{self.prefix}: {exc}") from exc
 
 
 class TextFile:

@@ -9,7 +9,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, TextFile, integer
+from ..errors import ConfigError, FormatError, TextFile, integer, real
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def load_params(path) -> ModelParams:
             raise FormatError(f"not a {_MAGIC} checkpoint")
         try:  # a value Dims or ModelParams rejects is a malformed file here
             dims = Dims(*(integer(v) for v in header("dims")))
-            lambdas = tuple(float(v) for v in header("lambdas"))
+            lambdas = tuple(real(v) for v in header("lambdas"))
             if len(lambdas) != 3:
                 raise FormatError("need three loss weights")
             switches = header("toggles")
@@ -159,7 +159,7 @@ def load_params(path) -> ModelParams:
                     raise FormatError(f"bad tensor header: {line.strip()!r}")
                 name = lines.unique("tensor", parts[1])
                 size = math.prod(shape)
-                values = np.array([float(v) for v in islice(lines, size)])
+                values = np.array([real(v) for v in islice(lines, size)])
                 if values.size != size:
                     raise FormatError(f"truncated tensor {name}")
                 tensors[name] = values.reshape(shape)

@@ -18,7 +18,7 @@ import numpy as np
 
 from ..core import SceneInstance, Vocabulary
 from ..embed import EmbeddingTable, embed_phrase, embed_phrases
-from ..errors import ConfigError, NumericError, OutOfVocabularyError
+from ..errors import ConfigError, NumericError, OutOfVocabularyError, context
 from ..evalkit import ScenePrediction
 from ..orm import OrmTable, check_k, lookup, sample_candidates
 from .model import (CandidateSlab, Example, PackedBatch, check_scene,
@@ -107,10 +107,8 @@ class PairCandidates:
         for key in dict.fromkeys(key for key in keys if key not in self.row_of):
             names = vocab.labels[key[0]], vocab.labels[key[1]]
             top = [r for r, _ in lookup(orm, *names, backoff=backoff).entries[:m]]
-            try:  # under strict OOV every top-M phrase needs a vector, drawn or not
+            with context(f"label pair {names}", OutOfVocabularyError):
                 c = embed_phrases(table, top if strict_oov or len(top) <= k else [], strict_oov)
-            except OutOfVocabularyError as exc:
-                raise OutOfVocabularyError(f"label pair {names}: {exc}") from None
             if c is not None and len(top) <= k and (b := c.tobytes()) not in self.row_of_set:
                 row = self.row_of_set[b] = len(self.sets)
                 if row == len(self.padded.rows):  # full: double
@@ -200,10 +198,8 @@ def train(cfg: TrainConfig, examples: Sequence[Example], orm: OrmTable,
     with np.errstate(over="ignore", invalid="ignore"):  # NumericError reports it
         for epoch in range(cfg.epochs):
             packed.candidates = draw_candidates(examples, index, epoch)
-            try:
+            with context(f"training diverged at epoch {epoch}", NumericError):
                 loss, grads = loss_and_gradients(params, examples, packed=packed)
-            except NumericError as exc:
-                raise NumericError(f"training diverged at epoch {epoch}: {exc}") from exc
             for name in params.tensors:
                 params.tensors[name] -= cfg.learning_rate * grads[name]
             losses.append(loss)

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from relkit.cli import build_parser, main
+from relkit.cli import _load_run_config, build_parser, main
 
 
 def run(*argv):
@@ -598,6 +598,25 @@ class TestEval:
                    "--format", "tsv") == 0
         assert "R@50\t1.000000\n" in capsys.readouterr().out
 
+    def test_micro_flag_wins_over_the_config_file(self, workspace, tmp_path,
+                                                  capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("micro_recall = false\n")
+        args = [*model_args(workspace), "--checkpoint", str(workspace["ckpt"])]
+        args[1] = edited_train_scenes(  # one 1-edge scene: micro != macro
+            workspace, tmp_path / "s.jsonl",
+            lambda docs: [{**docs[0], "edges": docs[0]["edges"][:1]}] + docs[1:])
+        parsed = build_parser().parse_args(["eval", *args, "--config", str(cfgfile),
+                                            "--micro"])
+        assert _load_run_config(parsed).micro_recall is True
+        assert run("eval", *args, "--micro") == 0
+        micro = capsys.readouterr().out
+        cfgfile.write_text("micro_recall = true\n")
+        assert run("eval", *args, "--config", str(cfgfile)) == 0
+        assert capsys.readouterr().out == micro
+        assert run("eval", *args) == 0
+        assert capsys.readouterr().out != micro
+
     @pytest.mark.parametrize("flag", [["--ablation", "all-off"],
                                       ["--seed", "1"]], ids=["ablation", "seed"])
     @pytest.mark.parametrize("command", ["eval", "zeroshot"])
@@ -676,10 +695,10 @@ class TestEval:
                    "--checkpoint", str(workspace["ckpt"])) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"relkit: error: {message}" in captured.err
+        assert captured.err.startswith("relkit: error: --vectors ")
         vectors, objects = (args[args.index(f) + 1] for f in ("--vectors", "--objects"))
-        assert f"{message} (--vectors {vectors}, --objects {objects}, " \
-               f"--checkpoint {workspace['ckpt']})\n" in captured.err
+        assert captured.err == f"relkit: error: --vectors {vectors}, --objects {objects}, " \
+                               f"--checkpoint {workspace['ckpt']}: {message}\n"
 
     def test_bad_checkpoint_is_data_error(self, workspace, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -713,7 +732,7 @@ class TestEval:
             objects.write_text((workspace["data"] / "objects.tsv")
                                .read_text().splitlines()[0] + "\n")
             args[args.index("--objects") + 1] = str(objects)
-            message = r"relkit: error: object vocabulary size 1 != n_object_labels = 8"
+            message = r"object vocabulary size 1 != n_object_labels = 8\n"
         args[1] = edited_scenes(workspace, tmp_path / "s.jsonl", relabel)
         assert run("eval", *args, "--checkpoint", str(workspace["ckpt"]),
                    "--protocol", protocol) == 2
@@ -721,8 +740,8 @@ class TestEval:
         assert re.search(message, err)
         if protocol == "sgcls":  # the size mismatch names the files behind it
             vectors = args[args.index("--vectors") + 1]
-            assert f" (--vectors {vectors}, --objects {objects}, " \
-                   f"--checkpoint {workspace['ckpt']})\n" in err
+            assert f"relkit: error: --vectors {vectors}, --objects {objects}, " \
+                   f"--checkpoint {workspace['ckpt']}: object vocabulary" in err
 
     @pytest.mark.parametrize("header",
                              ["tensor", "tensor W_r 3 x", "tensor W_r -1 -1"])
@@ -805,7 +824,10 @@ class TestZeroshot:
         ("5,x", "--topk takes integers >= 1, got 'x'"),
         ("0", "--topk takes integers >= 1, got '0'"),
         ("3,-1", "--topk takes integers >= 1, got '-1'"),
-        ("1,1", "--topk repeats a k: '1,1'")], ids=["5,x", "0", "3,-1", "1,1"])
+        ("1,1", "--topk repeats a k: '1,1'"),
+        ("\u0661", "--topk takes integers >= 1, got '\u0661'"),
+        ("3,\uff11", "--topk takes integers >= 1, got '\uff11'")],
+        ids=["5,x", "0", "3,-1", "1,1", "arabic-indic", "fullwidth"])
     def test_bad_topk_is_config_error(self, workspace, tmp_path, capsys, topk,
                                       message):
         labels = tmp_path / "labels.txt"
@@ -1173,6 +1195,35 @@ def test_scoring_packing_error_names_the_scenes_file(
     assert captured.out == ""
     assert captured.err == f"relkit: error: {scenes}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# every integer flag; synth's size flags set SynthConfig fields
+INTEGER_FLAGS = [("parse", "--min-count"), ("query", "--top"), ("query", "--draw"),
+                 ("query", "--seed"), ("train", "--seed"), ("train", "--epochs"),
+                 *(("synth", flag) for flag in (
+                     "--objects", "--predicates", "--heldout", "--train-scenes",
+                     "--test-scenes", "--objects-per-scene", "--edges-per-scene",
+                     "--seed"))]
+
+
+@pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize("command, flag", INTEGER_FLAGS,
+                         ids=[" ".join(flag) for flag in INTEGER_FLAGS])
+def test_integer_flag_takes_ascii_digits_only(workspace, tmp_path, capsys, command,
+                                              flag, value):
+    # int() reads both as an integer; the flag refuses them before any file is read
+    tail = {"parse": ["--in", str(tmp_path / "in.txt"), "--out", str(tmp_path / "out")],
+            "query": ["--orm", str(tmp_path / "orm.tsv"), "--subject", "a",
+                      "--object", "b"]}
+    tail = tail.get(command) or command_args(workspace, tmp_path, command)
+    with pytest.raises(SystemExit) as exc:
+        run(command, *tail, flag, value)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"relkit {command}: error: argument {flag}: invalid integer value: {value!r}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 SUBCOMMANDS = next(a for a in build_parser()._actions

@@ -4,7 +4,8 @@ import pytest
 
 from json_line_cases import CASES, outcome
 from relkit import cli, config, core, corpus, embed
-from relkit.errors import ConfigError, FormatError, TextFile, json_line
+from relkit.errors import (ConfigError, FormatError, NumericError, TextFile, context,
+                           json_line)
 
 
 def read(path, handle):
@@ -138,3 +139,29 @@ def test_written_files_decode_by_the_scanner_alone(tmp_path, monkeypatch):
     assert fallbacks == []
     json_line(" {}\n")  # the spy sees a fallback
     assert fallbacks == [" {}\n"]
+
+
+@pytest.mark.parametrize("exc", [ConfigError("bad"), NumericError("bad")])
+def test_context_prefixes_its_kinds_and_keeps_type_and_exit_code(exc):
+    with pytest.raises(type(exc)) as raised:
+        with context("scenes.jsonl: scene 2", ConfigError, NumericError):
+            raise exc
+    assert type(raised.value) is type(exc)
+    assert str(raised.value) == "scenes.jsonl: scene 2: bad"
+    assert raised.value.exit_code == exc.exit_code
+    assert raised.value.__cause__ is exc
+
+
+@pytest.mark.parametrize("exc", [FormatError("bad"), ValueError("bad"),
+                                 KeyboardInterrupt()])
+def test_context_passes_other_errors_through(exc):
+    with pytest.raises(type(exc)) as raised:
+        with context("prefix", ConfigError, NumericError):
+            raise exc
+    assert raised.value is exc and raised.value.__cause__ is None
+
+
+def test_context_without_an_error_is_silent():
+    with context("prefix", ConfigError) as entered:
+        value = 1
+    assert value == 1 and isinstance(entered, context)

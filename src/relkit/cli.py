@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import dataclasses
 import datetime
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -323,18 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(cmd_synth, "generate a synthetic dataset")
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--objects", type=integer, dest="n_object_labels", metavar="OBJECTS")
-    p.add_argument("--predicates", type=integer, dest="n_seen_predicates",
-                   metavar="PREDICATES")
-    p.add_argument("--heldout", type=integer, dest="n_heldout_predicates",
-                   metavar="HELDOUT")
-    p.add_argument("--train-scenes", type=integer, dest="n_train_scenes",
-                   metavar="TRAIN_SCENES")
-    p.add_argument("--test-scenes", type=integer, dest="n_test_scenes",
-                   metavar="TEST_SCENES")
-    p.add_argument("--objects-per-scene", type=integer)
-    p.add_argument("--edges-per-scene", type=integer)
-    p.add_argument("--seed", type=integer)
+    sizes = {"--objects": "n_object_labels", "--predicates": "n_seen_predicates",
+             "--heldout": "n_heldout_predicates", "--train-scenes": "n_train_scenes",
+             "--test-scenes": "n_test_scenes", "--objects-per-scene": "objects_per_scene",
+             "--edges-per-scene": "edges_per_scene", "--seed": "seed"}
+    for flag, field in sizes.items():
+        p.add_argument(flag, type=integer, dest=field,
+                       metavar=flag[2:].upper().replace("-", "_"))
     p.add_argument("--sigma", type=real)
 
     p = command(cmd_train, "train the relationship head")
@@ -380,7 +376,13 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"relkit: warning: {message}", file=sys.stderr)
         try:
-            return args.func(args)
+            status = args.func(args)
+            sys.stdout.flush()  # so that a reader who left surfaces here
+            return status
+        except BrokenPipeError:  # every command writes its files before stdout
+            with open(os.devnull, "w") as devnull:  # the flush at exit goes nowhere
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            return 0
         except (RelkitError, OSError) as exc:  # an OSError is a file error
             print(f"relkit: error: {exc}", file=sys.stderr)
             return getattr(exc, "exit_code", 3)

@@ -1,9 +1,10 @@
 """Metrics and evaluation protocols: recall@K, top-k accuracy, Pred-Cls,
 SG-Cls, long-tail split, and the synonym report.
 
-Recall is macro-averaged per scene by default (micro=True pools ground-truth
-edges across scenes). Graph-constrained scoring keeps only the argmax
-predicate per ordered object pair.
+Recall ranks each ground-truth edge by its first place among its scene's top
+max(K) rows, else max(K); R@K, the share of ranks below K, is a mean over
+scenes, or over the pooled ranks if micro. Graph-constrained scoring keeps
+only the argmax predicate per ordered object pair.
 """
 
 from __future__ import annotations
@@ -49,32 +50,29 @@ Row = Tuple[float, int, int, int]
 
 
 def _recalls(per_scene: Sequence[Tuple[List[Row], SceneGraph]],
-             ks: Sequence[int], micro: bool) -> List[float]:
-    """Recall@K for every K, sorting each scene's rows once: micro pools the
-    ground-truth edges, macro averages over the scenes that have edges."""
+             ks: Sequence[int], micro: bool) -> Dict[str, float]:
+    """{"R@K": recall} for every K, reduced from one rank per ground-truth edge."""
     if any(k < 1 for k in ks):
         raise NumericError("recall_at_k requires K >= 1")
-    table = []  # per scene with edges: (edge count, distinct edges in top K per K)
+    depth = max(ks, default=0)
+    table = []  # per scene with edges: its edges' ranks, in gt.edges order
     for rows, gt in per_scene:
-        gt_edges = set(gt.edges)
-        if gt_edges:
-            top = [row[1:] for row in sorted(rows)[:max(ks, default=0)]]
-            table.append((len(gt_edges),
-                          [len(gt_edges.intersection(top[:k])) for k in ks]))
+        if gt.edges:
+            top = [row[1:] for row in sorted(rows)[:depth]]
+            place = dict(zip(reversed(top), range(len(top) - 1, -1, -1)))
+            table.append([place.get(edge, depth) for edge in gt.edges])
     if ks and not table:
         raise NumericError("recall undefined for empty ground truth")
-    if micro:
-        total = sum(n for n, _ in table)
-        return [sum(hits[i] for _, hits in table) / total for i in range(len(ks))]
-    return [float(np.mean([hits[i] / n for n, hits in table]))
-            for i in range(len(ks))]
+    table = [[rank for ranks in table for rank in ranks]] if micro else table
+    return {f"R@{k}": float(np.mean([sum(rank < k for rank in ranks) / len(ranks)
+                                     for ranks in table])) for k in ks}
 
 
 def recall_at_k(predictions: Sequence[TripletPrediction],
                 ground_truth: SceneGraph, k: int) -> float:
     """Fraction of ground-truth edges among the top-K confident predictions."""
     rows = [(-t.confidence, t.subject, t.object, t.predicate) for t in predictions]
-    return _recalls([(rows, ground_truth)], [k], micro=True)[0]
+    return _recalls([(rows, ground_truth)], [k], micro=True).popitem()[1]
 
 
 def topk_accuracy(ranked_labels: Sequence[Sequence[int]],
@@ -123,8 +121,7 @@ def predcls_eval(predictions: Sequence[ScenePrediction],
         for s, o, p in scene.graph.edges:
             ranked.append(order.get((s, o), []))
             gts.append(p)
-    metrics = dict(zip([f"R@{k}" for k in recall_ks],
-                       _recalls(per_scene, recall_ks, micro)))
+    metrics = _recalls(per_scene, recall_ks, micro)
     for k in accuracy_ks:
         metrics[f"top{k}"] = topk_accuracy(ranked, gts, k)
     return metrics
@@ -152,8 +149,7 @@ def sgcls_eval(predictions: Sequence[ScenePrediction],
                             p if label_ok[s] and label_ok[o] else -1)
                            for neg, s, o, p in _scene_rows(pred, graph_constraint)[0]],
                           scene.graph))
-    return dict(zip([f"R@{k}" for k in recall_ks],
-                    _recalls(per_scene, recall_ks, micro)))
+    return _recalls(per_scene, recall_ks, micro)
 
 
 def longtail_split(vocab: Vocabulary, threshold: int = 1024

@@ -263,12 +263,12 @@ def ragged_batch(data):
     return data.test_scenes[:5] + ragged[:6] + [bare] + ragged[6:] + data.test_scenes[5:]
 
 
-def scores(params, scenes, orm, data, table=None, vocab=None, **kwargs):
+def scores(params, scenes, orm, data, table=None, vocab=None, k_candidates=4, **kwargs):
     """Every output array of one predict_batch call, in order."""
     out = []
     for pred, embs in predict_batch(params, scenes, orm, vocab or data.object_vocab,
                                     data.predicate_vocab, table or data.embeddings,
-                                    k_candidates=4, **kwargs):
+                                    k_candidates=k_candidates, **kwargs):
         out += [*pred.pair_probs.values(), *embs.values()]
         out += [] if pred.object_probs is None else [pred.object_probs]
     return out
@@ -321,6 +321,11 @@ def test_backoff_off_then_on_scores_as_fresh_calls(world):
     assert_same_scores(off, scores(params, scenes, fresh(orm), data, orm_backoff=False))
     assert_same_scores(on, scores(params, scenes, fresh(orm), data, orm_backoff=True))
     assert not all(np.array_equal(a, b) for a, b in zip(off, on))
+    # so does K: 4, then 3, then 4 again on the one ORM
+    by_k = [scores(params, scenes, orm, data, k_candidates=k) for k in (4, 3, 4)]
+    for k, got in zip((4, 3, 4), by_k):
+        assert_same_scores(got, scores(params, scenes, fresh(orm), data, k_candidates=k))
+    assert not all(np.array_equal(a, b) for a, b in zip(by_k[0], by_k[1]))
 
 
 def test_strict_raises_on_every_call_after_a_lenient_fill(world):

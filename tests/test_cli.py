@@ -1,10 +1,15 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import relkit
 from relkit.cli import _load_run_config, build_parser, main
 
 
@@ -1268,3 +1273,27 @@ def test_flags_match_by_full_name_only(tmp_path, monkeypatch, capsys, command):
             assert exc.value.code == 2, spelling
             assert f"relkit: error: unrecognized arguments: {' '.join(spelling)}\n" \
                 in capsys.readouterr().err, spelling
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["query", "zeroshot"])
+def test_closed_stdout_ends_with_status_0_and_no_stderr(workspace, tmp_path, command,
+                                                        unbuffered):
+    # `relkit query ... | head -0`: the reader closed the pipe before the first line
+    data = workspace["data"]
+    argv = {"query": ["--orm", str(data / "orm.tsv"), "--subject", "objaa",
+                      "--object", "objab"],
+            "zeroshot": command_args(workspace, tmp_path, "zeroshot")}[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(relkit.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "relkit.cli", command, *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
